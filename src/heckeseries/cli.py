@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _size(text: str) -> int:
+    """argparse type of every degree and weight: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_rationals(text: str) -> list[Fraction]:
     toks = [t.strip() for t in text.split(",")]
     if not toks or any(not t for t in toks):
@@ -177,7 +188,9 @@ def cmd_compute(args) -> int:
             if what.startswith("A:")
             else rmatrix.dim_e_component
         )
-        dims = [fn(sym2, sym, n) for n in range(n_max + 1)]
+        # top degree first: the cap is checked before any work, and the
+        # lower degrees are then read from the cached chain
+        dims = [fn(sym2, sym, n) for n in range(n_max, -1, -1)][::-1]
     else:
         raise UsageError(f"unknown computation {what!r}")
     print(", ".join(str(v) for v in dims))
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--series2", help="second rational form (A/E)")
     predict.add_argument("--alphas2", help="second denominator roots (A/E)")
     predict.add_argument("--betas2", help="second numerator roots (A/E)")
-    predict.add_argument("--degree", type=int, default=12)
+    predict.add_argument("--degree", type=_size, default=12)
     predict.add_argument("--what", required=True, choices=("sym", "ext", "A", "E"))
     predict.set_defaults(func=cmd_predict)
 
@@ -305,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     compute.add_argument("--symmetry", required=True)
-    compute.add_argument("--degree", type=int, default=4)
+    compute.add_argument("--degree", type=_size, default=4)
     compute.add_argument("--what", required=True)
     compute.set_defaults(func=cmd_compute)
 
@@ -324,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("--symmetry", required=True)
     verify_cmd.add_argument("--symmetry2")
-    verify_cmd.add_argument("--nmax", type=int, default=4)
-    verify_cmd.add_argument("--max-weight", type=int, default=8)
+    verify_cmd.add_argument("--nmax", type=_size, default=4)
+    verify_cmd.add_argument("--max-weight", type=_size, default=8)
     verify_cmd.add_argument("--machine", action="store_true")
     verify_cmd.set_defaults(func=cmd_verify)
 
@@ -345,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     series_cmd.add_argument("--coeffs")
     series_cmd.add_argument("--f")
     series_cmd.add_argument("--g")
-    series_cmd.add_argument("--degree", type=int, default=12)
-    series_cmd.add_argument("--max-weight", type=int, default=8)
+    series_cmd.add_argument("--degree", type=_size, default=12)
+    series_cmd.add_argument("--max-weight", type=_size, default=8)
     series_cmd.add_argument("--rmax", type=int)
     series_cmd.set_defaults(func=cmd_series)
     return parser

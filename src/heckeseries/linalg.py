@@ -128,23 +128,6 @@ def nullspace(rows, ncols: int) -> list[list[int]]:
     return basis
 
 
-def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
-    """Echelon basis of span(basis_a) ∩ span(basis_b) inside k^dim."""
-    if not basis_a or not basis_b:
-        return []
-    pa = len(basis_a)
-    rows = []
-    for r in range(dim):
-        rows.append([av[r] for av in basis_a] + [-bv[r] for bv in basis_b])
-    ech = Echelon(dim)
-    for combo in nullspace(rows, pa + len(basis_b)):
-        vec = [
-            sum(combo[i] * basis_a[i][r] for i in range(pa)) for r in range(dim)
-        ]
-        ech.add(vec)
-    return ech.rows
-
-
 def solve_square(a_rows, rhs):
     """Unique rational solution of a square system, or None when singular."""
     n = len(a_rows)

@@ -1,11 +1,10 @@
 """Concrete Hecke symmetries and exact linear algebra on tensor powers.
 
-All dimensions of graded components are computed by exact rational
-elimination.  Pure chains (one relation subspace inserted at every adjacent
-pair of tensor slots) are computed degree by degree through quotient
-coordinates, so the full tensor-power matrices are never materialized; the
-mixed quotients keep the direct spanning-set elimination so the two routes
-stay independently checkable.
+Every graded dimension -- the two quadratic quotients, the mixed quotients
+and the two hom-algebra families -- comes from one engine: a quadratic
+quotient of a tensor algebra, computed degree by degree by exact rational
+elimination on the previous quotient tensored with one more slot, so the
+full tensor-power matrices are never materialized.
 """
 
 from __future__ import annotations
@@ -63,6 +62,13 @@ def _check_cap(d: int, n: int):
         )
 
 
+def _memo(sym, key, build):
+    """``sym._cache[key]``, built on first use."""
+    if key not in sym._cache:
+        sym._cache[key] = build()
+    return sym._cache[key]
+
+
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V.
 
@@ -90,44 +96,34 @@ class HeckeSymmetry:
     def inverse_matrix(self):
         """R^{-1} = (R - (q-1)·Id)/q, an identity forced by the quadratic
         relation; no elimination needed."""
-        cached = self._cache.get("inverse")
-        if cached is None:
-            dd = self.d * self.d
-            cached = tuple(
-                tuple(
-                    (self.matrix[r][c] - (self.q - 1) * (r == c)) / self.q
-                    for c in range(dd)
-                )
-                for r in range(dd)
+        dd = self.d * self.d
+        return _memo(self, "inverse", lambda: tuple(
+            tuple(
+                (self.matrix[r][c] - (self.q - 1) * (r == c)) / self.q
+                for c in range(dd)
             )
-            self._cache["inverse"] = cached
-        return cached
+            for r in range(dd)
+        ))
+
+    def _minus_q(self):
+        """Rows of R - q."""
+        dd = self.d * self.d
+        return [
+            [self.matrix[r][c] - self.q * (r == c) for c in range(dd)]
+            for r in range(dd)
+        ]
 
     def image_pair_basis(self):
         """Row basis of Im(R - q) inside V⊗V."""
-        cached = self._cache.get("image")
-        if cached is None:
-            dd = self.d * self.d
-            cols = [
-                [self.matrix[r][c] - self.q * (r == c) for r in range(dd)]
-                for c in range(dd)
-            ]
-            cached = tuple(tuple(v) for v in linalg.row_basis(cols, dd))
-            self._cache["image"] = cached
-        return cached
+        return _memo(self, "image", lambda: tuple(
+            map(tuple, linalg.row_basis(zip(*self._minus_q()), self.d**2))
+        ))
 
     def kernel_pair_basis(self):
         """Basis of Ker(R - q) inside V⊗V."""
-        cached = self._cache.get("kernel")
-        if cached is None:
-            dd = self.d * self.d
-            rows = [
-                [self.matrix[r][c] - self.q * (r == c) for c in range(dd)]
-                for r in range(dd)
-            ]
-            cached = tuple(tuple(v) for v in linalg.nullspace(rows, dd))
-            self._cache["kernel"] = cached
-        return cached
+        return _memo(self, "kernel", lambda: tuple(
+            map(tuple, linalg.nullspace(self._minus_q(), self.d**2))
+        ))
 
     def __repr__(self):
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
@@ -354,84 +350,55 @@ def _rref(rows, ncols):
     return [pivots[i] for i in order], [rref[i] for i in order]
 
 
-def _graded_quotient_dims(site_dim: int, pair_basis, n_max: int):
-    """Dimensions, per degree up to n_max, of the tensor algebra on a
-    site_dim-dimensional space modulo the ideal generated by the given
-    subspace of the square.
+def _graded_quotient_dims(d: int, relations, n_max: int):
+    """Dimensions, per degree up to n_max, of the quotient of the tensor
+    algebra on V = k^d by the ideal generated by ``relations(p)``, a basis
+    (possibly empty) of the relations inserted at tensor slots (p, p+1).
 
-    Degree n is handled as (previous quotient)⊗(one more slot) modulo the
-    image of the relations inserted at the last adjacent pair; coordinates
-    on each quotient are carried forward, which keeps every elimination at
-    the size of the quotient rather than the full tensor power.
+    The degree-n relation space is W_{n-1}⊗V + V^{⊗(n-2)}⊗R_{n-1}, and
+    W_{n-2}⊗V⊗V already lies in W_{n-1}⊗V, so Q_n is Q_{n-1}⊗V modulo the
+    rows z⊗u for z in a basis of Q_{n-2} and u in R_{n-1}, pushed through
+    the previous extension map Q_{n-2}⊗V → Q_{n-1}.  Every elimination has
+    the size of the quotient, never of the tensor power.  ``relations`` is
+    called only after the cap check.
     """
-    d = site_dim
-    dims = [1]
-    if n_max == 0:
-        return dims
-    _check_cap(d, 1)
-    dims.append(d)
-    coords = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(d)]
-        for i in range(d)
-    ]
+    _check_cap(d, n_max)
+    dims = [1, d] if n_max else [1]
+    # ext[j*d + a]: the class of (basis vector j of Q_{n-2})⊗e_a in Q_{n-1},
+    # as (basis index, coefficient) pairs
+    ext = [[(a, 1)] for a in range(d)]
     for n in range(2, n_max + 1):
-        _check_cap(d, n)
-        m_prev = dims[n - 1]
-        ncols = m_prev * d
+        ncols = dims[n - 1] * d
         ech = linalg.Echelon(ncols)
-        for w in range(d ** (n - 2)):
-            for u in pair_basis:
-                rel = [Fraction(0)] * ncols
-                touched = False
-                for a in range(d):
-                    cvec = coords[w * d + a]
-                    for b in range(d):
-                        uab = u[a * d + b]
-                        if not uab:
-                            continue
-                        for j in range(m_prev):
-                            cj = cvec[j]
-                            if cj:
-                                rel[j * d + b] += uab * cj
-                                touched = True
-                if touched:
-                    ech.add(rel)
+        for u in relations(n - 1):
+            support = [(*divmod(k, d), x) for k, x in enumerate(u) if x]
+            for j in range(dims[n - 2]):
+                row = [0] * ncols
+                for a, b, x in support:
+                    for k, c in ext[j * d + a]:
+                        row[k * d + b] += x * c
+                if any(row):
+                    ech.add(row)
         pivots, rref = _rref(ech.rows, ncols)
-        m_new = ncols - len(pivots)
-        dims.append(m_new)
-        if n == n_max:
-            break
         pivot_row = dict(zip(pivots, rref))
         free = [c for c in range(ncols) if c not in pivot_row]
-        free_index = {c: k for k, c in enumerate(free)}
-        new_coords = []
-        for z in range(d ** (n - 1)):
-            cvec = coords[z]
-            for b in range(d):
-                out = [Fraction(0)] * m_new
-                # embed e_z⊗e_b then reduce modulo the relation row space
-                for j in range(m_prev):
-                    cj = cvec[j]
-                    if not cj:
-                        continue
-                    col = j * d + b
-                    k = free_index.get(col)
-                    if k is not None:
-                        out[k] += cj
-                        continue
-                    row = pivot_row[col]
-                    for fc in free:
-                        if row[fc]:
-                            out[free_index[fc]] -= cj * row[fc]
-                new_coords.append(out)
-        coords = new_coords
+        dims.append(len(free))
+        if n == n_max:
+            break
+        index = {c: k for k, c in enumerate(free)}
+        ext = [
+            [(index[c], 1)]
+            if c in index
+            else [(index[f], -pivot_row[c][f]) for f in free if pivot_row[c][f]]
+            for c in range(ncols)
+        ]
     return dims
 
 
-def _cached_dims(sym: HeckeSymmetry, key: str, pair_basis, n_max: int):
+def _cached_dims(sym: HeckeSymmetry, key, d: int, relations, n_max: int):
     cached = sym._cache.get(key)
     if cached is None or len(cached) <= n_max:
-        cached = _graded_quotient_dims(sym.d, pair_basis, n_max)
+        cached = _graded_quotient_dims(d, relations, n_max)
         sym._cache[key] = cached
     return list(cached[: n_max + 1])
 
@@ -439,73 +406,33 @@ def _cached_dims(sym: HeckeSymmetry, key: str, pair_basis, n_max: int):
 def symmetric_dims(sym: HeckeSymmetry, n_max: int):
     """dim of the degree-n component of the quadratic quotient by
     Im(R - q), for n = 0..n_max."""
-    return _cached_dims(sym, "sym_dims", sym.image_pair_basis(), n_max)
+    return _cached_dims(
+        sym, "sym_dims", sym.d, lambda p: sym.image_pair_basis(), n_max
+    )
 
 
 def exterior_dims(sym: HeckeSymmetry, n_max: int):
     """dim of the degree-n component of the quadratic quotient by
     Ker(R - q), for n = 0..n_max."""
-    return _cached_dims(sym, "ext_dims", sym.kernel_pair_basis(), n_max)
-
-
-def _block_positions(lam) -> set[int]:
-    """Adjacent positions lying strictly inside the parts of a partition
-    laid out left to right (1-based)."""
-    positions = set()
-    offset = 0
-    for part in lam:
-        for i in range(1, part):
-            positions.add(offset + i)
-        offset += part
-    return positions
-
-
-def _embedded_pair_vectors(vecs, d: int, n: int, pos: int):
-    """All tensor embeddings of two-site vectors at slots (pos, pos+1)."""
-    dd = d * d
-    stride = d ** (n - pos - 1)
-    block_stride = stride * dd
-    outer = d ** (n - 2)
-    out = []
-    for v in vecs:
-        support = [(pair, v[pair]) for pair in range(dd) if v[pair]]
-        for w in range(outer):
-            hi, lo = divmod(w, stride)
-            base = hi * block_stride + lo
-            row = [Fraction(0)] * (d**n)
-            for pair, val in support:
-                row[base + pair * stride] = val
-            out.append(row)
-    return out
+    return _cached_dims(
+        sym, "ext_dims", sym.d, lambda p: sym.kernel_pair_basis(), n_max
+    )
 
 
 def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
     """Dimension of the tensor power modulo image relations inside the
     blocks of lam and kernel relations inside the blocks of mu (mu laid out
-    after lam), by one exact elimination over the spanning set."""
+    after lam); no relation crosses a block boundary."""
     lam, mu = as_partition(lam), as_partition(mu)
     n = weight(lam) + weight(mu)
-    d = sym.d
-    if n == 0:
-        return 1
-    _check_cap(d, n)
-    if n == 1:
-        return d
-    if mu == () and lam == (n,):
-        return symmetric_dims(sym, n)[n]
-    if lam == () and mu == (n,):
-        return exterior_dims(sym, n)[n]
-    spanning = []
-    for pos in _block_positions(lam):
-        spanning.extend(
-            _embedded_pair_vectors(sym.image_pair_basis(), d, n, pos)
-        )
-    shift = weight(lam)
-    for pos in _block_positions(mu):
-        spanning.extend(
-            _embedded_pair_vectors(sym.kernel_pair_basis(), d, n, shift + pos)
-        )
-    return d**n - linalg.rank(spanning, d**n)
+    # per adjacent pair of slots: the relation basis, or None at a boundary
+    slots = []
+    for parts, basis in ((lam, sym.image_pair_basis), (mu, sym.kernel_pair_basis)):
+        for part in parts:
+            slots += [basis] * (part - 1) + [None]
+    return _graded_quotient_dims(
+        sym.d, lambda p: slots[p - 1]() if slots[p - 1] else (), n
+    )[n]
 
 
 # ---------------------------------------------------------------------------
@@ -549,48 +476,45 @@ def _require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
         )
 
 
-def dim_intertwiner(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:
-    """Dimension of the space of maps between the n-th tensor powers
-    commuting with both braid actions, computed as a graded quotient on
-    tensor powers of Hom(V, V')."""
+def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str):
+    """Pair relations of hom family ``kind``, built once per pair: the row
+    space of (conjugation - identity) for "A", the annihilator of
+    I = Im(conjugation - identity) for "E"."""
+
+    def build():
+        conj = _pair_conjugation_matrix(sym_target, sym_source)
+        size = len(conj)
+        rows = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(conj)]
+        if kind == "A":
+            return linalg.row_basis(rows, size)
+        return linalg.nullspace(linalg.row_basis(zip(*rows), size), size)
+
+    return _memo(sym_source, (kind, "relations", sym_target), build)
+
+
+def _hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n: int):
     _require_same_q(sym_target, sym_source)
     big = sym_source.d * sym_target.d
-    _check_cap(big, n)
-    if n <= 1:
-        return big**n
-    conj = _pair_conjugation_matrix(sym_target, sym_source)
-    size = len(conj)
-    # row space of (conj - Id) = image of its transpose
-    rows = [
-        [conj[r][c] - (r == c) for c in range(size)] for r in range(size)
-    ]
-    pair_basis = linalg.row_basis(rows, size)
-    return _graded_quotient_dims(big, pair_basis, n)[n]
+    return _cached_dims(
+        sym_source,
+        (kind, sym_target),
+        big,
+        lambda p: _hom_relations(sym_target, sym_source, kind),
+        n,
+    )[n]
+
+
+def dim_intertwiner(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:
+    """Dimension of the space of maps between the n-th tensor powers
+    commuting with both braid actions: the graded quotient of the tensor
+    algebra on Hom(V, V') by the row space of (conjugation - identity)."""
+    return _hom_dims(sym_target, sym_source, "A", n)
 
 
 def dim_e_component(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:
-    """Dimension of the intersection over all adjacent positions of the
-    images of (conjugation - identity) on the n-th tensor power of
-    Hom(V, V')."""
-    _require_same_q(sym_target, sym_source)
-    big = sym_source.d * sym_target.d
-    _check_cap(big, n)
-    if n <= 1:
-        return big**n
-    conj = _pair_conjugation_matrix(sym_target, sym_source)
-    size = len(conj)
-    cols = [
-        [conj[r][c] - (r == c) for r in range(size)] for c in range(size)
-    ]
-    image_basis = linalg.row_basis(cols, size)
-    ambient = big**n
-    current = None
-    for pos in range(1, n):
-        embedded = _embedded_pair_vectors(image_basis, big, n, pos)
-        if current is None:
-            current = linalg.row_basis(embedded, ambient)
-        else:
-            current = linalg.intersect_bases(current, embedded, ambient)
-        if not current:
-            return 0
-    return len(current)
+    """Dimension of the intersection over all adjacent positions p of the
+    copies W_p of I = Im(conjugation - identity) on the n-th tensor power
+    of Hom(V, V').  Since dim ∩_p W_p = N - dim Σ_p W_p^⊥ and W_p^⊥ is the
+    annihilator of I placed at slots (p, p+1), this is the graded quotient
+    by that annihilator."""
+    return _hom_dims(sym_target, sym_source, "E", n)

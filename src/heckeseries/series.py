@@ -420,6 +420,32 @@ def total_positivity(f: TruncSeries, max_weight: int):
     return None
 
 
+def _sturm_chain(p) -> list[list[Fraction]]:
+    """Sturm chain of the squarefree part of a nonconstant polynomial."""
+    g = poly_gcd(p, poly_derivative(p))
+    sf = poly_divide_exact(p, g) if len(g) > 1 else poly_trim(p)
+    chain = [sf, poly_derivative(sf)]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return [q for q in chain if poly_trim(q)]
+
+
+def _sign_changes(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def _positive_roots_up_to(chain, x) -> int:
+    """Distinct roots in (0, x] of the chain's polynomial, which must not
+    vanish at 0."""
+    return _sign_changes([q[0] for q in chain]) - _sign_changes(
+        [poly_eval(q, x) for q in chain]
+    )
+
+
 def sturm_all_roots_positive(p) -> bool:
     """Exact test: every complex root of p is a positive real number.
 
@@ -435,26 +461,12 @@ def sturm_all_roots_positive(p) -> bool:
         raise ValueError("polynomial must not vanish at 0")
     if len(p) == 1:
         return True
-    g = poly_gcd(p, poly_derivative(p))
-    sf = poly_divide_exact(p, g) if len(g) > 1 else poly_trim(p)
-    deg = len(sf) - 1
+    chain = _sturm_chain(p)
+    deg = len(chain[0]) - 1
     if deg == 0:
         return True
-    chain = [sf, poly_derivative(sf)]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    if poly_trim(chain[-1]) == []:
-        chain.pop()
-
-    def variations(values):
-        signs = [1 if v > 0 else -1 for v in values if v != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-    at_zero = variations([q[0] for q in chain if poly_trim(q)])
-    at_inf = variations([q[-1] for q in chain if poly_trim(q)])
+    at_zero = _sign_changes([q[0] for q in chain])
+    at_inf = _sign_changes([q[-1] for q in chain])
     return at_zero - at_inf == deg
 
 
@@ -521,23 +533,31 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
 def _reciprocal_integer_roots(poly) -> list[int] | None:
     """For an integer polynomial 1 + c1 t + ... = prod(1 - a_i t) with all
     roots positive real, return the a_i when they are all integers, else None.
+
+    The a_i are the roots of the reversed polynomial and sum to -c1, so the
+    smallest one is found by bisection on [1, -c1] with a Sturm root count;
+    it is divided out when it is an integer.
     """
     p = poly_trim(poly)
     roots = []
     while len(p) > 1:
-        lead = p[-1]
-        cand = None
-        for a in range(1, abs(int(lead)) + 1):
-            if int(lead) % a:
-                continue
-            if poly_eval(p, Fraction(1, a)) == 0:
-                cand = a
-                break
-        if cand is None:
+        rev = p[::-1]
+        chain = _sturm_chain(rev)
+        lo, hi = 1, -p[1] // p[0]
+        if hi < lo or not _positive_roots_up_to(chain, hi):
             return None
-        p = poly_divide_exact(p, [Fraction(1), Fraction(-cand)])
-        roots.append(cand)
-    return sorted(roots)
+        # smallest integer x with a root of rev in (0, x]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _positive_roots_up_to(chain, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        if poly_eval(rev, Fraction(lo)) != 0:
+            return None
+        p = poly_divide_exact(p, [Fraction(1), Fraction(-lo)])
+        roots.append(lo)
+    return roots
 
 
 def predict_hom_series(

@@ -1,0 +1,120 @@
+"""Full-ambient routes to the graded dimensions, kept as small-size oracles.
+
+The library computes every graded dimension with one degree-by-degree
+quotient engine.  The routes here work on the whole tensor power instead:
+the quotient dimension is d**n minus the rank of every embedded relation
+vector, and the dual component is an iterated intersection of subspaces.
+They share nothing with the engine beyond the pair bases and the
+conjugation matrix, and cost d**n columns, so use them only at small n.
+"""
+
+from fractions import Fraction
+
+from heckeseries import linalg
+from heckeseries.partitions import as_partition, weight
+from heckeseries.rmatrix import _pair_conjugation_matrix
+
+
+def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
+    """Echelon basis of span(basis_a) ∩ span(basis_b) inside k^dim."""
+    if not basis_a or not basis_b:
+        return []
+    pa = len(basis_a)
+    rows = []
+    for r in range(dim):
+        rows.append([av[r] for av in basis_a] + [-bv[r] for bv in basis_b])
+    ech = linalg.Echelon(dim)
+    for combo in linalg.nullspace(rows, pa + len(basis_b)):
+        vec = [
+            sum(combo[i] * basis_a[i][r] for i in range(pa)) for r in range(dim)
+        ]
+        ech.add(vec)
+    return ech.rows
+
+
+def embedded_pair_vectors(vecs, d: int, n: int, pos: int):
+    """All tensor embeddings of two-site vectors at slots (pos, pos+1)."""
+    dd = d * d
+    stride = d ** (n - pos - 1)
+    block_stride = stride * dd
+    out = []
+    for v in vecs:
+        support = [(pair, v[pair]) for pair in range(dd) if v[pair]]
+        for w in range(d ** (n - 2)):
+            hi, lo = divmod(w, stride)
+            base = hi * block_stride + lo
+            row = [Fraction(0)] * (d**n)
+            for pair, val in support:
+                row[base + pair * stride] = val
+            out.append(row)
+    return out
+
+
+def spanning_quotient_dim(d: int, bases, n: int) -> int:
+    """d**n minus the rank of the spanning set; ``bases`` maps a 1-based
+    position p to the pair basis inserted at slots (p, p+1)."""
+    spanning = []
+    for pos, basis in bases.items():
+        spanning.extend(embedded_pair_vectors(basis, d, n, pos))
+    return d**n - linalg.rank(spanning, d**n)
+
+
+def block_positions(lam, offset: int = 0) -> list[int]:
+    """Adjacent positions lying strictly inside the parts of a partition
+    laid out left to right from slot offset + 1 (1-based)."""
+    positions = []
+    for part in lam:
+        positions.extend(offset + i for i in range(1, part))
+        offset += part
+    return positions
+
+
+def quotient_dim(sym, lam, mu) -> int:
+    """Image relations inside the blocks of lam, kernel relations inside
+    the blocks of mu laid out after lam."""
+    lam, mu = as_partition(lam), as_partition(mu)
+    n = weight(lam) + weight(mu)
+    if n <= 1:
+        return sym.d**n
+    bases = {p: sym.image_pair_basis() for p in block_positions(lam)}
+    for p in block_positions(mu, weight(lam)):
+        bases[p] = sym.kernel_pair_basis()
+    return spanning_quotient_dim(sym.d, bases, n)
+
+
+def _conj_minus_one(sym_target, sym_source):
+    conj = _pair_conjugation_matrix(sym_target, sym_source)
+    size = len(conj)
+    return [[conj[r][c] - (r == c) for c in range(size)] for r in range(size)]
+
+
+def intertwiner_dim(sym_target, sym_source, n: int) -> int:
+    """Quotient of the n-th tensor power of Hom(V, V') by the row space of
+    (conjugation - identity) at every adjacent pair."""
+    big = sym_source.d * sym_target.d
+    if n <= 1:
+        return big**n
+    rows = _conj_minus_one(sym_target, sym_source)
+    basis = linalg.row_basis(rows, len(rows))
+    return spanning_quotient_dim(big, {p: basis for p in range(1, n)}, n)
+
+
+def e_component_dim(sym_target, sym_source, n: int) -> int:
+    """Intersection over all adjacent positions of the embedded copies of
+    Im(conjugation - identity), one subspace intersection at a time."""
+    big = sym_source.d * sym_target.d
+    if n <= 1:
+        return big**n
+    rows = _conj_minus_one(sym_target, sym_source)
+    image_basis = linalg.row_basis(zip(*rows), len(rows))
+    ambient = big**n
+    current = None
+    for pos in range(1, n):
+        embedded = embedded_pair_vectors(image_basis, big, n, pos)
+        if current is None:
+            current = linalg.row_basis(embedded, ambient)
+        else:
+            current = intersect_bases(current, embedded, ambient)
+        if not current:
+            return 0
+    return len(current)

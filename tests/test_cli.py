@@ -494,3 +494,56 @@ class TestParser:
             capsys, "predict", "--what", "sym", "--alphas", "1,1", "--degree", "x"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "-1"),
+            ("compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "-3"),
+            (
+                "compute",
+                "--symmetry",
+                "std:r=2,q=2",
+                "--what",
+                "A:std:r=2,q=2",
+                "--degree",
+                "-1",
+            ),
+            ("verify", "--suite", "hilbert", "--symmetry", "std:r=2,q=2", "--nmax", "-2"),
+            ("verify", "--suite", "positivity", "--symmetry", "std:r=2,q=2", "--max-weight", "-1"),
+            ("predict", "--what", "sym", "--alphas", "1,1", "--degree", "-1"),
+            ("series", "diamond", "--f", "1,1", "--g", "1,1", "--degree", "-1"),
+            ("series", "total-positivity", "--coeffs", "1,1", "--max-weight", "-1"),
+        ],
+    )
+    def test_negative_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be non-negative" in err
+
+    def test_zero_degree_is_allowed(self, capsys):
+        code, out, _ = run(
+            capsys, "compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "0"
+        )
+        assert (code, out) == (0, "1\n")
+
+    def test_huge_certificate_roots_finish(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "predict",
+            "--what",
+            "A",
+            "--series",
+            "1;1,-2000001,999999999999",
+            "--alphas2",
+            "1",
+            "--degree",
+            "4",
+        )
+        assert code == 0
+        # pairing with 1/(1-t) returns the first series unchanged
+        assert out.splitlines()[0] == (
+            "1, 2000001, 3000004000002, 4000010000010000003, "
+            "5000020000031000020000005"
+        )

@@ -2,19 +2,20 @@
 
 The reference oracle here is a plain textbook Gaussian elimination on
 Fraction matrices, independent of the fraction-free integer pipeline
-under test.
+under test.  The subspace-intersection tests check the ``intersect_bases``
+oracle in ``oracles.py``, which the quotient-engine cross-checks rely on.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import intersect_bases
 
 from heckeseries.linalg import (
     Echelon,
     clear_denominators,
     det,
-    intersect_bases,
     invert_unitriangular,
     nullspace,
     rank,

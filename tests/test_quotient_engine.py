@@ -1,0 +1,147 @@
+"""The degree-by-degree quotient engine against the full-ambient oracles in
+``oracles.py``, on the builtins and on seeded dense conjugates.
+
+Conjugating R by g⊗g for an invertible rational g gives a dense, fractional
+"user" symmetry isomorphic to R, so every graded dimension must come out
+the same as for the builtin it came from.
+"""
+
+import random
+from fractions import Fraction
+
+import oracles
+import pytest
+
+from heckeseries import rmatrix, verify
+from heckeseries.cli import main
+from heckeseries.linalg import solve_square
+from heckeseries.partitions import partition_pairs
+from heckeseries.rmatrix import (
+    build_standard,
+    build_super,
+    dim_e_component,
+    dim_intertwiner,
+    dim_quotient,
+    exterior_dims,
+    load_and_validate,
+    symmetric_dims,
+)
+
+# (name, builder, deepest mixed-quotient degree cross-checked)
+BUILTINS = [
+    ("std2", lambda: build_standard(2, 2), 6),
+    ("super11", lambda: build_super(1, 1, Fraction(1, 2)), 6),
+    ("std3", lambda: build_standard(3, -1), 4),
+    ("super21", lambda: build_super(2, 1, 2), 4),
+]
+
+
+def kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def mat_mul(a, b):
+    return [
+        [sum(x * b[k][j] for k, x in enumerate(row) if x) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def dense_conjugate(sym, rng):
+    """(g⊗g) R (g⊗g)^-1 for a random invertible rational g."""
+    d = sym.d
+    while True:
+        g = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            for _ in range(d)
+        ]
+        cols = [solve_square(g, [int(i == j) for i in range(d)]) for j in range(d)]
+        if None not in cols:
+            break
+    g_inv = [list(row) for row in zip(*cols)]
+    mat = mat_mul(mat_mul(kron(g, g), [list(r) for r in sym.matrix]), kron(g_inv, g_inv))
+    return load_and_validate(d, sym.q, mat)
+
+
+def test_free_algebra_without_relations():
+    assert rmatrix._graded_quotient_dims(3, lambda p: (), 5) == [1, 3, 9, 27, 81, 243]
+    assert rmatrix._graded_quotient_dims(3, lambda p: (), 0) == [1]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["builtin", "dense"])
+@pytest.mark.parametrize("name,build,n_max", BUILTINS, ids=[b[0] for b in BUILTINS])
+def test_mixed_quotients_match_spanning_set(name, build, n_max, dense):
+    sym = build()
+    if dense:
+        sym = dense_conjugate(sym, random.Random(name))
+    for n in range(n_max + 1):
+        for lam, mu in partition_pairs(n):
+            assert dim_quotient(sym, lam, mu) == oracles.quotient_dim(sym, lam, mu), (
+                lam,
+                mu,
+            )
+
+
+@pytest.mark.parametrize("name,build,n_max", BUILTINS, ids=[b[0] for b in BUILTINS])
+def test_dense_conjugates_keep_chain_dims(name, build, n_max):
+    sym = build()
+    dense = dense_conjugate(sym, random.Random(name))
+    assert dense.source == "user" and dense.matrix != sym.matrix
+    assert symmetric_dims(dense, n_max) == symmetric_dims(sym, n_max)
+    assert exterior_dims(dense, n_max) == exterior_dims(sym, n_max)
+
+
+HOM_PAIRS = [
+    ("std2", "std2"),
+    ("std2", "std1"),
+    ("std1", "std2"),
+    ("super11", "std2"),
+    ("super11", "super11"),
+    ("std3", "std1"),
+]
+HOM_SYMS = {
+    "std1": lambda: build_standard(1, 2),
+    "std2": lambda: build_standard(2, 2),
+    "std3": lambda: build_standard(3, 2),
+    "super11": lambda: build_super(1, 1, 2),
+}
+
+
+@pytest.mark.parametrize("target,source", HOM_PAIRS, ids=["x".join(p) for p in HOM_PAIRS])
+def test_hom_dims_match_oracles_and_survive_conjugation(target, source):
+    a, b = HOM_SYMS[target](), HOM_SYMS[source]()
+    rng = random.Random(target + source)
+    a_dense, b_dense = dense_conjugate(a, rng), dense_conjugate(b, rng)
+    for n in range(5):
+        hom = dim_intertwiner(a, b, n)
+        dual = dim_e_component(a, b, n)
+        assert hom == oracles.intertwiner_dim(a, b, n), n
+        assert dual == oracles.e_component_dim(a, b, n), n
+        assert dim_intertwiner(a_dense, b_dense, n) == hom, n
+        assert dim_e_component(a_dense, b_dense, n) == dual, n
+    assert oracles.e_component_dim(a_dense, b_dense, 4) == dim_e_component(a, b, 4)
+
+
+def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
+    calls = {"chains": 0, "conj": 0}
+    engine, conj = rmatrix._graded_quotient_dims, rmatrix._pair_conjugation_matrix
+
+    def counting_engine(*args):
+        calls["chains"] += 1
+        return engine(*args)
+
+    def counting_conj(*args):
+        calls["conj"] += 1
+        return conj(*args)
+
+    monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
+    monkeypatch.setattr(rmatrix, "_pair_conjugation_matrix", counting_conj)
+    # one sym chain (source and target coincide); one A and one E chain,
+    # each with its conjugation matrix
+    assert verify.suite_homspace(*[build_standard(2, 2)] * 2, 5).passed
+    assert calls == {"chains": 3, "conj": 2}
+    calls.update(chains=0, conj=0)
+    spec = "std:r=2,q=2"
+    assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
+    assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
+    assert calls == {"chains": 1, "conj": 1}

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckeseries import linalg
 from heckeseries.partitions import conjugate, partition_pairs, weight
 from heckeseries.rmatrix import (
     DIMENSION_CAP,
@@ -366,6 +367,21 @@ class TestCaps:
 
     def test_intertwiner_cap(self):
         a = build_standard(2, 2)
+        with pytest.raises(CapExceeded):
+            dim_intertwiner(a, a, 7)
+
+    def test_caps_are_checked_before_any_elimination(self, monkeypatch):
+        sym = build_standard(4, 2)
+        a = build_standard(2, 2)
+
+        def no_elimination(ncols):
+            raise AssertionError("elimination started before the cap check")
+
+        monkeypatch.setattr(linalg, "Echelon", no_elimination)
+        with pytest.raises(CapExceeded):
+            symmetric_dims(sym, 7)
+        with pytest.raises(CapExceeded):
+            dim_quotient(sym, (7,), ())
         with pytest.raises(CapExceeded):
             dim_intertwiner(a, a, 7)
 

@@ -2,10 +2,12 @@
 coefficientwise product of nonnegative-support series."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from heckeseries import series as series_module
 from heckeseries.series import (
     BirankCertificate,
     CertificateError,
@@ -385,6 +387,40 @@ class TestPredictHomSeries:
         b = BirankCertificate.from_polynomials([1, -1], [1])
         f = predict_hom_series(a, b, 4)
         assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
+
+    def test_huge_irrational_roots_need_no_trial_division(self):
+        # reciprocal roots (2000001 ± sqrt(4000005)) / 2: trial division up
+        # to the leading coefficient would take ~10^12 steps
+        a = BirankCertificate.from_polynomials([1, -2000001, 999999999999], [1])
+        b = BirankCertificate.from_polynomials([1, -1], [1])
+        start = time.perf_counter()
+        f = predict_hom_series(a, b, 4)
+        assert time.perf_counter() - start < 2.0
+        assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
+
+    def test_huge_integer_root_takes_closed_form(self, monkeypatch):
+        big = 10**9 + 7
+        a = BirankCertificate.from_polynomials(poly_mul([1, -1], [1, -big]), [1])
+        b = BirankCertificate.from_polynomials([1, -1], [1, -1])
+        assert series_module._reciprocal_integer_roots(a.f0) == [1, big]
+        closed = []
+
+        def spy(num, den, order):
+            closed.append((list(num), list(den)))
+            return expand_ratio(num, den, order)
+
+        monkeypatch.setattr(series_module, "expand_ratio", spy)
+        f = predict_hom_series(a, b, 4)
+        # the product formula (1+t)(1+big t) / ((1-t)(1-big t)) was expanded
+        assert ([1, big + 1, big], [1, -big - 1, big]) in closed
+        assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
+
+    def test_reciprocal_integer_roots(self):
+        roots = series_module._reciprocal_integer_roots
+        assert roots([1]) == []
+        assert roots(poly_mul(poly_mul([1, -3], [1, -1]), [1, -3])) == [1, 3, 3]
+        assert roots([1, -3, 1]) is None  # golden-ratio roots
+        assert roots(poly_mul([1, -2], [1, -3, 1])) is None
 
 
 def test_poly_mul():
