@@ -25,7 +25,6 @@ from .series import (
     diamond,
     exterior_from_symmetric,
     hankel_minor,
-    hom_dual_series,
     predict_hom_series,
     sturm_all_roots_positive,
     total_positivity,

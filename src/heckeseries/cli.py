@@ -20,7 +20,7 @@ from .series import (
     TruncSeries,
     detect_rational,
     diamond,
-    hom_dual_series,
+    exterior_from_symmetric,
     poly_mul,
     poly_negate_t,
     predict_hom_series,
@@ -130,10 +130,6 @@ def _parse_symmetry_spec(spec: str) -> rmatrix.HeckeSymmetry:
     raise UsageError(f"unknown symmetry kind {kind!r}")
 
 
-def _render_series(f: TruncSeries) -> str:
-    return f.render()
-
-
 def cmd_predict(args) -> int:
     cert = _certificate_from_flags(args.series, args.alphas, args.betas)
     order = args.degree
@@ -143,15 +139,15 @@ def cmd_predict(args) -> int:
             args.series2, args.alphas2, args.betas2, suffix="2"
         )
         hom = predict_hom_series(cert, cert2, order)
-        out = hom if what == "A" else hom_dual_series(hom)
-        print(_render_series(out))
+        out = hom if what == "A" else exterior_from_symmetric(hom)
+        print(out.render())
         print(f"birank: ({cert.r0}, {cert.r1})")
         print(f"certificate: {cert.render()}")
         print(f"birank2: ({cert2.r0}, {cert2.r1})")
         print(f"certificate2: {cert2.render()}")
         return 0
     out = cert.symmetric_series(order) if what == "sym" else cert.exterior_series(order)
-    print(_render_series(out))
+    print(out.render())
     print(f"birank: ({cert.r0}, {cert.r1})")
     print(f"certificate: {cert.render()}")
     return 0
@@ -247,7 +243,7 @@ def cmd_series(args) -> int:
     if args.action == "diamond":
         f = _padded_series(_require(args.f, "--f"), args.degree)
         g = _padded_series(_require(args.g, "--g"), args.degree)
-        print(_render_series(diamond(f, g, args.degree)))
+        print(diamond(f, g, args.degree).render())
         return 0
     if args.action == "total-positivity":
         f = _padded_series(_require(args.coeffs, "--coeffs"), args.max_weight)

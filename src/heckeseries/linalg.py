@@ -1,15 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination kernel.
 
-Eliminations run fraction-free on integer rows: denominators are cleared up
-front and rows are kept gcd-reduced, so every intermediate value is exact no
-matter how badly conditioned the input is.  Matrices are lists of rows.
+``Echelon`` is the only Gaussian elimination in the package.  It runs
+fraction-free on integer rows: denominators are cleared as a row comes in
+and every row is kept gcd-reduced, so every intermediate value is an exact
+integer no matter how badly conditioned the input is.  ``Echelon.reduced``
+turns its rows into reduced echelon form with one common integer pivot
+value, and the rational factor and sort parity it records give the
+determinant.  ``rank``, ``row_basis``, ``nullspace``, ``solve_square`` and
+``det`` are thin readers of one ``Echelon``.  Matrices are lists of rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def clear_denominators(row):
@@ -23,107 +28,144 @@ def clear_denominators(row):
         ints = [int(x) for x in row]
     else:
         ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return ints
+    g = _content(ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
 
 
+def _content(row) -> int:
+    """gcd of the entries (0 for a zero row), stopping early at 1."""
+    g = 0
+    for a in row:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                break
+    return g
+
+
+def _eliminate(row, brow, p):
+    """(row·brow[p] - brow·row[p] made primitive, brow[p], the gcd divided
+    out): the fraction-free step that clears column p of row."""
+    lead, v = brow[p], row[p]
+    row = [a * lead - b * v for a, b in zip(row, brow)]
+    g = _content(row)
+    if g > 1:
+        row = [a // g for a in row]
+    return row, lead, max(g, 1)
+
+
 class Echelon:
     """Incremental fraction-free row echelon accumulator.
 
-    Rows are stored with strictly increasing pivot columns; each stored row is
-    zero left of its pivot.  Stored rows are not cleaned above pivots (plain
-    echelon, not reduced echelon), which is all that rank, span membership and
-    back-substitution need.
+    Rows are stored with strictly increasing pivot columns and positive
+    pivot entries; each stored row is zero left of its pivot.  Stored rows
+    are plain echelon, never rewritten; ``reduced`` gives the reduced form.
+
+    For the determinant, each stored row is ``scales[i]`` times its input
+    row plus a combination of rows added before it, and ``parity`` is the
+    parity of the permutation that sorts the rows, in insertion order, by
+    pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.scales: list[Fraction] = []
+        self.parity = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def _reduce(self, row):
+        """(reduced row, num, den): the row against the basis, and the factor
+        num/den its cleared integer form was multiplied by on the way."""
+        num = den = 1
+        for brow, p in zip(self.rows, self.pivots):
+            if row[p]:
+                row, lead, g = _eliminate(row, brow, p)
+                num *= lead
+                den *= g
+        return row, num, den
+
     def reduce(self, row) -> list[int]:
         """Reduce a row against the basis; result is integer, gcd-normalized."""
-        row = clear_denominators(row)
-        for brow, p in zip(self.rows, self.pivots):
-            v = row[p]
-            if v:
-                lead = brow[p]
-                row = [a * lead - b * v for a, b in zip(row, brow)]
-                g = 0
-                for a in row:
-                    if a:
-                        g = gcd(g, a)
-                        if g == 1:
-                            break
-                if g > 1:
-                    row = [a // g for a in row]
-        return row
+        return self._reduce(clear_denominators(row))[0]
 
     def add(self, row) -> bool:
         """Insert a row; True when it enlarged the span."""
-        row = self.reduce(row)
-        for j, v in enumerate(row):
+        ints = clear_denominators(row)
+        out, num, den = self._reduce(ints)
+        for j, v in enumerate(out):
             if v:
                 if v < 0:
-                    row = [-a for a in row]
+                    out = [-a for a in out]
+                    num = -num
+                k = next(k for k, x in enumerate(ints) if x)
                 pos = bisect(self.pivots, j)
-                self.rows.insert(pos, row)
+                self.parity ^= (len(self.rows) - pos) & 1
+                self.rows.insert(pos, out)
                 self.pivots.insert(pos, j)
+                self.scales.insert(pos, Fraction(ints[k]) / row[k] * num / den)
                 return True
         return False
 
     def contains(self, row) -> bool:
         return not any(self.reduce(row))
 
+    def reduced(self) -> tuple[int, list[list[int]]]:
+        """Reduced echelon form ``(D, rows)``: integer rows aligned with
+        ``pivots``, each equal to D at its own pivot and zero at every other
+        pivot, spanning the same space as ``rows``."""
+        out: list[list[int]] = []
+        for row, p in zip(reversed(self.rows), reversed(self.pivots)):
+            for brow, c in zip(out, reversed(self.pivots)):
+                if row[c]:
+                    row = _eliminate(row, brow, c)[0]
+            out.append(row)
+        out.reverse()
+        D = lcm(*(row[p] for row, p in zip(out, self.pivots)))
+        return D, [
+            row if row[p] == D else [a * (D // row[p]) for a in row]
+            for row, p in zip(out, self.pivots)
+        ]
+
+
+def _echelon(rows, ncols: int) -> Echelon:
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return ech
+
 
 def rank(rows, ncols: int | None = None) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    ech = Echelon(len(rows[0]) if ncols is None else ncols)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
+    return _echelon(rows, len(rows[0]) if ncols is None else ncols).rank
 
 
 def row_basis(rows, ncols: int) -> list[list[int]]:
     """Echelon basis (integer rows) of the span of `rows`."""
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.add(r)
-    return ech.rows
+    return _echelon(rows, ncols).rows
 
 
 def nullspace(rows, ncols: int) -> list[list[int]]:
     """Basis of {x : M x = 0}, one integer vector per free column."""
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.add(r)
+    ech = _echelon(rows, ncols)
+    D, reduced = ech.reduced()
     in_pivots = set(ech.pivots)
     basis = []
     for f in range(ncols):
         if f in in_pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for brow, p in zip(reversed(ech.rows), reversed(ech.pivots)):
-            s = Fraction(0)
-            for c in range(p + 1, ncols):
-                if brow[c] and x[c]:
-                    s += brow[c] * x[c]
-            if s:
-                x[p] = -s / brow[p]
+        x = [0] * ncols
+        x[f] = D
+        for row, p in zip(reduced, ech.pivots):
+            x[p] = -row[f]
         basis.append(clear_denominators(x))
     return basis
 
@@ -131,52 +173,23 @@ def nullspace(rows, ncols: int) -> list[list[int]]:
 def solve_square(a_rows, rhs):
     """Unique rational solution of a square system, or None when singular."""
     n = len(a_rows)
-    m = [
-        [Fraction(x) for x in row] + [Fraction(b)]
-        for row, b in zip(a_rows, rhs)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / lead
-            if f:
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / m[r][r]
-    return x
+    ech = _echelon((list(row) + [b] for row, b in zip(a_rows, rhs)), n + 1)
+    if ech.pivots != list(range(n)):
+        return None
+    D, reduced = ech.reduced()
+    return [Fraction(row[n], D) for row in reduced]
 
 
 def det(rows) -> Fraction:
     """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
+    ech = Echelon(len(rows))
+    for r in rows:
+        if not ech.add(r):
             return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        lead = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / lead
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    return out
+    sign = -1 if ech.parity else 1
+    return sign * prod(row[p] for row, p in zip(ech.rows, ech.pivots)) / prod(
+        ech.scales, start=Fraction(1)
+    )
 
 
 def invert_unitriangular(u) -> list[list[int]]:

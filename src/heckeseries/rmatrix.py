@@ -2,9 +2,9 @@
 
 Every graded dimension -- the two quadratic quotients, the mixed quotients
 and the two hom-algebra families -- comes from one engine: a quadratic
-quotient of a tensor algebra, computed degree by degree by exact rational
-elimination on the previous quotient tensored with one more slot, so the
-full tensor-power matrices are never materialized.
+quotient of a tensor algebra, computed degree by degree by fraction-free
+integer elimination on the previous quotient tensored with one more slot,
+so the full tensor-power matrices are never materialized.
 """
 
 from __future__ import annotations
@@ -323,33 +323,6 @@ def load_symmetry_file(path: str) -> HeckeSymmetry:
 # graded dimension engines
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over Fractions: (pivot columns, rows)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rref = []
-    for row in work:
-        for pc, pr in zip(pivots, rref):
-            if row[pc]:
-                f = row[pc]
-                for k in range(pc, ncols):
-                    row[k] -= f * pr[k]
-        lead = next((k for k in range(ncols) if row[k]), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        row = [x * inv for x in row]
-        for pc, pr in zip(pivots, rref):
-            if pr[lead]:
-                f = pr[lead]
-                for k in range(ncols):
-                    pr[k] -= f * row[k]
-        pivots.append(lead)
-        rref.append(row)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [rref[i] for i in order]
-
-
 def _graded_quotient_dims(d: int, relations, n_max: int):
     """Dimensions, per degree up to n_max, of the quotient of the tensor
     algebra on V = k^d by the ideal generated by ``relations(p)``, a basis
@@ -365,7 +338,7 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     _check_cap(d, n_max)
     dims = [1, d] if n_max else [1]
     # ext[j*d + a]: the class of (basis vector j of Q_{n-2})⊗e_a in Q_{n-1},
-    # as (basis index, coefficient) pairs
+    # as (basis index, integer coefficient) pairs, all up to one common scale
     ext = [[(a, 1)] for a in range(d)]
     for n in range(2, n_max + 1):
         ncols = dims[n - 1] * d
@@ -379,15 +352,16 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
                         row[k * d + b] += x * c
                 if any(row):
                     ech.add(row)
-        pivots, rref = _rref(ech.rows, ncols)
-        pivot_row = dict(zip(pivots, rref))
-        free = [c for c in range(ncols) if c not in pivot_row]
-        dims.append(len(free))
+        dims.append(ncols - ech.rank)
         if n == n_max:
             break
+        # scaled by the common pivot value D, which leaves every span alone
+        D, reduced = ech.reduced()
+        pivot_row = dict(zip(ech.pivots, reduced))
+        free = [c for c in range(ncols) if c not in pivot_row]
         index = {c: k for k, c in enumerate(free)}
         ext = [
-            [(index[c], 1)]
+            [(index[c], D)]
             if c in index
             else [(index[f], -pivot_row[c][f]) for f in free if pivot_row[c][f]]
             for c in range(ncols)

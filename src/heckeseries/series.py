@@ -507,11 +507,6 @@ def exterior_from_symmetric(f: TruncSeries) -> TruncSeries:
     return f.negate_variable().inverse()
 
 
-def hom_dual_series(f: TruncSeries) -> TruncSeries:
-    """Series of the dual partner algebra: g with g(t) * f(-t) = 1."""
-    return exterior_from_symmetric(f)
-
-
 def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     """Degreewise pairing product: coefficient n is the sum over partitions
     of weight n of the two Schur-determinant values multiplied together."""

@@ -19,7 +19,6 @@ the e-basis is the h-basis composed with conjugation of Schur labels.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from . import linalg
@@ -139,23 +138,18 @@ class TransitionCache:
     """Write-once-per-degree store of the Kostka matrix and its inverse."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._by_degree: dict[int, tuple] = {}
 
     def degree_data(self, n: int):
         _check_degree(n)
-        with self._lock:
-            cached = self._by_degree.get(n)
-        if cached is not None:
-            return cached
-        parts = enumerate_partitions(n)
-        index = {lam: i for i, lam in enumerate(parts)}
-        k_matrix = [[kostka(lam, mu) for mu in parts] for lam in parts]
-        k_inverse = linalg.invert_unitriangular(k_matrix)
-        data = (parts, index, k_matrix, k_inverse)
-        with self._lock:
-            # a concurrent builder may have won the race; keep one value
-            return self._by_degree.setdefault(n, data)
+        cached = self._by_degree.get(n)
+        if cached is None:
+            parts = enumerate_partitions(n)
+            index = {lam: i for i, lam in enumerate(parts)}
+            k_matrix = [[kostka(lam, mu) for mu in parts] for lam in parts]
+            k_inverse = linalg.invert_unitriangular(k_matrix)
+            cached = self._by_degree[n] = (parts, index, k_matrix, k_inverse)
+        return cached
 
 
 _CACHE = TransitionCache()

@@ -28,7 +28,7 @@ from .series import (
     TruncSeries,
     birank_certificate,
     diamond,
-    hom_dual_series,
+    exterior_from_symmetric,
     schur_minor,
 )
 from .symfunc import SymElement, specialize_super
@@ -242,7 +242,7 @@ def suite_homspace(
         report.compare(
             f"hom_dim[n={n}]", Fraction(a_dims[n]), predicted.coeff(n)
         )
-    dual_expected = hom_dual_series(
+    dual_expected = exterior_from_symmetric(
         TruncSeries([Fraction(v) for v in a_dims])
     )
     for n in range(n_max + 1):

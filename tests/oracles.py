@@ -1,4 +1,4 @@
-"""Full-ambient routes to the graded dimensions, kept as small-size oracles.
+"""Independent routes kept as small-size oracles.
 
 The library computes every graded dimension with one degree-by-degree
 quotient engine.  The routes here work on the whole tensor power instead:
@@ -6,6 +6,10 @@ the quotient dimension is d**n minus the rank of every embedded relation
 vector, and the dual component is an iterated intersection of subspaces.
 They share nothing with the engine beyond the pair bases and the
 conjugation matrix, and cost d**n columns, so use them only at small n.
+
+``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
+eliminations on Fraction matrices, independent of the library's one
+fraction-free integer kernel.
 """
 
 from fractions import Fraction
@@ -118,3 +122,54 @@ def e_component_dim(sym_target, sym_source, n: int) -> int:
         if not current:
             return 0
     return len(current)
+
+
+def oracle_solve_square(a_rows, rhs):
+    """Unique rational solution of a square system, or None when singular."""
+    n = len(a_rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(b)]
+        for row, b in zip(a_rows, rhs)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / lead
+            if f:
+                for c in range(col, n + 1):
+                    m[r][c] -= f * m[col][c]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = s / m[r][r]
+    return x
+
+
+def oracle_det(rows) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in rows]
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        lead = m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / lead
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= m[i][i]
+    return out

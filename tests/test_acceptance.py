@@ -37,7 +37,7 @@ from heckeseries.series import (
     detect_rational,
     diamond,
     expand_ratio,
-    hom_dual_series,
+    exterior_from_symmetric,
     poly_gcd,
     poly_mul,
     predict_hom_series,
@@ -178,7 +178,7 @@ def test_criterion_04_dual_component_dimensions(record_property):
     for (_, _), (_, _), mk_target, mk_source in HOM_PAIRS:
         target, source = mk_target(), mk_source()
         a_dims = [dim_intertwiner(target, source, n) for n in range(5)]
-        expected = hom_dual_series(TruncSeries([Fraction(v) for v in a_dims]))
+        expected = exterior_from_symmetric(TruncSeries([Fraction(v) for v in a_dims]))
         for n in range(5):
             assert dim_e_component(target, source, n) == expected.coeff(n)
     a = build_standard(2, 2)

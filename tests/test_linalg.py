@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-The reference oracle here is a plain textbook Gaussian elimination on
-Fraction matrices, independent of the fraction-free integer pipeline
-under test.  The subspace-intersection tests check the ``intersect_bases``
-oracle in ``oracles.py``, which the quotient-engine cross-checks rely on.
+The reference oracles are plain textbook Gaussian eliminations on Fraction
+matrices (``oracle_rank`` here, ``oracle_solve_square`` and ``oracle_det``
+in ``oracles.py``), independent of the fraction-free integer kernel under
+test.  The subspace-intersection tests check the ``intersect_bases`` oracle
+in ``oracles.py``, which the quotient-engine cross-checks rely on.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import intersect_bases
+from oracles import intersect_bases, oracle_det, oracle_solve_square
 
+from heckeseries import linalg
 from heckeseries.linalg import (
     Echelon,
     clear_denominators,
@@ -202,3 +204,135 @@ def test_invert_unitriangular():
     assert all(isinstance(x, int) for row in inv for x in row)
     with pytest.raises(ValueError):
         invert_unitriangular([[2, 0], [0, 1]])
+
+
+def dense_fraction_matrix(rng, nrows, ncols, planted_rank):
+    """A product of two dense random fractional factors: rank at most
+    planted_rank, with entries carrying unrelated denominators."""
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    left = [[entry() for _ in range(planted_rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(planted_rank)]
+    return [
+        [
+            sum((left[i][k] * right[k][j] for k in range(planted_rank)), Fraction(0))
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+class TestKernelAgainstOracles:
+    def test_dense_wide_and_tall(self):
+        rng = random.Random(20261018)
+        for nrows, ncols in [(3, 7), (7, 3), (5, 5), (2, 9), (9, 2)] * 6:
+            m = dense_fraction_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            r = oracle_rank(m)
+            assert rank(m, ncols) == r
+            basis = row_basis(m, ncols)
+            assert len(basis) == r
+            assert rank(list(basis) + m, ncols) == r
+            null = nullspace(m, ncols)
+            assert len(null) == ncols - r
+            assert all(_dot(row, x) == 0 for row in m for x in null)
+            assert rank(null, ncols) == len(null)
+
+    def test_dense_square_solve_and_det(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            planted = n if rng.random() < 0.7 else rng.randint(0, n - 1)
+            m = dense_fraction_matrix(rng, n, n, planted)
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            assert det(m) == oracle_det(m)
+            assert solve_square(m, b) == oracle_solve_square(m, b)
+
+    def test_singular_systems(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            m = dense_fraction_matrix(rng, n, n, rng.randint(0, n - 1))
+            assert det(m) == 0 == oracle_det(m)
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+            consistent = [_dot(row, x) for row in m]
+            assert solve_square(m, consistent) is None
+            assert oracle_solve_square(m, consistent) is None
+        # rows 1 and 2 agree on the left and disagree on the right
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        assert solve_square(m, [1, 5, 0]) is None
+        assert solve_square(m, [1, 2, 0]) is None
+        assert oracle_solve_square(m, [1, 5, 0]) is None
+
+    def test_zero_rows_and_empty_matrix(self):
+        assert det([]) == 1 == oracle_det([])
+        assert solve_square([], []) == [] == oracle_solve_square([], [])
+        assert rank([[0, 0, 0]] * 3, 3) == 0
+        assert row_basis([[0, 0], [0, 0]], 2) == []
+        assert nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert nullspace([], 2) == [[1, 0], [0, 1]]
+        assert det([[1, 2], [0, 0]]) == 0
+        assert solve_square([[0, 0], [0, 1]], [0, 1]) is None
+        assert Echelon(0).reduced() == (1, [])
+        assert Echelon(3).reduced() == (1, [])
+
+    def test_det_sign_under_row_permutations(self):
+        rng = random.Random(31337)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            m = dense_fraction_matrix(rng, n, n, n)
+            base = det(m)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            assert det([m[i] for i in perm]) == (-1) ** inversions * base
+            swapped = [m[1], m[0]] + m[2:]
+            assert det(swapped) == -base
+
+    def test_reduced_form_invariants(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            m = dense_fraction_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            ech = Echelon(ncols)
+            for row in m:
+                ech.add(row)
+            D, rows = ech.reduced()
+            assert D > 0
+            assert len(rows) == ech.rank == oracle_rank(m)
+            for i, row in enumerate(rows):
+                assert all(isinstance(a, int) for a in row)
+                for j, p in enumerate(ech.pivots):
+                    assert row[p] == (D if i == j else 0)
+            # same span as the input
+            assert rank(rows + m, ncols) == len(rows)
+
+
+def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
+    from heckeseries.rmatrix import build_standard, symmetric_dims
+
+    built = []
+
+    class CountingEchelon(Echelon):
+        def __init__(self, ncols):
+            built.append(ncols)
+            super().__init__(ncols)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    calls = {
+        "rank": lambda: linalg.rank([[1, 2], [2, 4]], 2),
+        "row_basis": lambda: linalg.row_basis([[1, 2], [2, 4]], 2),
+        "nullspace": lambda: linalg.nullspace([[1, 2]], 2),
+        "solve_square": lambda: linalg.solve_square([[2, 1], [1, 1]], [3, 2]),
+        "det": lambda: linalg.det([[1, 2], [3, 4]]),
+        "symmetric_dims": lambda: symmetric_dims(build_standard(2, 3), 3),
+    }
+    for name, call in calls.items():
+        before = len(built)
+        call()
+        assert len(built) > before, f"{name} bypassed linalg.Echelon"

@@ -21,7 +21,6 @@ from heckeseries.series import (
     expand_ratio,
     exterior_from_symmetric,
     hankel_minor,
-    hom_dual_series,
     poly_gcd,
     poly_mul,
     predict_hom_series,
@@ -325,11 +324,6 @@ def test_exterior_from_symmetric_involution():
     assert (f * g.negate_variable()).coeffs == TruncSeries.one(8).coeffs
 
 
-def test_hom_dual_series_matches_transform():
-    f = expand_ratio([1, 1], [1, -1], 6)
-    assert hom_dual_series(f).coeffs == exterior_from_symmetric(f).coeffs
-
-
 class TestDiamond:
     def test_unit_element(self):
         # the series with a_n = [n == 0] is a two-sided unit
@@ -379,7 +373,7 @@ class TestPredictHomSeries:
     def test_dual_of_prediction_inverts_sign_flip(self):
         a = BirankCertificate.from_polynomials([1, -2, 1], [1])
         f = predict_hom_series(a, a, 6)
-        g = hom_dual_series(f)
+        g = exterior_from_symmetric(f)
         assert (f * g.negate_variable()).coeffs == TruncSeries.one(6).coeffs
 
     def test_noninteger_roots_still_agree_with_diamond(self):
