@@ -46,8 +46,6 @@ from .rmatrix import (
     CapExceeded,
     HeckeSymmetry,
     HeckeViolation,
-    TensorOperator,
-    apply_tensor_op,
     build_standard,
     build_super,
     dim_e_component,

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all requested checks passed; 1 a check failed or a prediction
-was refused (inconclusive detection, failed certificate, rejected symmetry);
-2 usage or parse error; 3 resource cap exceeded.
+was refused (inconclusive detection, failed certificate, rejected symmetry,
+two evaluation routes disagreeing); 2 usage or parse error; 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from .partitions import format_partition, parse_partition
 from .series import (
     BirankCertificate,
     CertificateError,
+    ConsistencyError,
     InconclusiveDetection,
     TruncSeries,
+    WeightCapError,
+    check_weight,
     detect_rational,
     diamond,
     exterior_from_symmetric,
@@ -199,6 +203,8 @@ def cmd_verify(args) -> int:
     n_max = args.nmax
     reports = []
     wanted = args.suite
+    if wanted in ("positivity", "all"):
+        check_weight(args.max_weight)
     if wanted in ("hilbert", "all"):
         reports.append(verify.suite_hilbert(sym, n_max))
     if wanted in ("character", "all"):
@@ -372,7 +378,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (rmatrix.CapExceeded, DegreeCapError) as exc:
+    except (rmatrix.CapExceeded, DegreeCapError, WeightCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except rmatrix.FileFormatError as exc:
@@ -381,7 +387,7 @@ def main(argv=None) -> int:
     except rmatrix.SymmetryError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
-    except (InconclusiveDetection, CertificateError) as exc:
+    except (InconclusiveDetection, CertificateError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -19,15 +19,8 @@ from math import gcd, lcm, prod
 
 def clear_denominators(row):
     """Rescale a rational row to coprime integers, preserving signs."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            denom = denom * d // gcd(denom, d)
-    if denom == 1:
-        ints = [int(x) for x in row]
-    else:
-        ints = [int(x * denom) for x in row]
+    denom = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
     g = _content(ints)
     if g > 1:
         ints = [v // g for v in ints]

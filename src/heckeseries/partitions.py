@@ -1,4 +1,4 @@
-"""Integer partitions and the tableau/matrix counts built on them.
+"""Integer partitions and the tableau counts built on them.
 
 A partition is a tuple of weakly decreasing positive integers; the zero
 partition is the empty tuple.  All counts are exact Python integers and may
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 Partition = tuple[int, ...]
 PartitionPair = tuple[Partition, Partition]
@@ -107,53 +108,54 @@ def standard_tableaux_count(lam: Partition) -> int:
     return count
 
 
-def _horizontal_strip_predecessors(shape: Partition, size: int):
-    """Shapes sigma ⊆ shape with shape/sigma a horizontal strip of `size` cells."""
+def _add_strip(shape: Partition, size: int):
+    """Every tau ⊇ shape with tau/shape a horizontal strip of `size` cells.
+
+    A horizontal strip interlaces: shape_i <= tau_i <= shape_{i-1}, so at
+    most one new row is started, no longer than the last row of shape.
+    """
 
     def rec(i, remaining):
         if i == len(shape):
-            if remaining == 0:
-                yield ()
+            if not i or remaining <= shape[-1]:
+                yield (remaining,) if remaining else ()
             return
-        low = shape[i + 1] if i + 1 < len(shape) else 0
-        # sigma_i ranges over [low, shape_i]; removal counts toward the strip
-        for s in range(shape[i], low - 1, -1):
-            used = shape[i] - s
-            if used > remaining:
-                break
-            for rest in rec(i + 1, remaining - used):
-                yield (s,) + rest if s else rest
+        cur = shape[i]
+        top = min(shape[i - 1], cur + remaining) if i else cur + remaining
+        for t in range(cur, top + 1):
+            for rest in rec(i + 1, remaining - (t - cur)):
+                yield (t,) + rest
 
     yield from rec(0, size)
 
 
 @lru_cache(maxsize=None)
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Semistandard tableaux of shape lam and content mu.
+def _strip_counts(start: Partition, sizes: tuple[int, ...]) -> MappingProxyType:
+    """Read-only map from each shape tau to the number of chains
+    start ⊆ ... ⊆ tau whose k-th step adds a horizontal strip of sizes[k]
+    cells.
 
-    Counted by peeling horizontal strips of sizes mu_k, ..., mu_1 off lam:
-    each chain of shapes is exactly one column-strict filling.
+    Built from the table of sizes[:-1], so contents sharing a prefix share
+    work.  Such chains from () are the semistandard tableaux of shape tau
+    and content sizes (iterated Pieri: h_mu = sum K[tau][mu] s_tau).
     """
+    if not sizes:
+        return MappingProxyType({start: 1})
+    out: dict[Partition, int] = {}
+    for shape, ways in _strip_counts(start, sizes[:-1]).items():
+        for tau in _add_strip(shape, sizes[-1]):
+            out[tau] = out.get(tau, 0) + ways
+    return MappingProxyType(out)
+
+
+def kostka(lam: Partition, mu: Partition) -> int:
+    """Semistandard tableaux of shape lam and content mu: chains of
+    horizontal strips of sizes mu_1, mu_2, ... grown from the empty shape."""
     lam = tuple(lam)
     mu = tuple(mu)
     if sum(lam) != sum(mu):
         raise ValueError("kostka requires equal weights")
-    memo: dict[tuple[Partition, int], int] = {}
-
-    def count(shape: Partition, k: int) -> int:
-        if k == 0:
-            return 1 if not shape else 0
-        key = (shape, k)
-        got = memo.get(key)
-        if got is None:
-            got = sum(
-                count(prev, k - 1)
-                for prev in _horizontal_strip_predecessors(shape, mu[k - 1])
-            )
-            memo[key] = got
-        return got
-
-    return count(lam, len(mu))
+    return _strip_counts((), mu).get(lam, 0)
 
 
 def _cells_of_skew(outer: Partition, inner: Partition):
@@ -214,183 +216,6 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     backtrack(0)
     return total
-
-
-def _strip_chain_count(start: Partition, target: Partition, sizes) -> int:
-    """Ways to grow `start` to `target` adding horizontal strips of `sizes`."""
-    memo: dict[tuple[Partition, int], int] = {}
-
-    def grow(shape: Partition, k: int) -> int:
-        if k == len(sizes):
-            return 1 if shape == target else 0
-        key = (shape, k)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        size = sizes[k]
-        total = 0
-        for nxt in _horizontal_strip_successors(shape, target, size):
-            total += grow(nxt, k + 1)
-        memo[key] = total
-        return total
-
-    return grow(start, 0)
-
-
-def _horizontal_strip_successors(shape: Partition, bound: Partition, size: int):
-    """Shapes tau ⊆ bound with shape ⊆ tau, tau/shape a horizontal strip of `size`."""
-    nrows = len(bound)
-
-    def rec(i, remaining, prev):
-        if i == nrows:
-            if remaining == 0:
-                yield ()
-            return
-        cur = shape[i] if i < len(shape) else 0
-        above = shape[i - 1] if i >= 1 and i - 1 < len(shape) else (10**9 if i == 0 else 0)
-        hi = min(bound[i], prev, above if i > 0 else bound[i])
-        for t in range(max(cur, 0), hi + 1):
-            used = t - cur
-            if used > remaining:
-                break
-            for rest in rec(i + 1, remaining - used, t):
-                yield (t,) + rest if t else rest
-
-    yield from rec(0, size, 10**9)
-
-
-@lru_cache(maxsize=None)
-def lr_coeff_via_pieri(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Independent route to lr_coeff: signed sums of iterated Pieri steps.
-
-    Expands the mu factor as the alternating k x k determinant in complete
-    homogeneous pieces, then counts horizontal-strip chains from lam to nu for
-    each monomial.  Slower than lr_coeff; kept as a cross-check oracle.
-    """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    k = len(mu)
-    if k == 0:
-        return 1 if lam == nu else 0
-    total = 0
-    import itertools
-
-    for perm in itertools.permutations(range(k)):
-        sizes = []
-        ok = True
-        for i in range(k):
-            e = mu[i] - (i + 1) + (perm[i] + 1)
-            if e < 0:
-                ok = False
-                break
-            if e > 0:
-                sizes.append(e)
-        if not ok:
-            continue
-        sign = 1
-        seen = list(perm)
-        # parity via inversion count
-        inv = sum(
-            1
-            for a in range(k)
-            for b in range(a + 1, k)
-            if seen[a] > seen[b]
-        )
-        sign = -1 if inv % 2 else 1
-        total += sign * _strip_chain_count(lam, nu, tuple(sizes))
-    return total
-
-
-def _bounded_compositions(total: int, bounds):
-    """Compositions of `total` with 0 <= part_i <= bounds[i]."""
-
-    def rec(i, remaining):
-        if i == len(bounds):
-            if remaining == 0:
-                yield ()
-            return
-        hi = min(bounds[i], remaining)
-        for v in range(hi + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)
-
-
-@lru_cache(maxsize=None)
-def count_row_col_matrices(mu: Partition, lam: Partition) -> int:
-    """Nonnegative integer matrices with row sums lam_i and column sums mu_j."""
-    mu, lam = tuple(mu), tuple(lam)
-    if sum(mu) != sum(lam):
-        raise ValueError("matrix counts require equal weights")
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def rec(i: int, remaining: tuple[int, ...]) -> int:
-        if i == len(lam):
-            return 1
-        key = (i, remaining)
-        got = memo.get(key)
-        if got is None:
-            got = 0
-            for row in _bounded_compositions(lam[i], remaining):
-                got += rec(i + 1, tuple(r - v for r, v in zip(remaining, row)))
-            memo[key] = got
-        return got
-
-    return rec(0, mu)
-
-
-def _binary_compositions(total: int, bounds):
-    """0/1 vectors with sum `total`, entry j allowed only when bounds[j] > 0."""
-
-    def rec(i, remaining):
-        if i == len(bounds):
-            if remaining == 0:
-                yield ()
-            return
-        if len(bounds) - i < remaining:
-            return
-        for v in (0, 1):
-            if v and (remaining == 0 or bounds[i] == 0):
-                continue
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    yield from rec(0, total)
-
-
-@lru_cache(maxsize=None)
-def count_mixed_matrices(pair: PartitionPair, nu: Partition) -> int:
-    """Pairs (A, B): A nonnegative with column sums lam, B zero/one with
-    column sums mu, rows indexed by nu with joint row sums nu_l."""
-    lam, mu = tuple(pair[0]), tuple(pair[1])
-    nu = tuple(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        raise ValueError("matrix counts require equal weights")
-    memo: dict = {}
-
-    def rec(l: int, rem_lam: tuple[int, ...], rem_mu: tuple[int, ...]) -> int:
-        if l == len(nu):
-            return 1
-        key = (l, rem_lam, rem_mu)
-        got = memo.get(key)
-        if got is None:
-            got = 0
-            target = nu[l]
-            for b_used in range(min(target, len(mu)) + 1):
-                for brow in _binary_compositions(b_used, rem_mu):
-                    next_mu = tuple(r - v for r, v in zip(rem_mu, brow))
-                    for arow in _bounded_compositions(target - b_used, rem_lam):
-                        got += rec(
-                            l + 1,
-                            tuple(r - v for r, v in zip(rem_lam, arow)),
-                            next_mu,
-                        )
-            memo[key] = got
-        return got
-
-    return rec(0, lam, mu)
 
 
 def in_hook(lam: Partition, r0: int, r1: int) -> bool:

@@ -9,7 +9,6 @@ so the full tensor-power matrices are never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -129,22 +128,6 @@ class HeckeSymmetry:
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
 
 
-@dataclass(frozen=True)
-class TensorOperator:
-    """The braid generator acting at one adjacent pair of slots of a tensor
-    power, applied matrix-free."""
-
-    sym: HeckeSymmetry
-    n: int
-    position: int
-
-    def __post_init__(self):
-        if not 1 <= self.position <= self.n - 1:
-            raise ValueError(
-                f"position {self.position} not in [1, {self.n - 1}]"
-            )
-
-
 def _apply_block(block, site_dim: int, n: int, pos: int, vec):
     """Apply a two-site operator at slots (pos, pos+1) of a tensor vector."""
     size = site_dim**n
@@ -165,10 +148,6 @@ def _apply_block(block, site_dim: int, n: int, pos: int, vec):
             if m:
                 out[base + row * stride] += m * val
     return out
-
-
-def apply_tensor_op(op: TensorOperator, vec):
-    return _apply_block(op.sym.matrix, op.sym.d, op.n, op.position, vec)
 
 
 def _validate(sym: HeckeSymmetry):

@@ -22,6 +22,25 @@ class CertificateError(ValueError):
     """Detected rational form fails an integrality or normalization check."""
 
 
+class ConsistencyError(AssertionError):
+    """Two independent evaluation routes disagreed; indicates a code bug."""
+
+
+# Schur-minor sums (diamond, total_positivity, the positivity suite) visit
+# every partition of every weight up to W, so their cost grows like p(W);
+# weights above this are refused before the first minor.
+WEIGHT_CAP = 24
+
+
+class WeightCapError(ValueError):
+    """Requested Schur-minor weight exceeds the configured cap."""
+
+
+def check_weight(w: int):
+    if w > WEIGHT_CAP:
+        raise WeightCapError(f"weight {w} exceeds cap {WEIGHT_CAP}")
+
+
 class RootLocationError(CertificateError):
     """A certificate polynomial has roots outside the positive real axis."""
 
@@ -412,6 +431,7 @@ def total_positivity(f: TruncSeries, max_weight: int):
     """
     if max_weight > f.order:
         raise ValueError("max_weight exceeds the truncation order")
+    check_weight(max_weight)
     for w in range(max_weight + 1):
         for lam in enumerate_partitions(w):
             val = schur_minor(f, lam)
@@ -512,6 +532,7 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     of weight n of the two Schur-determinant values multiplied together."""
     if f.order < order or g.order < order:
         raise ValueError("both operands must carry at least the target order")
+    check_weight(order)
     out = []
     for n in range(order + 1):
         s = Fraction(0)
@@ -562,7 +583,8 @@ def predict_hom_series(
     symmetries, computed by the pairing product.
 
     When all four certificate polynomials split over the integers the
-    closed-form product formula is also assembled and asserted equal.
+    closed-form product formula is also assembled; ConsistencyError when
+    the two disagree.
     """
     fa = cert_a.symmetric_series(order)
     fb = cert_b.symmetric_series(order)
@@ -589,7 +611,7 @@ def predict_hom_series(
                 den = poly_mul(den, [Fraction(1), Fraction(-b * b2)])
         closed = expand_ratio(num, den, order)
         if closed != result:
-            raise AssertionError(
+            raise ConsistencyError(
                 "pairing product disagrees with the closed-form expansion; "
                 f"got {result.render()} vs {closed.render()}"
             )

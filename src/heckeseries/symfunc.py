@@ -33,7 +33,15 @@ from .partitions import (
     partition_pairs,
     weight,
 )
-from .series import TruncSeries, expand_ratio, poly_mul, poly_negate_t, poly_trim, schur_minor
+from .series import (
+    ConsistencyError,
+    TruncSeries,
+    expand_ratio,
+    poly_mul,
+    poly_negate_t,
+    poly_trim,
+    schur_minor,
+)
 
 BASES = ("m", "h", "e", "s")
 
@@ -44,10 +52,6 @@ DEGREE_CAP = 14
 
 class DegreeCapError(ValueError):
     """Requested degree exceeds the configured transition-matrix cap."""
-
-
-class ConsistencyError(AssertionError):
-    """Two independent evaluation routes disagreed; indicates a code bug."""
 
 
 def _check_degree(n: int):

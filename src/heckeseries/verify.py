@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import enumerate_partitions, format_partition, in_hook, partition_pairs
+from .partitions import enumerate_partitions, format_partition, in_hook
 from .rmatrix import (
     DIMENSION_CAP,
     HeckeSymmetry,
@@ -27,11 +27,13 @@ from .series import (
     InconclusiveDetection,
     TruncSeries,
     birank_certificate,
+    check_weight,
     diamond,
+    expand_ratio,
     exterior_from_symmetric,
     schur_minor,
 )
-from .symfunc import SymElement, specialize_super
+from .symfunc import SymElement, hom_eval
 
 
 @dataclass(frozen=True)
@@ -186,30 +188,33 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
         )
         return report
     # one degree beyond the matrix checks: this identity is pure arithmetic
-    # on the certificate, so the extra degree costs nothing
-    for n in range(1, n_max + 2):
-        total = Fraction(0)
-        for lam, mu in partition_pairs(n):
-            a = specialize_super(
-                SymElement.generator("m", lam), alpha_poly=list(cert.f0)
-            )
-            if a == 0:
-                continue
-            b = specialize_super(
-                SymElement.generator("m", mu), alpha_poly=list(cert.f1)
-            )
-            if b == 0:
-                continue
-            multinomial = math.factorial(n)
-            for part in lam:
-                multinomial //= math.factorial(part)
-            for part in mu:
-                multinomial //= math.factorial(part)
-            total += a * b * multinomial
+    # on the certificate, so the extra degree costs nothing.  The multinomial
+    # of a pair (lam ⊢ k, mu) is C(n, k) times those of lam and mu, so the
+    # sum over pairs factors through one weighted sum per alphabet and weight
+    top = n_max + 1
+    a_sums, b_sums = (_weighted_m_sums(poly, top) for poly in (cert.f0, cert.f1))
+    for n in range(1, top + 1):
+        total = sum(math.comb(n, k) * a_sums[k] * b_sums[n - k] for k in range(n + 1))
         report.compare(
             f"tensor_dimension_identity[n={n}]", total, Fraction(sym.d**n)
         )
     return report
+
+
+def _weighted_m_sums(poly, top: int) -> list[Fraction]:
+    """For k = 0..top, the sum over lam ⊢ k of the multinomial k!/prod lam_i!
+    times m_lam on the alphabet of 1/poly; each m_lam is evaluated once."""
+    f = expand_ratio([1], list(poly), top)
+    sums = []
+    for k in range(top + 1):
+        total = Fraction(0)
+        for lam in enumerate_partitions(k):
+            multinomial = math.factorial(k)
+            for part in lam:
+                multinomial //= math.factorial(part)
+            total += multinomial * hom_eval(f, SymElement.generator("m", lam))
+        sums.append(total)
+    return sums
 
 
 def suite_homspace(
@@ -256,6 +261,7 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
     """Sign and support of the certified series on Schur generators: values
     are nonnegative, vanish exactly off the hook region, and vanishing along
     rectangle rows never reverses."""
+    check_weight(max_weight)
     report = VerificationReport("positivity")
     f = cert.symmetric_series(max_weight)
     for w in range(max_weight + 1):

@@ -10,12 +10,19 @@ conjugation matrix, and cost d**n columns, so use them only at small n.
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
 fraction-free integer kernel.
+
+``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
+the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
+words, and ``count_row_col_matrices``/``count_mixed_matrices`` count the
+integer matrices that the pairings of h and e products must reproduce.
 """
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from heckeseries import linalg
-from heckeseries.partitions import as_partition, weight
+from heckeseries.partitions import _strip_counts, as_partition, weight
 from heckeseries.rmatrix import _pair_conjugation_matrix
 
 
@@ -173,3 +180,116 @@ def oracle_det(rows) -> Fraction:
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+@lru_cache(maxsize=None)
+def lr_coeff_via_pieri(lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient as a signed sum of iterated Pieri
+    steps: s_mu is the Jacobi-Trudi determinant det(h_{mu_i - i + j}), and
+    each monomial counts horizontal-strip chains from lam to nu."""
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    k = len(mu)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        sizes = [mu[i] - i + perm[i] for i in range(k)]
+        if min(sizes, default=0) < 0:
+            continue
+        inversions = sum(
+            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
+        )
+        chains = _strip_counts(lam, tuple(e for e in sizes if e)).get(nu, 0)
+        total += -chains if inversions % 2 else chains
+    return total
+
+
+def _bounded_compositions(total: int, bounds):
+    """Compositions of `total` with 0 <= part_i <= bounds[i]."""
+
+    def rec(i, remaining):
+        if i == len(bounds):
+            if remaining == 0:
+                yield ()
+            return
+        hi = min(bounds[i], remaining)
+        for v in range(hi + 1):
+            for rest in rec(i + 1, remaining - v):
+                yield (v,) + rest
+
+    yield from rec(0, total)
+
+
+@lru_cache(maxsize=None)
+def count_row_col_matrices(mu, lam) -> int:
+    """Nonnegative integer matrices with row sums lam_i and column sums mu_j."""
+    mu, lam = tuple(mu), tuple(lam)
+    if sum(mu) != sum(lam):
+        raise ValueError("matrix counts require equal weights")
+    memo = {}
+
+    def rec(i: int, remaining: tuple) -> int:
+        if i == len(lam):
+            return 1
+        key = (i, remaining)
+        got = memo.get(key)
+        if got is None:
+            got = 0
+            for row in _bounded_compositions(lam[i], remaining):
+                got += rec(i + 1, tuple(r - v for r, v in zip(remaining, row)))
+            memo[key] = got
+        return got
+
+    return rec(0, mu)
+
+
+def _binary_compositions(total: int, bounds):
+    """0/1 vectors with sum `total`, entry j allowed only when bounds[j] > 0."""
+
+    def rec(i, remaining):
+        if i == len(bounds):
+            if remaining == 0:
+                yield ()
+            return
+        if len(bounds) - i < remaining:
+            return
+        for v in (0, 1):
+            if v and (remaining == 0 or bounds[i] == 0):
+                continue
+            for rest in rec(i + 1, remaining - v):
+                yield (v,) + rest
+
+    yield from rec(0, total)
+
+
+@lru_cache(maxsize=None)
+def count_mixed_matrices(pair, nu) -> int:
+    """Pairs (A, B): A nonnegative with column sums lam, B zero/one with
+    column sums mu, rows indexed by nu with joint row sums nu_l."""
+    lam, mu = tuple(pair[0]), tuple(pair[1])
+    nu = tuple(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        raise ValueError("matrix counts require equal weights")
+    memo = {}
+
+    def rec(l: int, rem_lam: tuple, rem_mu: tuple) -> int:
+        if l == len(nu):
+            return 1
+        key = (l, rem_lam, rem_mu)
+        got = memo.get(key)
+        if got is None:
+            got = 0
+            target = nu[l]
+            for b_used in range(min(target, len(mu)) + 1):
+                for brow in _binary_compositions(b_used, rem_mu):
+                    next_mu = tuple(r - v for r, v in zip(rem_mu, brow))
+                    for arow in _bounded_compositions(target - b_used, rem_lam):
+                        got += rec(
+                            l + 1,
+                            tuple(r - v for r, v in zip(rem_lam, arow)),
+                            next_mu,
+                        )
+            memo[key] = got
+        return got
+
+    return rec(0, lam, mu)

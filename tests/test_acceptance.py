@@ -16,7 +16,6 @@ from heckeseries.partitions import (
     in_hook,
     kostka,
     lr_coeff,
-    lr_coeff_via_pieri,
     partition_pairs,
     standard_tableaux_count,
 )
@@ -55,6 +54,8 @@ from heckeseries.symfunc import (
 from heckeseries.verify import detected_certificate
 
 import pytest
+
+from oracles import count_mixed_matrices, lr_coeff_via_pieri
 
 
 def poly_from_roots(roots):
@@ -310,8 +311,6 @@ def test_criterion_08_symmetric_function_identities(record_property):
                         ), (lam, mu, nu)
 
     # mixed pairing counts matrices with bounded entries
-    from heckeseries.partitions import count_mixed_matrices
-
     for n in range(0, 7):
         for nu in enumerate_partitions(n):
             hv = SymElement.generator("h", nu)

@@ -2,10 +2,14 @@
 tests pin exact lines; exit codes distinguish verification failures (1),
 input errors (2), and cap overruns (3)."""
 
+import time
+
 import pytest
 
+from heckeseries import series
 from heckeseries.cli import main
 from heckeseries.rmatrix import build_standard, serialize_symmetry
+from heckeseries.series import WEIGHT_CAP, TruncSeries
 
 
 def run(capsys, *argv):
@@ -547,3 +551,52 @@ class TestParser:
             "1, 2000001, 3000004000002, 4000010000010000003, "
             "5000020000031000020000005"
         )
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "diamond", "--f", "1,2", "--g", "1,3", "--degree", "100"),
+            (
+                "verify",
+                "--suite",
+                "positivity",
+                "--symmetry",
+                "std:r=2,q=2",
+                "--max-weight",
+                "40",
+            ),
+            ("series", "total-positivity", "--coeffs", "1,2,1", "--max-weight", "60"),
+            ("predict", "--what", "A", "--alphas", "1", "--alphas2", "1", "--degree", "60"),
+        ],
+    )
+    def test_schur_minor_weights_beyond_the_cap_exit_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: weight {argv[-1]} exceeds cap {WEIGHT_CAP}\n"
+
+    def test_cap_weight_itself_is_allowed(self, capsys):
+        code, out, _ = run(
+            capsys, "series", "diamond", "--f", "1,1", "--g", "1,1",
+            "--degree", str(WEIGHT_CAP),
+        )
+        assert code == 0
+        assert out == ", ".join(["1"] * (WEIGHT_CAP + 1)) + "\n"
+
+    def test_disagreeing_routes_end_in_an_error_not_a_traceback(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            series, "diamond", lambda f, g, order: TruncSeries.one(order)
+        )
+        code, out, err = run(
+            capsys,
+            "predict", "--what", "A", "--alphas", "1,1", "--alphas2", "1,1",
+            "--degree", "4",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: pairing product disagrees")
+        assert "Traceback" not in err

@@ -65,6 +65,20 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(-1, 2)]) == [-1]
 
 
+def test_clear_denominators_on_mixed_int_and_fraction_rows():
+    # lcm of denominators 1, 3, 4, 1 is 12: 6·12, -2/3·12, 5/4·12, 2·12
+    row = [6, Fraction(-2, 3), Fraction(5, 4), Fraction(4, 2)]
+    assert clear_denominators(row) == [72, -8, 15, 24]
+    # Fraction(4, 2) is the integer 2; the common factor 2 is divided out
+    assert clear_denominators([Fraction(4, 2), -6, 0, 10]) == [1, -3, 0, 5]
+    assert clear_denominators([-3, Fraction(-9, 6)]) == [-2, -1]
+    assert clear_denominators([0, Fraction(0, 5), 0]) == [0, 0, 0]
+    assert clear_denominators([]) == []
+    assert all(
+        type(v) is int for v in clear_denominators([Fraction(1, 2), 3])
+    )
+
+
 def test_rank_matches_oracle_on_random_matrices():
     rng = random.Random(20260814)
     for _ in range(60):

@@ -6,26 +6,27 @@ implementation and its checker never share code paths.
 """
 
 import itertools
+import math
 
 import pytest
 
 from heckeseries.partitions import (
+    _add_strip,
     as_partition,
     conjugate,
-    count_mixed_matrices,
-    count_row_col_matrices,
     dominance_leq,
     enumerate_partitions,
     format_partition,
     in_hook,
     kostka,
     lr_coeff,
-    lr_coeff_via_pieri,
     parse_partition,
     partition_pairs,
     standard_tableaux_count,
     weight,
 )
+
+from oracles import count_mixed_matrices, count_row_col_matrices, lr_coeff_via_pieri
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 
@@ -118,8 +119,6 @@ def test_standard_tableaux_count_known_values():
 
 
 def test_standard_tableaux_square_sum():
-    import math
-
     for n in range(1, 7):
         total = sum(
             standard_tableaux_count(lam) ** 2 for lam in enumerate_partitions(n)
@@ -146,6 +145,39 @@ def test_kostka_frozen_and_triangular():
                     assert dominance_leq(mu, lam)
 
 
+def test_kostka_rsk_and_dominance_through_weight_12():
+    # RSK pairs words of content mu with (SSYT of content mu, SYT) of one
+    # shape, so sum_lam K[lam][mu] f^lam = n! / prod mu_i!; and K[lam][mu]
+    # is positive exactly when lam dominates mu, with K[mu][mu] = 1
+    for n in range(13):
+        parts = enumerate_partitions(n)
+        for mu in parts:
+            words = math.factorial(n)
+            for part in mu:
+                words //= math.factorial(part)
+            column = {lam: kostka(lam, mu) for lam in parts}
+            assert sum(
+                k * standard_tableaux_count(lam) for lam, k in column.items()
+            ) == words, mu
+            assert column[mu] == 1
+            for lam, k in column.items():
+                assert (k > 0) == dominance_leq(mu, lam), (lam, mu)
+
+
+def test_strip_walker_adds_exactly_the_horizontal_strips():
+    for n in range(7):
+        for shape in enumerate_partitions(n):
+            for size in range(4):
+                got = list(_add_strip(shape, size))
+                assert len(got) == len(set(got))
+                expected = [
+                    nu
+                    for nu in enumerate_partitions(n + size)
+                    if _is_horizontal_strip(nu, shape)
+                ]
+                assert sorted(got) == sorted(expected), (shape, size)
+
+
 def test_kostka_weight_mismatch():
     with pytest.raises(ValueError):
         kostka((2,), (1,))
@@ -170,18 +202,22 @@ def _contains(outer, inner):
     )
 
 
+def _is_horizontal_strip(nu, lam):
+    """nu ⊇ lam with at most one cell of nu/lam in each column."""
+    conj_l, conj_n = conjugate(lam), conjugate(nu)
+    return _contains(nu, lam) and all(
+        conj_n[i] - (conj_l[i] if i < len(conj_l) else 0) <= 1
+        for i in range(len(conj_n))
+    )
+
+
 def test_lr_pieri_rule():
     # multiplying by a single row: coefficient 1 exactly on horizontal strips
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
             for k in range(1, 4):
                 for nu in enumerate_partitions(n + k):
-                    conj_l, conj_n = conjugate(lam), conjugate(nu)
-                    horizontal = _contains(nu, lam) and all(
-                        conj_n[i] - (conj_l[i] if i < len(conj_l) else 0) <= 1
-                        for i in range(len(conj_n))
-                    )
-                    expected = 1 if horizontal else 0
+                    expected = 1 if _is_horizontal_strip(nu, lam) else 0
                     assert lr_coeff(lam, (k,), nu) == expected, (lam, k, nu)
 
 

@@ -1,6 +1,6 @@
-"""Concrete symmetries: builders, validation, tensor-leg operators, and the
-graded dimension engines.  The operator oracle here is a dense Kronecker
-embedding built independently in the test module."""
+"""Concrete symmetries: builders, validation, the matrix-free braid
+generator, and the graded dimension engines.  The operator oracle here is a
+dense Kronecker embedding built independently in the test module."""
 
 import math
 import random
@@ -18,8 +18,7 @@ from heckeseries.rmatrix import (
     HeckeSymmetry,
     HeckeViolation,
     SymmetryError,
-    TensorOperator,
-    apply_tensor_op,
+    _apply_block,
     build_standard,
     build_super,
     dim_e_component,
@@ -182,18 +181,12 @@ class TestValidation:
             load_and_validate(1, 0, [[1]])
 
 
-class TestTensorOperator:
-    def test_position_bounds(self):
-        sym = build_standard(2, 2)
-        TensorOperator(sym, 3, 1)
-        TensorOperator(sym, 3, 2)
-        with pytest.raises(ValueError):
-            TensorOperator(sym, 3, 3)
-        with pytest.raises(ValueError):
-            TensorOperator(sym, 3, 0)
-        with pytest.raises(ValueError):
-            TensorOperator(sym, 1, 1)
+def braid_generator(sym, n, pos, vec):
+    """The braid generator at slots (pos, pos+1) of the n-th tensor power."""
+    return _apply_block(sym.matrix, sym.d, n, pos, vec)
 
+
+class TestTensorOperator:
     def test_matches_dense_embedding(self):
         rng = random.Random(2024)
         for sym in [build_standard(2, 2), build_super(1, 1, 1), build_standard(2, -1)]:
@@ -201,21 +194,19 @@ class TestTensorOperator:
                 dim = sym.d**n
                 for pos in range(1, n):
                     dense = embed_dense(sym, n, pos)
-                    op = TensorOperator(sym, n, pos)
                     for _ in range(5):
                         vec = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-                        assert apply_tensor_op(op, vec) == mat_vec(dense, vec)
+                        assert braid_generator(sym, n, pos, vec) == mat_vec(dense, vec)
 
     def test_quadratic_relation_on_random_vectors(self):
         rng = random.Random(7)
         sym = build_standard(3, 2)
         n, dim = 3, 27
         for pos in (1, 2):
-            op = TensorOperator(sym, n, pos)
             for _ in range(20):
                 v = [Fraction(rng.randint(-5, 5)) for _ in range(dim)]
-                rv = apply_tensor_op(op, v)
-                rrv = apply_tensor_op(op, rv)
+                rv = braid_generator(sym, n, pos, v)
+                rrv = braid_generator(sym, n, pos, rv)
                 # (R_i - q)(R_i + 1) v = R_i^2 v - (q-1) R_i v - q v
                 lhs = [
                     rrv[x] - (sym.q - 1) * rv[x] - sym.q * v[x]
@@ -227,19 +218,18 @@ class TestTensorOperator:
         rng = random.Random(8)
         sym = build_super(1, 1, 2)
         n, dim = 3, 8
-        r1 = TensorOperator(sym, n, 1)
-        r2 = TensorOperator(sym, n, 2)
+
+        def r(pos, v):
+            return braid_generator(sym, n, pos, v)
+
         for _ in range(20):
             v = [Fraction(rng.randint(-5, 5)) for _ in range(dim)]
-            a = apply_tensor_op(r1, apply_tensor_op(r2, apply_tensor_op(r1, v)))
-            b = apply_tensor_op(r2, apply_tensor_op(r1, apply_tensor_op(r2, v)))
-            assert a == b
+            assert r(1, r(2, r(1, v))) == r(2, r(1, r(2, v)))
 
     def test_length_validation(self):
         sym = build_standard(2, 2)
-        op = TensorOperator(sym, 3, 1)
         with pytest.raises(ValueError):
-            apply_tensor_op(op, [1, 2, 3])
+            braid_generator(sym, 3, 1, [1, 2, 3])
 
 
 class TestGradedDims:

@@ -2,14 +2,14 @@
 graded ring of symmetric elements."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from heckeseries.partitions import (
+    _strip_counts,
     conjugate,
-    count_mixed_matrices,
-    count_row_col_matrices,
     enumerate_partitions,
     in_hook,
     lr_coeff,
@@ -19,6 +19,7 @@ from heckeseries.partitions import (
 from heckeseries.series import TruncSeries, expand_ratio, schur_minor
 from heckeseries.symfunc import (
     BASES,
+    DEGREE_CAP,
     ConsistencyError,
     DegreeCapError,
     SymElement,
@@ -30,8 +31,11 @@ from heckeseries.symfunc import (
     schur_value,
     specialize_super,
     tensor_power_character,
+    TransitionCache,
     to_basis,
 )
+
+from oracles import count_mixed_matrices, count_row_col_matrices
 
 
 def gen(basis, lam):
@@ -453,3 +457,26 @@ class TestSchurValue:
 def test_degree_cap_enforced():
     with pytest.raises(DegreeCapError):
         to_basis(gen("h", (15,)), "s")
+
+
+def test_cold_transition_build_at_the_degree_cap():
+    # clear the shared strip tables too, so every Kostka number is rebuilt
+    _strip_counts.cache_clear()
+    start = time.perf_counter()
+    parts, index, k_matrix, k_inverse = TransitionCache().degree_data(DEGREE_CAP)
+    elapsed = time.perf_counter() - start
+    assert len(parts) == 135 and index[parts[-1]] == 134
+    # h_{1^14} = sum f^lam s_lam: the last column of K holds the SYT counts
+    assert [row[-1] for row in k_matrix] == [
+        standard_tableaux_count(lam) for lam in parts
+    ]
+    # both are upper unitriangular, and their product is the identity
+    size = len(parts)
+    for i in range(size):
+        assert k_matrix[i][i] == k_inverse[i][i] == 1
+        assert not any(k_matrix[i][:i]) and not any(k_inverse[i][:i])
+        for j in range(i + 1, size):
+            assert sum(
+                k_matrix[i][m] * k_inverse[m][j] for m in range(i, j + 1)
+            ) == 0
+    assert elapsed < 5.0

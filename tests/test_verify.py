@@ -3,6 +3,8 @@ built-in families."""
 
 import pytest
 
+from heckeseries import symfunc, verify
+from heckeseries.partitions import enumerate_partitions
 from heckeseries.rmatrix import (
     build_standard,
     build_super,
@@ -127,6 +129,22 @@ class TestSuiteCharacter:
         names = [c.name for c in report.checks]
         assert "tensor_dimension_identity[n=3]" in names
         assert "quotient_dim[[3]]" not in names
+
+    def test_identity_evaluates_each_monomial_once_per_alphabet(self, monkeypatch):
+        calls = []
+        original = symfunc.hom_eval
+
+        def counting(f, u):
+            calls.append(u)
+            return original(f, u)
+
+        monkeypatch.setattr(symfunc, "hom_eval", counting)
+        monkeypatch.setattr(verify, "hom_eval", counting, raising=False)
+        report = suite_character(build_standard(1, 2), 5)
+        assert report.passed
+        # identity degrees run to nmax + 1 = 6; one call per m_lam, |lam| <= 6
+        # (partitions of 0..6 number 30), for each of the two alphabets
+        assert 0 < len(calls) <= 2 * sum(len(enumerate_partitions(k)) for k in range(7))
 
 
 class TestSuiteHomspace:
