@@ -21,11 +21,10 @@ from .series import (
     InconclusiveDetection,
     TruncSeries,
     WeightCapError,
-    check_weight,
     detect_rational,
     diamond,
     exterior_from_symmetric,
-    poly_mul,
+    poly_from_roots,
     poly_negate_t,
     predict_hom_series,
     total_positivity,
@@ -79,13 +78,6 @@ def _parse_rational_form(text: str) -> tuple[list[Fraction], list[Fraction]]:
     return cleaned[0], cleaned[1]
 
 
-def _poly_from_roots(roots) -> list[Fraction]:
-    out = [Fraction(1)]
-    for a in roots:
-        out = poly_mul(out, [Fraction(1), -Fraction(a)])
-    return out
-
-
 def _certificate_from_flags(series_text, alphas, betas, suffix="") -> BirankCertificate:
     if series_text is not None:
         if alphas or betas:
@@ -100,8 +92,8 @@ def _certificate_from_flags(series_text, alphas, betas, suffix="") -> BirankCert
             f"need --series{suffix} or at least one of "
             f"--alphas{suffix}/--betas{suffix}"
         )
-    f0 = _poly_from_roots(_parse_rationals(alphas) if alphas else ())
-    f1 = _poly_from_roots(_parse_rationals(betas) if betas else ())
+    f0 = poly_from_roots(_parse_rationals(alphas) if alphas else ())
+    f1 = poly_from_roots(_parse_rationals(betas) if betas else ())
     return BirankCertificate.from_polynomials(f0, f1)
 
 
@@ -136,24 +128,22 @@ def _parse_symmetry_spec(spec: str) -> rmatrix.HeckeSymmetry:
 
 def cmd_predict(args) -> int:
     cert = _certificate_from_flags(args.series, args.alphas, args.betas)
-    order = args.degree
-    what = args.what
-    if what in ("A", "E"):
+    certs = [("", cert)]
+    if args.what in ("A", "E"):
         cert2 = _certificate_from_flags(
             args.series2, args.alphas2, args.betas2, suffix="2"
         )
-        hom = predict_hom_series(cert, cert2, order)
-        out = hom if what == "A" else exterior_from_symmetric(hom)
-        print(out.render())
-        print(f"birank: ({cert.r0}, {cert.r1})")
-        print(f"certificate: {cert.render()}")
-        print(f"birank2: ({cert2.r0}, {cert2.r1})")
-        print(f"certificate2: {cert2.render()}")
-        return 0
-    out = cert.symmetric_series(order) if what == "sym" else cert.exterior_series(order)
+        certs.append(("2", cert2))
+        hom = predict_hom_series(cert, cert2, args.degree)
+        out = hom if args.what == "A" else exterior_from_symmetric(hom)
+    elif args.what == "sym":
+        out = cert.symmetric_series(args.degree)
+    else:
+        out = cert.exterior_series(args.degree)
     print(out.render())
-    print(f"birank: ({cert.r0}, {cert.r1})")
-    print(f"certificate: {cert.render()}")
+    for suffix, c in certs:
+        print(f"birank{suffix}: ({c.r0}, {c.r1})")
+        print(f"certificate{suffix}: {c.render()}")
     return 0
 
 
@@ -200,37 +190,8 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     sym = _parse_symmetry_spec(args.symmetry)
     sym2 = _parse_symmetry_spec(args.symmetry2) if args.symmetry2 else sym
-    n_max = args.nmax
-    reports = []
-    wanted = args.suite
-    if wanted in ("positivity", "all"):
-        check_weight(args.max_weight)
-    if wanted in ("hilbert", "all"):
-        reports.append(verify.suite_hilbert(sym, n_max))
-    if wanted in ("character", "all"):
-        reports.append(verify.suite_character(sym, n_max))
-    if wanted in ("homspace", "all"):
-        reports.append(verify.suite_homspace(sym2, sym, n_max))
-    if wanted in ("positivity", "all"):
-        report = verify.VerificationReport(
-            "positivity", conjectural=sym.source == "user"
-        )
-        try:
-            cert = verify.detected_certificate(sym, n_max)
-        except (InconclusiveDetection, CertificateError) as exc:
-            report.add(
-                "certificate", f"error: {exc}", "certified rational form", False
-            )
-            reports.append(report)
-        else:
-            inner = verify.suite_positivity(cert, args.max_weight)
-            inner.conjectural = sym.source == "user"
-            reports.append(inner)
-    blocks = []
-    for report in reports:
-        blocks.append(
-            report.render_machine() if args.machine else report.render_human()
-        )
+    reports = verify.run_suites(args.suite, sym, sym2, args.nmax, args.max_weight)
+    blocks = [r.render_machine() if args.machine else r.render_human() for r in reports]
     print("\n".join(blocks))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -335,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--suite",
         required=True,
-        choices=("hilbert", "character", "homspace", "positivity", "all"),
+        choices=(*verify.SUITES, "all"),
     )
     verify_cmd.add_argument("--symmetry", required=True)
     verify_cmd.add_argument("--symmetry2")
@@ -370,30 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (rmatrix.CapExceeded, DegreeCapError, WeightCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except rmatrix.FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except rmatrix.SymmetryError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
+    except (rmatrix.CapExceeded, DegreeCapError, WeightCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (InconclusiveDetection, CertificateError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

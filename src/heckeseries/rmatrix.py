@@ -421,7 +421,7 @@ def _pair_conjugation_matrix(sym_target: HeckeSymmetry, sym_source: HeckeSymmetr
     return mat
 
 
-def _require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
+def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
     if sym_target.q != sym_source.q:
         raise ValueError(
             f"the two symmetries must share q; got {sym_target.q} "
@@ -446,7 +446,7 @@ def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: s
 
 
 def _hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n: int):
-    _require_same_q(sym_target, sym_source)
+    require_same_q(sym_target, sym_source)
     big = sym_source.d * sym_target.d
     return _cached_dims(
         sym_source,

@@ -30,10 +30,14 @@ class ConsistencyError(AssertionError):
 # every partition of every weight up to W, so their cost grows like p(W);
 # weights above this are refused before the first minor.
 WEIGHT_CAP = 24
+# expand_ratio is quadratic in the truncation order; orders above this are
+# refused before any coefficient is computed.
+ORDER_CAP = 1000
 
 
 class WeightCapError(ValueError):
-    """Requested Schur-minor weight exceeds the configured cap."""
+    """Requested Schur-minor weight or series expansion order exceeds its
+    cap."""
 
 
 def check_weight(w: int):
@@ -88,28 +92,35 @@ def poly_derivative(p) -> list[Fraction]:
     return [Fraction(c) * i for i, c in enumerate(p)][1:]
 
 
-def _poly_rem(a, b) -> list[Fraction]:
-    a = [Fraction(x) for x in a]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and poly_trim(a):
-        a = poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = poly_trim(a)
-        if not a:
-            break
-    return poly_trim(a)
+def poly_from_roots(roots) -> list[Fraction]:
+    """prod(1 - a t) over the given reciprocal roots a."""
+    out = [Fraction(1)]
+    for a in roots:
+        out = poly_mul(out, [Fraction(1), -Fraction(a)])
+    return out
+
+
+def _poly_divmod(p, d) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of p by d, the remainder of lower degree."""
+    p, d = poly_trim(p), poly_trim(d)
+    if not d:
+        raise ZeroDivisionError("division by zero polynomial")
+    out = [Fraction(0)] * max(0, len(p) - len(d) + 1)
+    work = list(p)
+    for shift in range(len(p) - len(d), -1, -1):
+        f = work[shift + len(d) - 1] / d[-1]
+        out[shift] = f
+        if f:
+            for i, c in enumerate(d):
+                work[shift + i] -= f * c
+    return poly_trim(out), poly_trim(work)
 
 
 def poly_gcd(p, q) -> list[Fraction]:
     """Monic gcd of two rational polynomials."""
     a, b = poly_trim(p), poly_trim(q)
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
@@ -118,20 +129,10 @@ def poly_gcd(p, q) -> list[Fraction]:
 
 def poly_divide_exact(p, d) -> list[Fraction]:
     """Quotient p / d, requiring zero remainder."""
-    p, d = poly_trim(p), poly_trim(d)
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    out = [Fraction(0)] * (len(p) - len(d) + 1) if len(p) >= len(d) else []
-    work = list(p)
-    for shift in range(len(p) - len(d), -1, -1):
-        f = work[shift + len(d) - 1] / d[-1]
-        out[shift] = f
-        if f:
-            for i, c in enumerate(d):
-                work[shift + i] -= f * c
-    if poly_trim(work):
+    quotient, remainder = _poly_divmod(p, d)
+    if remainder:
         raise ValueError("inexact polynomial division")
-    return poly_trim(out)
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,8 @@ class TruncSeries:
 
 def expand_ratio(num, den, order: int) -> TruncSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be nonzero."""
+    if order > ORDER_CAP:
+        raise WeightCapError(f"series order {order} exceeds cap {ORDER_CAP}")
     num = [Fraction(x) for x in num] or [Fraction(0)]
     den = [Fraction(x) for x in den]
     if not den or den[0] == 0:
@@ -340,14 +343,9 @@ def hankel_minor(f: TruncSeries, i: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("window size must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    if i + k - 1 > f.order:
+    if k and i + k - 1 > f.order:
         raise ValueError("window extends beyond the truncation order")
-    rows = [
-        [f.coeff(i - s + t) for t in range(k)] for s in range(k)
-    ]
-    return linalg.det(rows)
+    return schur_minor(f, (i,) * k)
 
 
 def schur_minor(f: TruncSeries, lam: Partition) -> Fraction:
@@ -446,7 +444,7 @@ def _sturm_chain(p) -> list[list[Fraction]]:
     sf = poly_divide_exact(p, g) if len(g) > 1 else poly_trim(p)
     chain = [sf, poly_derivative(sf)]
     while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])
@@ -595,20 +593,16 @@ def predict_hom_series(
     alphas2 = _reciprocal_integer_roots(cert_b.f0)
     betas2 = _reciprocal_integer_roots(cert_b.f1)
     if None not in (alphas, betas, alphas2, betas2):
-        num = [Fraction(1)]
-        for b in betas:
-            for a2 in alphas2:
-                num = poly_mul(num, [Fraction(1), Fraction(b * a2)])
-        for a in alphas:
-            for b2 in betas2:
-                num = poly_mul(num, [Fraction(1), Fraction(a * b2)])
-        den = [Fraction(1)]
-        for a in alphas:
-            for a2 in alphas2:
-                den = poly_mul(den, [Fraction(1), Fraction(-a * a2)])
-        for b in betas:
-            for b2 in betas2:
-                den = poly_mul(den, [Fraction(1), Fraction(-b * b2)])
+        num = poly_negate_t(
+            poly_from_roots(
+                [b * a2 for b in betas for a2 in alphas2]
+                + [a * b2 for a in alphas for b2 in betas2]
+            )
+        )
+        den = poly_from_roots(
+            [a * a2 for a in alphas for a2 in alphas2]
+            + [b * b2 for b in betas for b2 in betas2]
+        )
         closed = expand_ratio(num, den, order)
         if closed != result:
             raise ConsistencyError(

@@ -37,7 +37,7 @@ from .series import (
     ConsistencyError,
     TruncSeries,
     expand_ratio,
-    poly_mul,
+    poly_from_roots,
     poly_negate_t,
     poly_trim,
     schur_minor,
@@ -324,10 +324,7 @@ def _alphabet_series(roots, poly, sign: int) -> list[Fraction]:
         if not p or p[0] == 0:
             raise ValueError("alphabet polynomial needs a nonzero constant term")
         return p
-    out = [Fraction(1)]
-    for x in roots:
-        out = poly_mul(out, [Fraction(1), sign * Fraction(x)])
-    return out
+    return poly_from_roots(-sign * Fraction(x) for x in roots)
 
 
 def specialize_super(

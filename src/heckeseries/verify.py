@@ -19,6 +19,7 @@ from .rmatrix import (
     dim_intertwiner,
     dim_quotient,
     exterior_dims,
+    require_same_q,
     symmetric_dims,
 )
 from .series import (
@@ -34,6 +35,8 @@ from .series import (
     schur_minor,
 )
 from .symfunc import SymElement, hom_eval
+
+SUITES = ("hilbert", "character", "homspace", "positivity")
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,20 @@ def detected_certificate(sym: HeckeSymmetry, n_max: int) -> BirankCertificate:
     """Detect and certify the symmetric-side series of a symmetry from its
     matrix-computed dimensions.  Raises like birank_certificate."""
     horizon = series_horizon(sym.d, n_max)
-    f = TruncSeries([Fraction(v) for v in symmetric_dims(sym, horizon)])
-    return birank_certificate(f, sym.d)
+    return birank_certificate(TruncSeries(symmetric_dims(sym, horizon)), sym.d)
+
+
+def _certificate(
+    report: VerificationReport, sym: HeckeSymmetry, n_max: int, checks
+) -> BirankCertificate | None:
+    """The detected certificate, or None after adding each of ``checks`` to
+    the report as a failure carrying the detection error."""
+    try:
+        return detected_certificate(sym, n_max)
+    except (InconclusiveDetection, CertificateError) as exc:
+        for name in checks:
+            report.add(name, f"error: {exc}", "certified rational form", False)
+        return None
 
 
 def _is_conjectural(*syms: HeckeSymmetry) -> bool:
@@ -117,25 +132,20 @@ def suite_hilbert(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     certificate, degree bound, and both certified expansions."""
     report = VerificationReport("hilbert", conjectural=_is_conjectural(sym))
     horizon = series_horizon(sym.d, n_max)
-    sdims = symmetric_dims(sym, horizon)
-    edims = exterior_dims(sym, horizon)
-    fs = TruncSeries([Fraction(v) for v in sdims])
-    fe = TruncSeries([Fraction(v) for v in edims])
+    fs = TruncSeries(symmetric_dims(sym, horizon))
+    fe = TruncSeries(exterior_dims(sym, horizon))
     product = fs.mul(fe.negate_variable())
     report.compare(
         "duality_product", product.render(), TruncSeries.one(horizon).render()
     )
-    try:
-        cert = birank_certificate(fs, sym.d)
-    except (InconclusiveDetection, CertificateError) as exc:
-        failure = f"error: {exc}"
-        for name in (
-            "certificate",
-            "birank_bound",
-            "symmetric_series_matches_certificate",
-            "exterior_series_matches_certificate",
-        ):
-            report.add(name, failure, "certified rational form", False)
+    checks = (
+        "certificate",
+        "birank_bound",
+        "symmetric_series_matches_certificate",
+        "exterior_series_matches_certificate",
+    )
+    cert = _certificate(report, sym, n_max, checks)
+    if cert is None:
         return report
     report.add(
         "certificate",
@@ -166,8 +176,7 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     """Quotient dimensions against products of series coefficients, and the
     global tensor-power dimension identity driven by the certificate."""
     report = VerificationReport("character", conjectural=_is_conjectural(sym))
-    horizon = series_horizon(sym.d, n_max)
-    fs = TruncSeries([Fraction(v) for v in symmetric_dims(sym, horizon)])
+    fs = TruncSeries(symmetric_dims(sym, series_horizon(sym.d, n_max)))
     for n in range(1, n_max + 1):
         for nu in enumerate_partitions(n):
             lhs = dim_quotient(sym, nu, ())
@@ -177,15 +186,8 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
             report.compare(
                 f"quotient_dim[{format_partition(nu)}]", lhs, rhs
             )
-    try:
-        cert = birank_certificate(fs, sym.d)
-    except (InconclusiveDetection, CertificateError) as exc:
-        report.add(
-            "tensor_dimension_identity",
-            f"error: {exc}",
-            "certified rational form",
-            False,
-        )
+    cert = _certificate(report, sym, n_max, ("tensor_dimension_identity",))
+    if cert is None:
         return report
     # one degree beyond the matrix checks: this identity is pure arithmetic
     # on the certificate, so the extra degree costs nothing.  The multinomial
@@ -223,20 +225,12 @@ def suite_homspace(
     """Intertwiner-space dimensions against the pairing-product prediction,
     and the dual-algebra dimensions against the inverted-series transform of
     the brute-force results."""
-    if sym_target.q != sym_source.q:
-        raise ValueError(
-            f"the two symmetries must share q; got {sym_target.q} "
-            f"and {sym_source.q}"
-        )
+    require_same_q(sym_target, sym_source)
     report = VerificationReport(
         "homspace", conjectural=_is_conjectural(sym_target, sym_source)
     )
-    f_source = TruncSeries(
-        [Fraction(v) for v in symmetric_dims(sym_source, n_max)]
-    )
-    f_target = TruncSeries(
-        [Fraction(v) for v in symmetric_dims(sym_target, n_max)]
-    )
+    f_source = TruncSeries(symmetric_dims(sym_source, n_max))
+    f_target = TruncSeries(symmetric_dims(sym_target, n_max))
     predicted = diamond(f_source, f_target, n_max)
     # top degree first: the cap is checked before any work, and the lower
     # degrees are then read from the cached chain
@@ -244,16 +238,10 @@ def suite_homspace(
     a_dims = [dim_intertwiner(sym_target, sym_source, n) for n in degrees][::-1]
     e_dims = [dim_e_component(sym_target, sym_source, n) for n in degrees][::-1]
     for n in range(n_max + 1):
-        report.compare(
-            f"hom_dim[n={n}]", Fraction(a_dims[n]), predicted.coeff(n)
-        )
-    dual_expected = exterior_from_symmetric(
-        TruncSeries([Fraction(v) for v in a_dims])
-    )
+        report.compare(f"hom_dim[n={n}]", a_dims[n], predicted.coeff(n))
+    dual_expected = exterior_from_symmetric(TruncSeries(a_dims))
     for n in range(n_max + 1):
-        report.compare(
-            f"hom_dual_dim[n={n}]", Fraction(e_dims[n]), dual_expected.coeff(n)
-        )
+        report.compare(f"hom_dual_dim[n={n}]", e_dims[n], dual_expected.coeff(n))
     return report
 
 
@@ -296,3 +284,31 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
             monotone,
         )
     return report
+
+
+def run_suites(
+    suite: str, sym: HeckeSymmetry, sym2: HeckeSymmetry, n_max: int, max_weight: int
+) -> list[VerificationReport]:
+    """Reports of one suite of SUITES, or of all of them for "all", in
+    SUITES order; homspace pairs sym2 (target) with sym (source).  The
+    positivity weight is checked before any suite runs."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES} or 'all'")
+    wanted = SUITES if suite == "all" else (suite,)
+    if "positivity" in wanted:
+        check_weight(max_weight)
+    reports = []
+    if "hilbert" in wanted:
+        reports.append(suite_hilbert(sym, n_max))
+    if "character" in wanted:
+        reports.append(suite_character(sym, n_max))
+    if "homspace" in wanted:
+        reports.append(suite_homspace(sym2, sym, n_max))
+    if "positivity" in wanted:
+        report = VerificationReport("positivity")
+        cert = _certificate(report, sym, n_max, ("certificate",))
+        if cert is not None:
+            report = suite_positivity(cert, max_weight)
+        report.conjectural = _is_conjectural(sym)
+        reports.append(report)
+    return reports

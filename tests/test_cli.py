@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from heckeseries import series
+from heckeseries import series, verify
 from heckeseries.cli import main
 from heckeseries.rmatrix import build_standard, serialize_symmetry
-from heckeseries.series import WEIGHT_CAP, TruncSeries
+from heckeseries.series import ORDER_CAP, WEIGHT_CAP, TruncSeries
 
 
 def run(capsys, *argv):
@@ -577,6 +577,39 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: weight {argv[-1]} exceeds cap {WEIGHT_CAP}\n"
+
+    def test_all_suites_check_the_weight_before_any_suite_runs(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("a suite ran before the weight check")
+
+        for name in verify.SUITES:
+            monkeypatch.setattr(verify, f"suite_{name}", refuse)
+        code, out, err = run(
+            capsys, "verify", "--suite", "all", "--symmetry", "std:r=2,q=2",
+            "--max-weight", str(WEIGHT_CAP + 1),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: weight {WEIGHT_CAP + 1} exceeds cap {WEIGHT_CAP}\n"
+
+    @pytest.mark.parametrize("what", ["sym", "ext"])
+    def test_expansion_orders_beyond_the_cap_exit_3_at_once(self, capsys, what):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "predict", "--what", what, "--alphas", "1,1", "--degree", "100000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: series order 100000 exceeds cap {ORDER_CAP}\n"
+
+    def test_cap_order_itself_is_allowed(self, capsys):
+        code, out, _ = run(
+            capsys, "predict", "--what", "sym", "--alphas", "1,1",
+            "--degree", str(ORDER_CAP),
+        )
+        assert code == 0
+        assert out.splitlines()[0] == ", ".join(str(n + 1) for n in range(ORDER_CAP + 1))
 
     def test_cap_weight_itself_is_allowed(self, capsys):
         code, out, _ = run(

@@ -145,3 +145,44 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
     assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
     assert calls == {"chains": 1, "conj": 1}
+
+
+# (name, builtin specifier, constructor) for the file-path tests
+FILE_CASES = [
+    ("std2", "std:r=2,q=2", lambda: build_standard(2, 2)),
+    ("super11", "super:1,1,q=1/2", lambda: build_super(1, 1, Fraction(1, 2))),
+    ("super21", "super:2,1,q=2", lambda: build_super(2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name,spec,build", FILE_CASES, ids=[c[0] for c in FILE_CASES])
+def test_dense_conjugate_files_print_the_builtin_output(name, spec, build, capsys, tmp_path):
+    """A dense conjugate written to a file and read back through the CLI
+    prints what the builtin prints; verify only adds its conjectural notes.
+    The hom families (A:, E:, the homspace suite) run on d = 2 only: a dense
+    d = 3 pair at degree 3 takes tens of seconds."""
+
+    def out(*argv):
+        assert main(list(argv)) == 0, argv
+        return capsys.readouterr().out
+
+    sym = build()
+    path = tmp_path / f"{name}.txt"
+    path.write_text(rmatrix.serialize_symmetry(dense_conjugate(sym, random.Random(name))))
+    dense = f"file:{path}"
+    whats = ["sym", "ext", "quotient:[2,1];[2]"]
+    suites = ["all"]
+    if sym.d == 2:
+        whats += [f"A:{dense}", f"E:{dense}"]
+    else:
+        suites = [s for s in verify.SUITES if s != "homspace"]
+    for what in whats:
+        compute = ["compute", "--degree", "4", "--what"]
+        got = out(*compute, what, "--symmetry", dense)
+        assert got == out(*compute, what.replace(dense, spec), "--symmetry", spec), what
+    for suite in suites:
+        argv = ["verify", "--suite", suite, "--nmax", "3", "--max-weight", "6", "--machine"]
+        got = out(*argv, "--symmetry", dense).splitlines()
+        want = out(*argv, "--symmetry", spec).splitlines()
+        assert any(line.startswith("#") for line in got), suite
+        assert [line for line in got if not line.startswith("#")] == want, suite

@@ -420,3 +420,42 @@ class TestPredictHomSeries:
 def test_poly_mul():
     assert poly_mul([1, 1], [1, -1]) == [Fraction(1), Fraction(0), Fraction(-1)]
     assert poly_mul([], [1]) == []
+
+
+def test_divmod_on_random_rational_polynomials():
+    rng = random.Random(5)
+    trim, divmod_, exact = (
+        series_module.poly_trim,
+        series_module._poly_divmod,
+        series_module.poly_divide_exact,
+    )
+
+    def rational_poly(deg):
+        lead = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)] + [lead]
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        return trim([x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+    for _ in range(200):
+        p = rational_poly(rng.randint(0, 7))
+        d = rational_poly(rng.randint(0, 4))
+        quotient, remainder = divmod_(p, d)
+        assert len(remainder) < len(d)
+        assert add(poly_mul(quotient, d), remainder) == p
+        assert exact(poly_mul(p, d), d) == p
+        if remainder:
+            with pytest.raises(ValueError, match="inexact"):
+                exact(p, d)
+    with pytest.raises(ZeroDivisionError):
+        divmod_([1, 2], [0])
+
+
+def test_poly_from_roots():
+    assert series_module.poly_from_roots([]) == [1]
+    assert series_module.poly_from_roots([2, Fraction(1, 3)]) == [
+        1,
+        Fraction(-7, 3),
+        Fraction(2, 3),
+    ]

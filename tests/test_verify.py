@@ -201,3 +201,104 @@ class TestSuitePositivity:
         names = [c.name for c in report.checks]
         assert "rectangle_vanishing[k=1]" in names
         assert "rectangle_vanishing[k=4]" in names
+
+
+def test_run_suites_order_and_unknown_names():
+    sym = build_standard(2, 2)
+    reports = verify.run_suites("all", sym, sym, 2, 3)
+    assert tuple(r.suite for r in reports) == verify.SUITES
+    assert all(r.passed for r in reports)
+    assert [r.suite for r in verify.run_suites("homspace", sym, sym, 2, 3)] == ["homspace"]
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites("bogus", sym, sym, 2, 3)
+
+
+# Exact output of `verify --suite all --nmax 3 --max-weight 5` on std:r=2,q=2
+# when detection finds nothing: every check that needs the certificate shows
+# the detection error in place of its value.
+_NO_FORM = "error: no rational form detected within order 2 at truncation order 4"
+_HUMAN_NOTE = (
+    "  note: input is user-supplied; predictions are conjectural"
+    " (structural hypotheses not algorithmically verified)\n"
+)
+_MACHINE_NOTE = (
+    "# conjectural: structural hypotheses unverified for user-supplied input\n"
+)
+_HUMAN_BLOCKS = [
+    "suite hilbert\n",
+    "  [PASS] duality_product: 1, 0, 0, 0, 0\n"
+    f"  [FAIL] certificate: {_NO_FORM} expected certified rational form\n"
+    f"  [FAIL] birank_bound: {_NO_FORM} expected certified rational form\n"
+    f"  [FAIL] symmetric_series_matches_certificate: {_NO_FORM} expected certified rational form\n"
+    f"  [FAIL] exterior_series_matches_certificate: {_NO_FORM} expected certified rational form\n"
+    "  1/5 checks passed\n"
+    "suite character\n",
+    "  [PASS] quotient_dim[[1]]: 2\n"
+    "  [PASS] quotient_dim[[2]]: 3\n"
+    "  [PASS] quotient_dim[[1,1]]: 4\n"
+    "  [PASS] quotient_dim[[3]]: 4\n"
+    "  [PASS] quotient_dim[[2,1]]: 6\n"
+    "  [PASS] quotient_dim[[1,1,1]]: 8\n"
+    f"  [FAIL] tensor_dimension_identity: {_NO_FORM} expected certified rational form\n"
+    "  6/7 checks passed\n"
+    "suite homspace\n",
+    "  [PASS] hom_dim[n=0]: 1\n"
+    "  [PASS] hom_dim[n=1]: 4\n"
+    "  [PASS] hom_dim[n=2]: 10\n"
+    "  [PASS] hom_dim[n=3]: 20\n"
+    "  [PASS] hom_dual_dim[n=0]: 1\n"
+    "  [PASS] hom_dual_dim[n=1]: 4\n"
+    "  [PASS] hom_dual_dim[n=2]: 6\n"
+    "  [PASS] hom_dual_dim[n=3]: 4\n"
+    "  8/8 checks passed\n"
+    "suite positivity\n",
+    f"  [FAIL] certificate: {_NO_FORM} expected certified rational form\n"
+    "  0/1 checks passed\n",
+]
+_MACHINE_BLOCKS = [
+    "",
+    "duality_product\t1, 0, 0, 0, 0\t1, 0, 0, 0, 0\tpass\n"
+    f"certificate\t{_NO_FORM}\tcertified rational form\tfail\n"
+    f"birank_bound\t{_NO_FORM}\tcertified rational form\tfail\n"
+    f"symmetric_series_matches_certificate\t{_NO_FORM}\tcertified rational form\tfail\n"
+    f"exterior_series_matches_certificate\t{_NO_FORM}\tcertified rational form\tfail\n",
+    "quotient_dim[[1]]\t2\t2\tpass\n"
+    "quotient_dim[[2]]\t3\t3\tpass\n"
+    "quotient_dim[[1,1]]\t4\t4\tpass\n"
+    "quotient_dim[[3]]\t4\t4\tpass\n"
+    "quotient_dim[[2,1]]\t6\t6\tpass\n"
+    "quotient_dim[[1,1,1]]\t8\t8\tpass\n"
+    f"tensor_dimension_identity\t{_NO_FORM}\tcertified rational form\tfail\n",
+    "hom_dim[n=0]\t1\t1\tpass\n"
+    "hom_dim[n=1]\t4\t4\tpass\n"
+    "hom_dim[n=2]\t10\t10\tpass\n"
+    "hom_dim[n=3]\t20\t20\tpass\n"
+    "hom_dual_dim[n=0]\t1\t1\tpass\n"
+    "hom_dual_dim[n=1]\t4\t4\tpass\n"
+    "hom_dual_dim[n=2]\t6\t6\tpass\n"
+    "hom_dual_dim[n=3]\t4\t4\tpass\n",
+    f"certificate\t{_NO_FORM}\tcertified rational form\tfail\n",
+]
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_failed_detection_rows_through_the_cli(
+    source, machine, monkeypatch, capsys, tmp_path
+):
+    from heckeseries import series
+    from heckeseries.cli import main
+
+    monkeypatch.setattr(series, "detect_rational", lambda f, r_max: None)
+    spec = "std:r=2,q=2"
+    if source == "file":
+        path = tmp_path / "std2.txt"
+        path.write_text(serialize_symmetry(build_standard(2, 2)))
+        spec = f"file:{path}"
+    argv = ["verify", "--suite", "all", "--symmetry", spec, "--nmax", "3"]
+    argv += ["--max-weight", "5"] + (["--machine"] if machine else [])
+    assert main(argv) == 1
+    # each suite's conjectural note sits right after its heading
+    note = (_MACHINE_NOTE if machine else _HUMAN_NOTE) if source == "file" else ""
+    blocks = _MACHINE_BLOCKS if machine else _HUMAN_BLOCKS
+    assert capsys.readouterr().out == note.join(blocks)
