@@ -12,24 +12,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import rmatrix, verify
 from .partitions import format_partition, parse_partition
-from .series import (
-    BirankCertificate,
-    CertificateError,
-    ConsistencyError,
-    InconclusiveDetection,
-    TruncSeries,
-    WeightCapError,
-    detect_rational,
-    diamond,
-    exterior_from_symmetric,
-    poly_from_roots,
-    poly_negate_t,
-    predict_hom_series,
-    total_positivity,
-)
-from .symfunc import DegreeCapError
+
+# rmatrix, series and verify are imported by the subcommands that use them:
+# compute loads no series code, and predict and series load no matrix code
 
 
 class UsageError(Exception):
@@ -37,6 +23,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on bad input.  A parser made with ``fill`` calls
+    fill(parser) to add its arguments when it first parses, so a subparser
+    whose arguments need a module costs nothing unless its command runs."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -78,7 +78,9 @@ def _parse_rational_form(text: str) -> tuple[list[Fraction], list[Fraction]]:
     return cleaned[0], cleaned[1]
 
 
-def _certificate_from_flags(series_text, alphas, betas, suffix="") -> BirankCertificate:
+def _certificate_from_flags(series_text, alphas, betas, suffix=""):
+    from .series import BirankCertificate, poly_from_roots, poly_negate_t
+
     if series_text is not None:
         if alphas or betas:
             raise UsageError(
@@ -97,7 +99,9 @@ def _certificate_from_flags(series_text, alphas, betas, suffix="") -> BirankCert
     return BirankCertificate.from_polynomials(f0, f1)
 
 
-def _parse_symmetry_spec(spec: str) -> rmatrix.HeckeSymmetry:
+def _parse_symmetry_spec(spec: str):
+    from . import rmatrix
+
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(
@@ -127,6 +131,8 @@ def _parse_symmetry_spec(spec: str) -> rmatrix.HeckeSymmetry:
 
 
 def cmd_predict(args) -> int:
+    from .series import exterior_from_symmetric, predict_hom_series
+
     cert = _certificate_from_flags(args.series, args.alphas, args.betas)
     certs = [("", cert)]
     if args.what in ("A", "E"):
@@ -160,6 +166,8 @@ def _parse_quotient_arg(rest: str):
 
 
 def cmd_compute(args) -> int:
+    from . import rmatrix
+
     sym = _parse_symmetry_spec(args.symmetry)
     what = args.what
     n_max = args.degree
@@ -188,6 +196,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     sym = _parse_symmetry_spec(args.symmetry)
     sym2 = _parse_symmetry_spec(args.symmetry2) if args.symmetry2 else sym
     reports = verify.run_suites(args.suite, sym, sym2, args.nmax, args.max_weight)
@@ -197,6 +207,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .series import TruncSeries, detect_rational, diamond, total_positivity
+
     if args.action == "detect-rational":
         coeffs = _parse_rationals(_require(args.coeffs, "--coeffs"))
         f = TruncSeries(coeffs)
@@ -230,9 +242,11 @@ def _require(value, flag: str):
     return value
 
 
-def _padded_series(text: str, order: int) -> TruncSeries:
+def _padded_series(text: str, order: int):
     """Coefficient lists on the command line denote polynomials: everything
     beyond the last given coefficient is an exact zero."""
+    from .series import TruncSeries
+
     coeffs = _parse_rationals(text)
     if len(coeffs) < order + 1:
         coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
@@ -285,25 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--what", required=True)
     compute.set_defaults(func=cmd_compute)
 
-    verify_cmd = sub.add_parser(
+    sub.add_parser(
         "verify",
         help="run cross-validation suites",
         description=(
             "Machine output: one check per line, 'name<TAB>lhs<TAB>rhs<TAB>"
             "pass|fail'; lines starting with # are notes."
         ),
+        fill=_verify_arguments,
     )
-    verify_cmd.add_argument(
-        "--suite",
-        required=True,
-        choices=(*verify.SUITES, "all"),
-    )
-    verify_cmd.add_argument("--symmetry", required=True)
-    verify_cmd.add_argument("--symmetry2")
-    verify_cmd.add_argument("--nmax", type=_size, default=4)
-    verify_cmd.add_argument("--max-weight", type=_size, default=8)
-    verify_cmd.add_argument("--machine", action="store_true")
-    verify_cmd.set_defaults(func=cmd_verify)
 
     series_cmd = sub.add_parser(
         "series",
@@ -328,22 +332,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verify_arguments(verify_cmd):
+    from . import verify
+
+    verify_cmd.add_argument(
+        "--suite",
+        required=True,
+        choices=(*verify.SUITES, "all"),
+    )
+    verify_cmd.add_argument("--symmetry", required=True)
+    verify_cmd.add_argument("--symmetry2")
+    verify_cmd.add_argument("--nmax", type=_size, default=4)
+    verify_cmd.add_argument("--max-weight", type=_size, default=8)
+    verify_cmd.add_argument("--machine", action="store_true")
+    verify_cmd.set_defaults(func=cmd_verify)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except rmatrix.SymmetryError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 1
-    except (rmatrix.CapExceeded, DegreeCapError, WeightCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InconclusiveDetection, CertificateError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (UsageError, OSError, ValueError, AssertionError) as exc:
+        # an error type can only be raised once its module is loaded, so
+        # the modules are imported here, on the error path only
+        from . import rmatrix, series
+
+        refusals = (
+            series.InconclusiveDetection,
+            series.CertificateError,
+            series.ConsistencyError,
+        )
+        for types, code, tag in (
+            (rmatrix.SymmetryError, 1, "rejected"),
+            ((rmatrix.CapExceeded, series.WeightCapError), 3, "error"),
+            (refusals, 1, "error"),
+            ((UsageError, OSError, ValueError), 2, "error"),
+        ):
+            if isinstance(exc, types):
+                print(f"{tag}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def console_entry():

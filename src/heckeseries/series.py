@@ -7,11 +7,11 @@ that window, and running out of window raises instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
-from .partitions import Partition, enumerate_partitions, format_partition
+from .partitions import Partition, enumerate_partitions, in_hook
 
 
 class InconclusiveDetection(ValueError):
@@ -30,8 +30,9 @@ class ConsistencyError(AssertionError):
 # every partition of every weight up to W, so their cost grows like p(W);
 # weights above this are refused before the first minor.
 WEIGHT_CAP = 24
-# expand_ratio is quadratic in the truncation order; orders above this are
-# refused before any coefficient is computed.
+# expand_ratio takes order x len(den) steps, but its coefficients grow in
+# size with the order, and so do the work per step and the rendered output;
+# orders above this are refused before any coefficient is computed.
 ORDER_CAP = 1000
 
 
@@ -235,30 +236,47 @@ def expand_ratio(num, den, order: int) -> TruncSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be nonzero."""
     if order > ORDER_CAP:
         raise WeightCapError(f"series order {order} exceeds cap {ORDER_CAP}")
-    num = [Fraction(x) for x in num] or [Fraction(0)]
     den = [Fraction(x) for x in den]
     if not den or den[0] == 0:
         raise ValueError("denominator needs nonzero constant term")
-    pad = lambda p: p[: order + 1] + [Fraction(0)] * max(0, order + 1 - len(p))
-    return TruncSeries(pad(num)).mul(TruncSeries(pad(den)).inverse())
+    # den * out = num, solved degree by degree: a recurrence of den's length
+    num = [Fraction(x) for x in num[: order + 1]]
+    num += [Fraction(0)] * (order + 1 - len(num))
+    tail = [(i, c) for i, c in enumerate(den[1 : order + 1], 1) if c]
+    out = []
+    for k in range(order + 1):
+        s = num[k]
+        for i, c in tail:
+            if i > k:
+                break
+            s -= c * out[k - i]
+        out.append(s / den[0])
+    return TruncSeries(out)
 
 
 # ---------------------------------------------------------------------------
 # rational forms and certificates
 
 
-@dataclass(frozen=True)
-class RationalForm:
-    """A verified p/q representation with q(0) = 1."""
+# The value types here and in verify are NamedTuples rather than dataclasses:
+# importing dataclasses adds about 15 ms to every process that loads them.
 
+
+class _RationalFormFields(NamedTuple):
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "num", tuple(Fraction(x) for x in self.num))
-        object.__setattr__(self, "den", tuple(Fraction(x) for x in self.den))
-        if not self.den or self.den[0] != 1:
+
+class RationalForm(_RationalFormFields):
+    """A verified p/q representation with q(0) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, num, den):
+        den = tuple(Fraction(x) for x in den)
+        if not den or den[0] != 1:
             raise ValueError("denominator must have constant term 1")
+        return super().__new__(cls, tuple(Fraction(x) for x in num), den)
 
     def expand(self, order: int) -> TruncSeries:
         return expand_ratio(self.num, self.den, order)
@@ -282,8 +300,7 @@ class RationalForm:
         return cls(tuple(fields["num"]), tuple(fields["den"]))
 
 
-@dataclass(frozen=True)
-class BirankCertificate:
+class BirankCertificate(NamedTuple):
     """Integer polynomials f0, f1 (constant term 1, all roots positive real)
     presenting the symmetric-side series as f1(-t)/f0(t)."""
 
@@ -525,9 +542,12 @@ def exterior_from_symmetric(f: TruncSeries) -> TruncSeries:
     return f.negate_variable().inverse()
 
 
-def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
+def diamond(f: TruncSeries, g: TruncSeries, order: int, hooks=()) -> TruncSeries:
     """Degreewise pairing product: coefficient n is the sum over partitions
-    of weight n of the two Schur-determinant values multiplied together."""
+    of weight n of the two Schur-determinant values multiplied together.
+
+    Each (r0, r1) in ``hooks`` is a promise that one operand's minors vanish
+    off the (r0, r1) hook, so partitions outside any of them are skipped."""
     if f.order < order or g.order < order:
         raise ValueError("both operands must carry at least the target order")
     check_weight(order)
@@ -535,6 +555,8 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     for n in range(order + 1):
         s = Fraction(0)
         for lam in enumerate_partitions(n):
+            if not all(in_hook(lam, r0, r1) for r0, r1 in hooks):
+                continue
             a = schur_minor(f, lam)
             if a:
                 b = schur_minor(g, lam)
@@ -578,7 +600,10 @@ def predict_hom_series(
     cert_a: BirankCertificate, cert_b: BirankCertificate, order: int
 ) -> TruncSeries:
     """Predicted Hilbert series of the graded hom algebra of two certified
-    symmetries, computed by the pairing product.
+    symmetries, computed by the pairing product.  A certified series is
+    h_n of a supersymmetric alphabet of r0 + r1 letters, so its Schur minors
+    are hook Schur functions and vanish off the (r0, r1) hook (Berele-Regev);
+    the product sums over partitions inside both hooks only.
 
     When all four certificate polynomials split over the integers the
     closed-form product formula is also assembled; ConsistencyError when
@@ -586,7 +611,7 @@ def predict_hom_series(
     """
     fa = cert_a.symmetric_series(order)
     fb = cert_b.symmetric_series(order)
-    result = diamond(fa, fb, order)
+    result = diamond(fa, fb, order, hooks=(cert_a.birank, cert_b.birank))
 
     alphas = _reciprocal_integer_roots(cert_a.f0)
     betas = _reciprocal_integer_roots(cert_a.f1)

@@ -7,9 +7,8 @@ check carries rendered left/right values so mismatches are inspectable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import enumerate_partitions, format_partition, in_hook
 from .rmatrix import (
@@ -30,28 +29,25 @@ from .series import (
     birank_certificate,
     check_weight,
     diamond,
-    expand_ratio,
     exterior_from_symmetric,
     schur_minor,
 )
-from .symfunc import SymElement, hom_eval
 
 SUITES = ("hilbert", "character", "homspace", "positivity")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     lhs: str
     rhs: str
     passed: bool
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    conjectural: bool = False
+    def __init__(self, suite: str, conjectural: bool = False):
+        self.suite = suite
+        self.checks: list[CheckResult] = []
+        self.conjectural = conjectural
 
     @property
     def passed(self) -> bool:
@@ -174,7 +170,8 @@ def suite_hilbert(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
 
 def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     """Quotient dimensions against products of series coefficients, and the
-    global tensor-power dimension identity driven by the certificate."""
+    global tensor-power dimension identity driven by the certificate: the
+    series homomorphism of p_1^n, the character of V^{⊗n}, is d^n."""
     report = VerificationReport("character", conjectural=_is_conjectural(sym))
     fs = TruncSeries(symmetric_dims(sym, series_horizon(sym.d, n_max)))
     for n in range(1, n_max + 1):
@@ -189,34 +186,13 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     cert = _certificate(report, sym, n_max, ("tensor_dimension_identity",))
     if cert is None:
         return report
-    # one degree beyond the matrix checks: this identity is pure arithmetic
-    # on the certificate, so the extra degree costs nothing.  The multinomial
-    # of a pair (lam ⊢ k, mu) is C(n, k) times those of lam and mu, so the
-    # sum over pairs factors through one weighted sum per alphabet and weight
-    top = n_max + 1
-    a_sums, b_sums = (_weighted_m_sums(poly, top) for poly in (cert.f0, cert.f1))
-    for n in range(1, top + 1):
-        total = sum(math.comb(n, k) * a_sums[k] * b_sums[n - k] for k in range(n + 1))
-        report.compare(
-            f"tensor_dimension_identity[n={n}]", total, Fraction(sym.d**n)
-        )
+    # one degree beyond the matrix checks.  Summed with multinomial weights,
+    # the monomials m_lam over lam ⊢ n give p_1^n, and the series
+    # homomorphism sends p_1 to the t-coefficient of f1(-t)/f0(t)
+    t1 = -(cert.f0 + (0,))[1] - (cert.f1 + (0,))[1]
+    for n in range(1, n_max + 2):
+        report.compare(f"tensor_dimension_identity[n={n}]", t1**n, sym.d**n)
     return report
-
-
-def _weighted_m_sums(poly, top: int) -> list[Fraction]:
-    """For k = 0..top, the sum over lam ⊢ k of the multinomial k!/prod lam_i!
-    times m_lam on the alphabet of 1/poly; each m_lam is evaluated once."""
-    f = expand_ratio([1], list(poly), top)
-    sums = []
-    for k in range(top + 1):
-        total = Fraction(0)
-        for lam in enumerate_partitions(k):
-            multinomial = math.factorial(k)
-            for part in lam:
-                multinomial //= math.factorial(part)
-            total += multinomial * hom_eval(f, SymElement.generator("m", lam))
-        sums.append(total)
-    return sums
 
 
 def suite_homspace(
@@ -291,12 +267,15 @@ def run_suites(
 ) -> list[VerificationReport]:
     """Reports of one suite of SUITES, or of all of them for "all", in
     SUITES order; homspace pairs sym2 (target) with sym (source).  The
-    positivity weight is checked before any suite runs."""
+    positivity weight, and the character suite's partition weight n_max,
+    are checked before any suite runs."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES} or 'all'")
     wanted = SUITES if suite == "all" else (suite,)
     if "positivity" in wanted:
         check_weight(max_weight)
+    if "character" in wanted:
+        check_weight(n_max)
     reports = []
     if "hilbert" in wanted:
         reports.append(suite_hilbert(sym, n_max))

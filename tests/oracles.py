@@ -11,6 +11,9 @@ conjugation matrix, and cost d**n columns, so use them only at small n.
 eliminations on Fraction matrices, independent of the library's one
 fraction-free integer kernel.
 
+``expand_ratio_dense`` expands num/den by inverting the padded denominator
+as a dense series, where the library runs the denominator's recurrence.
+
 ``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
 the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
 words, and ``count_row_col_matrices``/``count_mixed_matrices`` count the
@@ -24,6 +27,7 @@ from functools import lru_cache
 from heckeseries import linalg
 from heckeseries.partitions import _strip_counts, as_partition, weight
 from heckeseries.rmatrix import _pair_conjugation_matrix
+from heckeseries.series import TruncSeries
 
 
 def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
@@ -180,6 +184,17 @@ def oracle_det(rows) -> Fraction:
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def expand_ratio_dense(num, den, order: int) -> TruncSeries:
+    """num(t)/den(t) to the given order as num times the series inverse of
+    den, both padded or cut to order + 1 coefficients."""
+
+    def pad(p):
+        p = [Fraction(x) for x in p][: order + 1]
+        return TruncSeries(p + [Fraction(0)] * (order + 1 - len(p)))
+
+    return pad(num or [0]).mul(pad(den).inverse())
 
 
 @lru_cache(maxsize=None)

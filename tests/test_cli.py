@@ -568,6 +568,7 @@ class TestTypedFailures:
                 "40",
             ),
             ("series", "total-positivity", "--coeffs", "1,2,1", "--max-weight", "60"),
+            ("verify", "--suite", "character", "--symmetry", "std:r=1,q=2", "--nmax", "40"),
             ("predict", "--what", "A", "--alphas", "1", "--alphas2", "1", "--degree", "60"),
         ],
     )
@@ -623,7 +624,7 @@ class TestTypedFailures:
         self, capsys, monkeypatch
     ):
         monkeypatch.setattr(
-            series, "diamond", lambda f, g, order: TruncSeries.one(order)
+            series, "diamond", lambda f, g, order, hooks=(): TruncSeries.one(order)
         )
         code, out, err = run(
             capsys,

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from heckeseries import series as series_module
+from heckeseries.partitions import in_hook
 from heckeseries.series import (
     BirankCertificate,
     CertificateError,
@@ -28,6 +29,8 @@ from heckeseries.series import (
     sturm_all_roots_positive,
     total_positivity,
 )
+
+from oracles import expand_ratio_dense
 
 
 def geometric(ratio, order):
@@ -82,6 +85,20 @@ def test_expand_ratio():
     assert [f.coeff(n) for n in range(5)] == [1, 2, 2, 2, 2]
     with pytest.raises(ValueError):
         expand_ratio([1], [0, 1], 3)
+
+
+def test_expand_ratio_matches_the_dense_oracle():
+    rng = random.Random(11)
+
+    def poly(length):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+
+    for _ in range(150):
+        order = rng.randint(0, 12)
+        # num and den may be shorter or longer than the order
+        num = poly(rng.randint(0, 16))
+        den = [Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))] + poly(rng.randint(0, 16))
+        assert expand_ratio(num, den, order).coeffs == expand_ratio_dense(num, den, order).coeffs
 
 
 class TestHankelMinor:
@@ -348,6 +365,20 @@ class TestDiamond:
         with pytest.raises(ValueError):
             diamond(TruncSeries([1, 1]), TruncSeries([1, 1, 1]), 2)
 
+    def test_hooks_skip_every_partition_outside_them(self, monkeypatch):
+        f = expand_ratio([1], [1, -5, 6], 8)
+        g = expand_ratio([1, 1], [1, -1], 8)
+        seen = []
+
+        def spy(h, lam):
+            seen.append(lam)
+            return schur_minor(h, lam)
+
+        monkeypatch.setattr(series_module, "schur_minor", spy)
+        pruned = diamond(f, g, 8, hooks=((2, 0), (1, 1)))
+        assert seen and all(in_hook(lam, 2, 0) and in_hook(lam, 1, 1) for lam in seen)
+        assert pruned.coeffs == diamond(f, g, 8).coeffs
+
 
 class TestPredictHomSeries:
     def test_rank_two_against_rank_two(self):
@@ -375,6 +406,24 @@ class TestPredictHomSeries:
         f = predict_hom_series(a, a, 6)
         g = exterior_from_symmetric(f)
         assert (f * g.negate_variable()).coeffs == TruncSeries.one(6).coeffs
+
+    def test_hook_pruned_prediction_equals_the_full_pairing_product(self):
+        rng = random.Random(3)
+
+        def cert(r0, r1):
+            alphas, betas = ([rng.randint(1, 4) for _ in range(r)] for r in (r0, r1))
+            return BirankCertificate.from_polynomials(
+                series_module.poly_from_roots(alphas), series_module.poly_from_roots(betas)
+            )
+
+        golden = BirankCertificate.from_polynomials([1, -3, 1], [1])
+        zero = BirankCertificate.from_polynomials([1], [1])
+        certs = [golden, zero] + [cert(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(4)]
+        order = 12
+        for a in certs:
+            for b in (golden, zero, certs[rng.randrange(2, len(certs))]):
+                full = diamond(a.symmetric_series(order), b.symmetric_series(order), order)
+                assert predict_hom_series(a, b, order).coeffs == full.coeffs
 
     def test_noninteger_roots_still_agree_with_diamond(self):
         a = BirankCertificate.from_polynomials([1, -3, 1], [1])

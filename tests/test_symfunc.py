@@ -1,6 +1,7 @@
 """Basis conversions, products, pairings, and series-evaluation maps on the
 graded ring of symmetric elements."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -266,6 +267,24 @@ class TestHomEval:
     def test_order_must_cover_degree(self):
         with pytest.raises(ValueError):
             hom_eval(TruncSeries([1, 1]), gen("h", (3,)))
+
+    def test_multinomial_monomial_sum_is_the_power_of_the_t_coefficient(self):
+        # sum over lam ⊢ k of k!/prod(lam_i!) m_lam is p_1^k = h_1^k, so
+        # the homomorphism sends it to a_1^k for any series with a_0 = 1
+        rng = random.Random(17)
+        for _ in range(6):
+            f = TruncSeries(
+                [Fraction(1)]
+                + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
+            )
+            for k in range(8):
+                total = 0
+                for lam in enumerate_partitions(k):
+                    multinomial = math.factorial(k)
+                    for part in lam:
+                        multinomial //= math.factorial(part)
+                    total += multinomial * hom_eval(f, gen("m", lam))
+                assert total == f.coeff(1) ** k
 
 
 class TestHallRep:

@@ -3,15 +3,14 @@ built-in families."""
 
 import pytest
 
-from heckeseries import symfunc, verify
-from heckeseries.partitions import enumerate_partitions
+from heckeseries import verify
 from heckeseries.rmatrix import (
     build_standard,
     build_super,
     parse_symmetry_text,
     serialize_symmetry,
 )
-from heckeseries.series import BirankCertificate
+from heckeseries.series import WEIGHT_CAP, BirankCertificate, WeightCapError
 from heckeseries.verify import (
     VerificationReport,
     detected_certificate,
@@ -130,21 +129,18 @@ class TestSuiteCharacter:
         assert "tensor_dimension_identity[n=3]" in names
         assert "quotient_dim[[3]]" not in names
 
-    def test_identity_evaluates_each_monomial_once_per_alphabet(self, monkeypatch):
-        calls = []
-        original = symfunc.hom_eval
-
-        def counting(f, u):
-            calls.append(u)
-            return original(f, u)
-
-        monkeypatch.setattr(symfunc, "hom_eval", counting)
-        monkeypatch.setattr(verify, "hom_eval", counting, raising=False)
-        report = suite_character(build_standard(1, 2), 5)
+    def test_identity_on_a_certificate_with_constant_f0(self):
+        # super 0,2: f0 = 1 has no t-coefficient, f1 = (1 - t)^2
+        report = suite_character(build_super(0, 2, 2), 3)
         assert report.passed
-        # identity degrees run to nmax + 1 = 6; one call per m_lam, |lam| <= 6
-        # (partitions of 0..6 number 30), for each of the two alphabets
-        assert 0 < len(calls) <= 2 * sum(len(enumerate_partitions(k)) for k in range(7))
+        assert check_map(report)["tensor_dimension_identity[n=4]"].lhs == "16"
+
+    def test_std1_runs_past_the_old_degree_cap(self):
+        # the identity once went through the Kostka tables, capped at degree 14
+        sym = build_standard(1, 2)
+        report = verify.run_suites("character", sym, sym, 14, 8)[0]
+        assert report.passed
+        assert check_map(report)["tensor_dimension_identity[n=15]"].lhs == "1"
 
 
 class TestSuiteHomspace:
@@ -211,6 +207,18 @@ def test_run_suites_order_and_unknown_names():
     assert [r.suite for r in verify.run_suites("homspace", sym, sym, 2, 3)] == ["homspace"]
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
         verify.run_suites("bogus", sym, sym, 2, 3)
+
+
+@pytest.mark.parametrize("suite", ["character", "all"])
+def test_character_weight_is_checked_before_any_suite_runs(suite, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a suite ran before the weight check")
+
+    for name in verify.SUITES:
+        monkeypatch.setattr(verify, f"suite_{name}", refuse)
+    sym = build_standard(1, 2)
+    with pytest.raises(WeightCapError, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+        verify.run_suites(suite, sym, sym, WEIGHT_CAP + 1, 3)
 
 
 # Exact output of `verify --suite all --nmax 3 --max-weight 5` on std:r=2,q=2
