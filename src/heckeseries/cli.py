@@ -100,7 +100,7 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
 
 
 def _parse_symmetry_spec(spec: str):
-    from . import rmatrix
+    from . import linalg, rmatrix
 
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -123,7 +123,7 @@ def _parse_symmetry_spec(spec: str):
             return rmatrix.build_super(
                 int(fields[0]), int(fields[1]), Fraction(fields[2][2:])
             )
-    except UsageError:
+    except (UsageError, linalg.CapExceeded):
         raise
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad symmetry specifier {spec!r}: {exc}") from None
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError, ValueError, AssertionError) as exc:
         # an error type can only be raised once its module is loaded, so
         # the modules are imported here, on the error path only
-        from . import rmatrix, series
+        from . import linalg, rmatrix, series
 
         refusals = (
             series.InconclusiveDetection,
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
         )
         for types, code, tag in (
             (rmatrix.SymmetryError, 1, "rejected"),
-            ((rmatrix.CapExceeded, series.WeightCapError), 3, "error"),
+            (linalg.CapExceeded, 3, "error"),
             (refusals, 1, "error"),
             ((UsageError, OSError, ValueError), 2, "error"),
         ):

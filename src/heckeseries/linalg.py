@@ -8,6 +8,9 @@ turns its rows into reduced echelon form with one common integer pivot
 value, and the rational factor and sort parity it records give the
 determinant.  ``rank``, ``row_basis``, ``nullspace``, ``solve_square`` and
 ``det`` are thin readers of one ``Echelon``.  Matrices are lists of rows.
+
+``CapExceeded`` lives here because every module that enforces a size cap
+already imports this one.
 """
 
 from __future__ import annotations
@@ -15,6 +18,12 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm, prod
+
+
+class CapExceeded(ValueError):
+    """Requested work exceeds a size cap: a tensor-power dimension, a
+    Schur-minor weight, a series order or a symmetric-function degree.
+    Every cap is checked before any of the work it bounds."""
 
 
 def clear_denominators(row):

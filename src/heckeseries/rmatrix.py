@@ -12,14 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .linalg import CapExceeded
 from .partitions import as_partition, weight
 
-# Refuse tensor computations whose ambient dimension d**n exceeds this.
+# Refuse tensor computations whose ambient dimension d**n exceeds this;
+# validation works on V⊗3, so symmetries with d**3 above it are refused too.
 DIMENSION_CAP = 4096
-
-
-class CapExceeded(ValueError):
-    """Requested tensor degree exceeds the configured ambient-dimension cap."""
 
 
 class SymmetryError(ValueError):
@@ -85,6 +83,7 @@ class HeckeSymmetry:
         dd = d * d
         if len(matrix) != dd or any(len(row) != dd for row in matrix):
             raise ValueError(f"matrix must be {dd}x{dd}")
+        _check_cap(d, 3)
         self.d = d
         self.q = q
         self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
@@ -177,55 +176,42 @@ def _validate(sym: HeckeSymmetry):
             raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
 
 
-def build_standard(r: int, q) -> HeckeSymmetry:
-    """The deformed-transposition symmetry on an r-dimensional space:
-    diagonal pairs scale by q, ordered pairs swap, with the lower-triangular
-    correction keeping the quadratic relation exact."""
-    if r < 1:
-        raise ValueError("dimension must be at least 1")
+def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
+    """The deformed transposition on basis vectors of the given parities
+    (0 even, 1 odd): even diagonal pairs scale by q and odd ones by -1,
+    ordered pairs swap with the sign of odd-odd pairs, and the
+    lower-triangular correction keeps the quadratic relation exact."""
     q = Fraction(q)
-    if q == 0:
-        raise ValueError("the parameter q must be nonzero")
-    dd = r * r
-    mat = [[Fraction(0)] * dd for _ in range(dd)]
-    for i in range(r):
-        for j in range(r):
-            col = i * r + j
-            if i == j:
-                mat[col][col] = q
-            elif i < j:
-                mat[j * r + i][col] = Fraction(1)
-            else:
-                mat[j * r + i][col] = q
-                mat[col][col] = q - 1
-    return HeckeSymmetry(r, q, mat, source="standard")
-
-
-def build_super(r0: int, r1: int, q) -> HeckeSymmetry:
-    """The graded variant: r0 even basis vectors followed by r1 odd ones.
-    Odd-odd diagonal pairs pick up the sign, mixed swaps carry the parity
-    factor, and the same lower-triangular correction applies."""
-    if r0 < 0 or r1 < 0 or r0 + r1 < 1:
-        raise ValueError("need r0, r1 >= 0 with r0 + r1 >= 1")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("the parameter q must be nonzero")
-    d = r0 + r1
-    parity = [0] * r0 + [1] * r1
+    d = len(parity)
+    _check_cap(d, 3)  # before the d**4 matrix entries are built
     dd = d * d
     mat = [[Fraction(0)] * dd for _ in range(dd)]
     for i in range(d):
         for j in range(d):
             col = i * d + j
-            sign = Fraction(-1) if parity[i] and parity[j] else Fraction(1)
+            sign = -1 if parity[i] and parity[j] else 1
             if i == j:
-                mat[col][col] = q if parity[i] == 0 else Fraction(-1)
+                mat[col][col] = -1 if parity[i] else q
             elif i < j:
                 mat[j * d + i][col] = sign
             else:
                 mat[j * d + i][col] = q * sign
                 mat[col][col] = q - 1
-    return HeckeSymmetry(d, q, mat, source="super")
+    return HeckeSymmetry(d, q, mat, source=source)
+
+
+def build_standard(r: int, q) -> HeckeSymmetry:
+    """The deformed-transposition symmetry on an r-dimensional space."""
+    if r < 1:
+        raise ValueError("dimension must be at least 1")
+    return _deformed_swap([0] * r, q, "standard")
+
+
+def build_super(r0: int, r1: int, q) -> HeckeSymmetry:
+    """The graded variant: r0 even basis vectors followed by r1 odd ones."""
+    if r0 < 0 or r1 < 0 or r0 + r1 < 1:
+        raise ValueError("need r0, r1 >= 0 with r0 + r1 >= 1")
+    return _deformed_swap([0] * r0 + [1] * r1, q, "super")
 
 
 def load_and_validate(d: int, q, matrix) -> HeckeSymmetry:
@@ -440,7 +426,7 @@ def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: s
         rows = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(conj)]
         if kind == "A":
             return linalg.row_basis(rows, size)
-        return linalg.nullspace(linalg.row_basis(zip(*rows), size), size)
+        return linalg.nullspace(zip(*rows), size)
 
     return _memo(sym_source, (kind, "relations", sym_target), build)
 

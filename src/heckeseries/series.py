@@ -36,14 +36,9 @@ WEIGHT_CAP = 24
 ORDER_CAP = 1000
 
 
-class WeightCapError(ValueError):
-    """Requested Schur-minor weight or series expansion order exceeds its
-    cap."""
-
-
 def check_weight(w: int):
     if w > WEIGHT_CAP:
-        raise WeightCapError(f"weight {w} exceeds cap {WEIGHT_CAP}")
+        raise linalg.CapExceeded(f"weight {w} exceeds cap {WEIGHT_CAP}")
 
 
 class RootLocationError(CertificateError):
@@ -235,7 +230,7 @@ class TruncSeries:
 def expand_ratio(num, den, order: int) -> TruncSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be nonzero."""
     if order > ORDER_CAP:
-        raise WeightCapError(f"series order {order} exceeds cap {ORDER_CAP}")
+        raise linalg.CapExceeded(f"series order {order} exceeds cap {ORDER_CAP}")
     den = [Fraction(x) for x in den]
     if not den or den[0] == 0:
         raise ValueError("denominator needs nonzero constant term")
@@ -308,7 +303,6 @@ class BirankCertificate(NamedTuple):
     f1: tuple[int, ...]
     r0: int
     r1: int
-    roots_verified: bool
 
     def symmetric_series(self, order: int) -> TruncSeries:
         return expand_ratio(poly_negate_t(self.f1), self.f0, order)
@@ -323,8 +317,7 @@ class BirankCertificate(NamedTuple):
     def render(self) -> str:
         f0 = ",".join(str(c) for c in self.f0)
         f1 = ",".join(str(c) for c in self.f1)
-        tag = "verified" if self.roots_verified else "unverified"
-        return f"f0={f0}; f1={f1}; roots positive real: {tag}"
+        return f"f0={f0}; f1={f1}; roots positive real: verified"
 
     @classmethod
     def from_polynomials(cls, f0, f1) -> "BirankCertificate":
@@ -345,7 +338,6 @@ class BirankCertificate(NamedTuple):
             tuple(int(c) for c in f1),
             len(f0) - 1,
             len(f1) - 1,
-            True,
         )
 
 

@@ -50,13 +50,9 @@ BASES = ("m", "h", "e", "s")
 DEGREE_CAP = 14
 
 
-class DegreeCapError(ValueError):
-    """Requested degree exceeds the configured transition-matrix cap."""
-
-
 def _check_degree(n: int):
     if n > DEGREE_CAP:
-        raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
+        raise linalg.CapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
 
 
 class SymElement:

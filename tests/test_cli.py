@@ -594,6 +594,28 @@ class TestTypedFailures:
         assert (code, out) == (3, "")
         assert err == f"error: weight {WEIGHT_CAP + 1} exceeds cap {WEIGHT_CAP}\n"
 
+    @pytest.mark.parametrize(
+        "argv, power",
+        [
+            # verify's window max(nmax, d + 2) = 7 is refused, not shrunk
+            # until detection fails
+            *(
+                (("verify", "--suite", suite, "--symmetry", "std:r=5,q=2",
+                  "--nmax", "3"), "5**7")
+                for suite in ("hilbert", "character", "positivity")
+            ),
+            # validation works on V⊗3
+            (("compute", "--symmetry", "std:r=17,q=2", "--what", "sym",
+              "--degree", "1"), "17**3"),
+        ],
+    )
+    def test_dimension_cap_exits_3_before_any_work(self, capsys, argv, power):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: tensor power dimension {power} exceeds cap 4096\n"
+
     @pytest.mark.parametrize("what", ["sym", "ext"])
     def test_expansion_orders_beyond_the_cap_exit_3_at_once(self, capsys, what):
         start = time.perf_counter()

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from heckeseries import linalg
+import heckeseries
+from heckeseries import linalg, rmatrix, series, symfunc
 from heckeseries.partitions import conjugate, partition_pairs, weight
 from heckeseries.rmatrix import (
     DIMENSION_CAP,
@@ -104,7 +105,11 @@ class TestBuilders:
             assert all(x == 0 for row in lhs for x in row)
 
     def test_super_reduces_to_standard_when_all_even(self):
-        assert build_super(2, 0, 2).matrix == build_standard(2, 2).matrix
+        for r in range(1, 6):
+            for q in (2, Fraction(3, 2), -1, 1, Fraction(-1, 2)):
+                std = build_standard(r, q)
+                assert build_super(r, 0, q).matrix == std.matrix
+                assert std.source == "standard"
 
     def test_super_single_odd_is_minus_one(self):
         sym = build_super(0, 1, 1)
@@ -375,11 +380,59 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             dim_intertwiner(a, a, 7)
 
+    def test_validation_is_capped_before_it_starts(self, monkeypatch):
+        def no_validation(sym):
+            raise AssertionError("validation started before the cap check")
+
+        monkeypatch.setattr(rmatrix, "_validate", no_validation)
+        message = r"^tensor power dimension 17\*\*3 exceeds cap 4096$"
+        with pytest.raises(CapExceeded, match=message):
+            build_standard(17, 2)
+        with pytest.raises(CapExceeded, match=message):
+            build_super(9, 8, 2)
+        big = [[0] * 17**2 for _ in range(17**2)]
+        with pytest.raises(CapExceeded, match=message):
+            load_and_validate(17, 2, big)
+        # 16**3 = 4096 sits exactly at the cap
+        monkeypatch.setattr(rmatrix, "_validate", lambda sym: None)
+        assert build_standard(16, 2).d == 16
+
     def test_cap_is_inclusive(self):
         sym = build_standard(2, 2)
         # 2**12 = 4096 sits exactly at the cap and must be allowed
         assert DIMENSION_CAP == 4096
         assert dim_quotient(sym, (12,), ()) == 13
+
+
+@pytest.mark.parametrize(
+    "overrun, message",
+    [
+        (
+            lambda: symmetric_dims(build_standard(4, 2), 7),
+            "tensor power dimension 4**7 exceeds cap 4096",
+        ),
+        (
+            lambda: series.total_positivity(series.TruncSeries([1] * 26), 25),
+            "weight 25 exceeds cap 24",
+        ),
+        (
+            lambda: series.expand_ratio([1], [1, -1], 1001),
+            "series order 1001 exceeds cap 1000",
+        ),
+        (
+            lambda: symfunc.to_basis(symfunc.SymElement.generator("h", (15,)), "s"),
+            "degree 15 exceeds cap 14",
+        ),
+    ],
+    ids=["dimension", "weight", "order", "degree"],
+)
+def test_every_cap_raises_the_one_cap_error(overrun, message):
+    assert rmatrix.CapExceeded is linalg.CapExceeded
+    assert heckeseries.CapExceeded is linalg.CapExceeded
+    with pytest.raises(linalg.CapExceeded) as caught:
+        overrun()
+    assert caught.type is linalg.CapExceeded
+    assert str(caught.value) == message
 
 
 class TestSerialization:

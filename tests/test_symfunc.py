@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckeseries.linalg import CapExceeded
 from heckeseries.partitions import (
     _strip_counts,
     conjugate,
@@ -22,7 +23,6 @@ from heckeseries.symfunc import (
     BASES,
     DEGREE_CAP,
     ConsistencyError,
-    DegreeCapError,
     SymElement,
     hall_rep,
     hom_eval,
@@ -474,7 +474,7 @@ class TestSchurValue:
 
 
 def test_degree_cap_enforced():
-    with pytest.raises(DegreeCapError):
+    with pytest.raises(CapExceeded):
         to_basis(gen("h", (15,)), "s")
 
 

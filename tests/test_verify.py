@@ -10,7 +10,8 @@ from heckeseries.rmatrix import (
     parse_symmetry_text,
     serialize_symmetry,
 )
-from heckeseries.series import WEIGHT_CAP, BirankCertificate, WeightCapError
+from heckeseries.linalg import CapExceeded
+from heckeseries.series import WEIGHT_CAP, BirankCertificate
 from heckeseries.verify import (
     VerificationReport,
     detected_certificate,
@@ -61,11 +62,13 @@ class TestReportRendering:
 
 
 def test_series_horizon():
-    # enough coefficients for a depth-d recurrence, without blowing the cap
+    # enough coefficients for a depth-d recurrence; the engine owns the cap
     assert series_horizon(2, 4) == 4
     assert series_horizon(3, 4) == 5
     assert series_horizon(4, 4) == 6
     assert series_horizon(2, 9) == 9
+    assert series_horizon(5, 3) == 7
+    assert series_horizon(6, 10) == 10
 
 
 def test_detected_certificate():
@@ -217,7 +220,7 @@ def test_character_weight_is_checked_before_any_suite_runs(suite, monkeypatch):
     for name in verify.SUITES:
         monkeypatch.setattr(verify, f"suite_{name}", refuse)
     sym = build_standard(1, 2)
-    with pytest.raises(WeightCapError, match=f"weight {WEIGHT_CAP + 1} exceeds"):
+    with pytest.raises(CapExceeded, match=f"weight {WEIGHT_CAP + 1} exceeds"):
         verify.run_suites(suite, sym, sym, WEIGHT_CAP + 1, 3)
 
 
