@@ -62,31 +62,25 @@ def _parse_rationals(text: str) -> list[Fraction]:
         raise UsageError(f"malformed rational list {text!r}: {exc}") from None
 
 
-def _parse_rational_form(text: str) -> tuple[list[Fraction], list[Fraction]]:
-    """Accepts 'num;den' or 'num=...; den=...' with comma coefficient lists."""
-    parts = text.split(";")
-    if len(parts) != 2:
-        raise UsageError(
-            f"expected 'num;den' with two coefficient lists, got {text!r}"
-        )
-    cleaned = []
-    for part in parts:
-        part = part.strip()
-        if "=" in part:
-            part = part.partition("=")[2].strip()
-        cleaned.append(_parse_rationals(part))
-    return cleaned[0], cleaned[1]
-
-
 def _certificate_from_flags(series_text, alphas, betas, suffix=""):
-    from .series import BirankCertificate, poly_from_roots, poly_negate_t
+    from .series import (
+        BirankCertificate,
+        check_certificate_degree,
+        poly_from_roots,
+        poly_negate_t,
+        split_rational_form,
+    )
 
     if series_text is not None:
         if alphas or betas:
             raise UsageError(
                 f"give either --series{suffix} or root lists, not both"
             )
-        num, den = _parse_rational_form(series_text)
+        try:
+            texts = split_rational_form(series_text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        num, den = map(_parse_rationals, texts)
         # the series is f1(-t)/f0(t): numerator determines f1
         return BirankCertificate.from_polynomials(den, poly_negate_t(num))
     if not alphas and not betas:
@@ -94,9 +88,12 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
             f"need --series{suffix} or at least one of "
             f"--alphas{suffix}/--betas{suffix}"
         )
-    f0 = poly_from_roots(_parse_rationals(alphas) if alphas else ())
-    f1 = poly_from_roots(_parse_rationals(betas) if betas else ())
-    return BirankCertificate.from_polynomials(f0, f1)
+    polys = []
+    for roots in (alphas, betas):
+        roots = _parse_rationals(roots) if roots else ()
+        check_certificate_degree(len(roots))
+        polys.append(poly_from_roots(roots))
+    return BirankCertificate.from_polynomials(*polys)
 
 
 def _parse_symmetry_spec(spec: str):

@@ -10,6 +10,7 @@ so the full tensor-power matrices are never materialized.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .linalg import CapExceeded
@@ -91,25 +92,13 @@ class HeckeSymmetry:
         self._cache = {}
         _validate(self)
 
-    def inverse_matrix(self):
-        """R^{-1} = (R - (q-1)·Id)/q, an identity forced by the quadratic
-        relation; no elimination needed."""
-        dd = self.d * self.d
-        return _memo(self, "inverse", lambda: tuple(
-            tuple(
-                (self.matrix[r][c] - (self.q - 1) * (r == c)) / self.q
-                for c in range(dd)
-            )
-            for r in range(dd)
-        ))
-
     def _minus_q(self):
-        """Rows of R - q."""
+        """Rows of b·M - a·s = b·s·(R - q), where R = M/s and q = a/b."""
         dd = self.d * self.d
-        return [
-            [self.matrix[r][c] - self.q * (r == c) for c in range(dd)]
-            for r in range(dd)
-        ]
+        rows = [[0] * dd for _ in range(dd)]
+        for r, c, x in _entries(self, self.q.denominator, -self.q.numerator):
+            rows[r][c] = x
+        return rows
 
     def image_pair_basis(self):
         """Row basis of Im(R - q) inside V⊗V."""
@@ -127,51 +116,66 @@ class HeckeSymmetry:
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
 
 
-def _apply_block(block, site_dim: int, n: int, pos: int, vec):
-    """Apply a two-site operator at slots (pos, pos+1) of a tensor vector."""
-    size = site_dim**n
-    if len(vec) != size:
-        raise ValueError(f"vector length {len(vec)} != {site_dim}**{n}")
-    dd = site_dim * site_dim
-    stride = site_dim ** (n - pos - 1)
-    block_stride = stride * dd
-    out = [Fraction(0)] * size
-    for x, val in enumerate(vec):
-        if not val:
-            continue
-        lo = x % stride
-        pair = (x // stride) % dd
-        base = (x // block_stride) * block_stride + lo
-        for row in range(dd):
-            m = block[row][pair]
-            if m:
-                out[base + row * stride] += m * val
+def _columns(sym: HeckeSymmetry):
+    """``(s, cols)`` with R = M/s for an integer matrix M: ``cols[c]`` lists
+    the nonzero ``(row, M[row][c])``.  All arithmetic on R reads these."""
+
+    def build():
+        cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*sym.matrix)]
+        s = lcm(*(x.denominator for col in cols for _, x in col))
+        return s, tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
+
+    return _memo(sym, "columns", build)
+
+
+def _entries(sym: HeckeSymmetry, u: int, v: int):
+    """Nonzero ``(row, col, x)`` of the integer matrix u·M + v·s."""
+    s, cols = _columns(sym)
+    out = []
+    for c, col in enumerate(cols):
+        entries = {r: u * m for r, m in col}
+        entries[c] = entries.get(c, 0) + v * s
+        out += [(r, c, x) for r, x in entries.items() if x]
     return out
 
 
+def _apply(cols, d: int, n: int, pos: int, vec):
+    """M at slots (pos, pos+1) of V⊗n applied to a sparse ``{index: int}``
+    vector; the result has no zero entries."""
+    stride = d ** (n - pos - 1)
+    block = stride * d * d
+    out = {}
+    for x, val in vec.items():
+        hi, rest = divmod(x, block)
+        pair, lo = divmod(rest, stride)
+        base = hi * block + lo
+        for row, m in cols[pair]:
+            k = base + row * stride
+            out[k] = out.get(k, 0) + m * val
+    return {k: v for k, v in out.items() if v}
+
+
 def _validate(sym: HeckeSymmetry):
-    d, q, mat = sym.d, sym.q, sym.matrix
+    d = sym.d
     dd = d * d
-    # quadratic relation (R - q)(R + 1) = 0, column by column
-    for col in range(dd):
-        w = [mat[r][col] + (r == col) for r in range(dd)]
-        for r in range(dd):
-            acc = -q * w[r]
-            for c in range(dd):
-                if w[c]:
-                    acc += mat[r][c] * w[c]
-            if acc != 0:
-                raise HeckeViolation((col // d + 1, col % d + 1))
-    # braid identity on V⊗³, basis vector by basis vector
+    a, b = sym.q.numerator, sym.q.denominator
+    s, cols = _columns(sym)
+    # quadratic relation (R - q)(R + 1) = 0, column by column, as
+    # (b·M - a·s)(M + s) = 0
+    for c in range(dd):
+        w = _apply(cols, d, 2, 1, {c: 1})
+        w[c] = w.get(c, 0) + s
+        lhs = {k: b * v for k, v in _apply(cols, d, 2, 1, w).items()}
+        if lhs != {k: a * s * v for k, v in w.items() if v}:
+            raise HeckeViolation((c // d + 1, c % d + 1))
+    # braid identity M12 M23 M12 = M23 M12 M23 on V⊗3, basis vector by
+    # basis vector
     for x in range(d**3):
-        vec = [Fraction(0)] * d**3
-        vec[x] = Fraction(1)
-        lhs = vec
+        lhs = rhs = {x: 1}
         for pos in (1, 2, 1):
-            lhs = _apply_block(mat, d, 3, pos, lhs)
-        rhs = vec
+            lhs = _apply(cols, d, 3, pos, lhs)
         for pos in (2, 1, 2):
-            rhs = _apply_block(mat, d, 3, pos, rhs)
+            rhs = _apply(cols, d, 3, pos, rhs)
         if lhs != rhs:
             raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
 
@@ -378,32 +382,26 @@ def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
 # hom-space dimensions for a pair of symmetries
 
 
-def _pair_conjugation_matrix(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
-    """Matrix, on the square of Hom(V, V'), of conjugating a two-slot map by
-    the source symmetry and the inverse target symmetry."""
+def _conjugation_rows(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
+    """Rows of (conjugation - identity) on the square of Hom(V, V'), times
+    the nonzero integer a·s'·s.  Conjugation takes a two-slot map φ to
+    R'^{-1}·φ·R with R = M/s the source symmetry, and the quadratic relation
+    gives R'^{-1} = (R' - (q-1))/q = P/(a·s') with P = b·M' - (a-b)·s'."""
     d, dp = sym_source.d, sym_target.d
     big = d * dp
-    rinv = sym_target.inverse_matrix()
-    rmat = sym_source.matrix
     size = big * big
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for a in range(dp):
-        for c in range(dp):
-            for a2 in range(dp):
-                for c2 in range(dp):
-                    left = rinv[a2 * dp + c2][a * dp + c]
-                    if not left:
-                        continue
-                    for b in range(d):
-                        for e in range(d):
-                            for b2 in range(d):
-                                for e2 in range(d):
-                                    right = rmat[b * d + e][b2 * d + e2]
-                                    if not right:
-                                        continue
-                                    row = (a2 * d + b2) * big + (c2 * d + e2)
-                                    col = (a * d + b) * big + (c * d + e)
-                                    mat[row][col] += left * right
+    a, b = sym_source.q.numerator, sym_source.q.denominator
+    scale = a * _columns(sym_target)[0] * _columns(sym_source)[0]
+    mat = [[-scale * (r == c) for c in range(size)] for r in range(size)]
+    right = [
+        (*divmod(r, d), *divmod(c, d), m) for r, c, m in _entries(sym_source, 1, 0)
+    ]
+    for r, c, p in _entries(sym_target, b, b - a):
+        (a2, c2), (a1, c1) = divmod(r, dp), divmod(c, dp)
+        for b1, e1, b2, e2, m in right:
+            row = (a2 * d + b2) * big + (c2 * d + e2)
+            col = (a1 * d + b1) * big + (c1 * d + e1)
+            mat[row][col] += p * m
     return mat
 
 
@@ -421,9 +419,8 @@ def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: s
     I = Im(conjugation - identity) for "E"."""
 
     def build():
-        conj = _pair_conjugation_matrix(sym_target, sym_source)
-        size = len(conj)
-        rows = [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(conj)]
+        rows = _conjugation_rows(sym_target, sym_source)
+        size = len(rows)
         if kind == "A":
             return linalg.row_basis(rows, size)
         return linalg.nullspace(zip(*rows), size)

@@ -34,11 +34,29 @@ WEIGHT_CAP = 24
 # size with the order, and so do the work per step and the rendered output;
 # orders above this are refused before any coefficient is computed.
 ORDER_CAP = 1000
+# A Sturm chain's remainders grow in size with the degree: on a shared
+# 2-CPU machine under Python 3.11, degree 16 takes 0.02 s on small integer
+# roots and 0.4 s on roots near 1000, degree 20 0.1 s and 1.5 s.
+# Certificate polynomials of higher degree are refused before they are
+# built or root-counted.
+CERTIFICATE_CAP = 16
+# detect_rational solves one r x r system for each order r up to r_max, so
+# its cost grows like r_max**4: on the same machine, r_max = 24 takes 0.1 s
+# on small integer coefficients and 0.5 s on 64-bit ones, r_max = 32 0.2 s
+# and 2 s.  Larger r_max are refused before the first solve.
+DETECTION_CAP = 24
 
 
 def check_weight(w: int):
     if w > WEIGHT_CAP:
         raise linalg.CapExceeded(f"weight {w} exceeds cap {WEIGHT_CAP}")
+
+
+def check_certificate_degree(n: int):
+    if n > CERTIFICATE_CAP:
+        raise linalg.CapExceeded(
+            f"certificate degree {n} exceeds cap {CERTIFICATE_CAP}"
+        )
 
 
 class RootLocationError(CertificateError):
@@ -86,6 +104,11 @@ def poly_eval(p, x: Fraction) -> Fraction:
 
 def poly_derivative(p) -> list[Fraction]:
     return [Fraction(c) * i for i, c in enumerate(p)][1:]
+
+
+def render_poly(p) -> str:
+    """Ascending coefficients as a comma list, e.g. ``1,-2,1``."""
+    return ",".join(str(c) for c in p)
 
 
 def poly_from_roots(roots) -> list[Fraction]:
@@ -277,22 +300,39 @@ class RationalForm(_RationalFormFields):
         return expand_ratio(self.num, self.den, order)
 
     def render(self) -> str:
-        num = ",".join(str(c) for c in (self.num or (Fraction(0),)))
-        den = ",".join(str(c) for c in self.den)
-        return f"num={num}; den={den}"
+        return f"num={render_poly(self.num or (0,))}; den={render_poly(self.den)}"
 
     @classmethod
     def parse(cls, text: str) -> "RationalForm":
-        parts = [p.strip() for p in text.split(";")]
-        if len(parts) != 2:
-            raise ValueError(f"expected 'num=...; den=...', got {text!r}")
-        fields = {}
-        for part in parts:
-            key, _, val = part.partition("=")
-            fields[key.strip()] = [Fraction(t.strip()) for t in val.split(",")]
-        if set(fields) != {"num", "den"}:
-            raise ValueError(f"expected 'num=...; den=...', got {text!r}")
-        return cls(tuple(fields["num"]), tuple(fields["den"]))
+        num, den = split_rational_form(text)
+        return cls(
+            tuple(Fraction(t.strip()) for t in num.split(",")),
+            tuple(Fraction(t.strip()) for t in den.split(",")),
+        )
+
+
+def split_rational_form(text: str) -> tuple[str, str]:
+    """The numerator and denominator texts of a positional 'num;den' or of
+    'num=...; den=...', whose keys may come in either order.  A part without
+    a key beside a keyed one, or an unknown or repeated key, raises
+    ValueError."""
+    parts = [p.strip() for p in text.split(";")]
+    if len(parts) != 2:
+        raise ValueError(
+            f"expected 'num;den' with two coefficient lists, got {text!r}"
+        )
+    if not any("=" in p for p in parts):
+        return parts[0], parts[1]
+    fields = {}
+    for part in parts:
+        key, sep, val = part.partition("=")
+        key = key.strip()
+        if not sep or key not in ("num", "den") or key in fields:
+            raise ValueError(
+                f"expected the keys num and den once each, got {text!r}"
+            )
+        fields[key] = val.strip()
+    return fields["num"], fields["den"]
 
 
 class BirankCertificate(NamedTuple):
@@ -315,8 +355,7 @@ class BirankCertificate(NamedTuple):
         return (self.r0, self.r1)
 
     def render(self) -> str:
-        f0 = ",".join(str(c) for c in self.f0)
-        f1 = ",".join(str(c) for c in self.f1)
+        f0, f1 = render_poly(self.f0), render_poly(self.f1)
         return f"f0={f0}; f1={f1}; roots positive real: verified"
 
     @classmethod
@@ -324,14 +363,22 @@ class BirankCertificate(NamedTuple):
         f0 = poly_trim(f0) or [Fraction(1)]
         f1 = poly_trim(f1) or [Fraction(1)]
         for p in (f0, f1):
+            check_certificate_degree(len(p) - 1)
+        for p in (f0, f1):
             if any(c.denominator != 1 for c in p):
-                raise CertificateError(f"non-integer certificate polynomial {p}")
+                raise CertificateError(
+                    f"non-integer certificate polynomial {render_poly(p)}"
+                )
             if p[0] != 1:
-                raise CertificateError(f"certificate constant term must be 1: {p}")
+                raise CertificateError(
+                    f"certificate constant term must be 1: {render_poly(p)}"
+                )
         for p in (f0, f1):
             if not sturm_all_roots_positive(p):
                 raise RootLocationError(
-                    f"polynomial has roots off the positive real axis: {p}", p
+                    "polynomial has roots off the positive real axis: "
+                    f"{render_poly(p)}",
+                    p,
                 )
         return cls(
             tuple(int(c) for c in f0),
@@ -390,7 +437,13 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
+    if r_max > DETECTION_CAP:
+        raise linalg.CapExceeded(
+            f"recurrence order {r_max} exceeds cap {DETECTION_CAP}"
+        )
     n = f.order
+    if n > ORDER_CAP:
+        raise linalg.CapExceeded(f"series order {n} exceeds cap {ORDER_CAP}")
     a = f.coeff
 
     def recurrence_holds(c, m):

@@ -4,8 +4,14 @@ The library computes every graded dimension with one degree-by-degree
 quotient engine.  The routes here work on the whole tensor power instead:
 the quotient dimension is d**n minus the rank of every embedded relation
 vector, and the dual component is an iterated intersection of subspaces.
-They share nothing with the engine beyond the pair bases and the
-conjugation matrix, and cost d**n columns, so use them only at small n.
+They share nothing with the engine beyond the pair bases, and cost d**n
+columns, so use them only at small n.
+
+``validate_dense`` and ``pair_conjugation_matrix`` read R as a dense
+``Fraction`` matrix, where the library reads its sparse integer columns:
+the first applies R to dense vectors on V⊗3 (``apply_block``) and raises
+what the library's validator raises, the second builds the conjugation on
+the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
@@ -26,7 +32,7 @@ from functools import lru_cache
 
 from heckeseries import linalg
 from heckeseries.partitions import _strip_counts, as_partition, weight
-from heckeseries.rmatrix import _pair_conjugation_matrix
+from heckeseries.rmatrix import BraidViolation, HeckeViolation
 from heckeseries.series import TruncSeries
 
 
@@ -97,8 +103,87 @@ def quotient_dim(sym, lam, mu) -> int:
     return spanning_quotient_dim(sym.d, bases, n)
 
 
-def _conj_minus_one(sym_target, sym_source):
-    conj = _pair_conjugation_matrix(sym_target, sym_source)
+def apply_block(block, site_dim: int, n: int, pos: int, vec):
+    """Apply a two-site operator at slots (pos, pos+1) of a dense tensor
+    vector."""
+    size = site_dim**n
+    if len(vec) != size:
+        raise ValueError(f"vector length {len(vec)} != {site_dim}**{n}")
+    dd = site_dim * site_dim
+    stride = site_dim ** (n - pos - 1)
+    block_stride = stride * dd
+    out = [Fraction(0)] * size
+    for x, val in enumerate(vec):
+        if not val:
+            continue
+        lo = x % stride
+        pair = (x // stride) % dd
+        base = (x // block_stride) * block_stride + lo
+        for row in range(dd):
+            m = block[row][pair]
+            if m:
+                out[base + row * stride] += m * val
+    return out
+
+
+def validate_dense(d: int, q, matrix):
+    """Raise HeckeViolation or BraidViolation, with the library's witness,
+    when the d²×d² matrix fails (R - q)(R + 1) = 0 or the braid identity."""
+    q = Fraction(q)
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    dd = d * d
+    for col in range(dd):
+        w = [mat[r][col] + (r == col) for r in range(dd)]
+        for r in range(dd):
+            acc = -q * w[r]
+            for c in range(dd):
+                if w[c]:
+                    acc += mat[r][c] * w[c]
+            if acc != 0:
+                raise HeckeViolation((col // d + 1, col % d + 1))
+    for x in range(d**3):
+        vec = [Fraction(0)] * d**3
+        vec[x] = Fraction(1)
+        lhs = vec
+        for pos in (1, 2, 1):
+            lhs = apply_block(mat, d, 3, pos, lhs)
+        rhs = vec
+        for pos in (2, 1, 2):
+            rhs = apply_block(mat, d, 3, pos, rhs)
+        if lhs != rhs:
+            raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
+
+
+def pair_conjugation_matrix(sym_target, sym_source):
+    """Matrix, on the square of Hom(V, V'), of conjugating a two-slot map by
+    the source symmetry and the inverse target symmetry."""
+    d, dp = sym_source.d, sym_target.d
+    big = d * dp
+    q = sym_target.q
+    ddp = dp * dp
+    rinv = [
+        [(sym_target.matrix[r][c] - (q - 1) * (r == c)) / q for c in range(ddp)]
+        for r in range(ddp)
+    ]
+    rmat = sym_source.matrix
+    size = big * big
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for a, c, a2, c2 in itertools.product(range(dp), repeat=4):
+        left = rinv[a2 * dp + c2][a * dp + c]
+        if not left:
+            continue
+        for b, e, b2, e2 in itertools.product(range(d), repeat=4):
+            right = rmat[b * d + e][b2 * d + e2]
+            if not right:
+                continue
+            row = (a2 * d + b2) * big + (c2 * d + e2)
+            col = (a * d + b) * big + (c * d + e)
+            mat[row][col] += left * right
+    return mat
+
+
+def conj_minus_one(sym_target, sym_source):
+    conj = pair_conjugation_matrix(sym_target, sym_source)
     size = len(conj)
     return [[conj[r][c] - (r == c) for c in range(size)] for r in range(size)]
 
@@ -109,7 +194,7 @@ def intertwiner_dim(sym_target, sym_source, n: int) -> int:
     big = sym_source.d * sym_target.d
     if n <= 1:
         return big**n
-    rows = _conj_minus_one(sym_target, sym_source)
+    rows = conj_minus_one(sym_target, sym_source)
     basis = linalg.row_basis(rows, len(rows))
     return spanning_quotient_dim(big, {p: basis for p in range(1, n)}, n)
 
@@ -120,7 +205,7 @@ def e_component_dim(sym_target, sym_source, n: int) -> int:
     big = sym_source.d * sym_target.d
     if n <= 1:
         return big**n
-    rows = _conj_minus_one(sym_target, sym_source)
+    rows = conj_minus_one(sym_target, sym_source)
     image_basis = linalg.row_basis(zip(*rows), len(rows))
     ambient = big**n
     current = None

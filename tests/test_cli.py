@@ -9,7 +9,13 @@ import pytest
 from heckeseries import series, verify
 from heckeseries.cli import main
 from heckeseries.rmatrix import build_standard, serialize_symmetry
-from heckeseries.series import ORDER_CAP, WEIGHT_CAP, TruncSeries
+from heckeseries.series import (
+    CERTIFICATE_CAP,
+    DETECTION_CAP,
+    ORDER_CAP,
+    WEIGHT_CAP,
+    TruncSeries,
+)
 
 
 def run(capsys, *argv):
@@ -122,6 +128,39 @@ class TestPredict:
     def test_noninteger_certificate_rejected(self, capsys):
         code, _, err = run(capsys, "predict", "--what", "sym", "--alphas", "1/2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--series", "1;1,1"),
+             "polynomial has roots off the positive real axis: 1,1"),
+            (("--alphas", "1/2"), "non-integer certificate polynomial 1,-1/2"),
+            (("--series", "1;2,-1"), "certificate constant term must be 1: 2,-1"),
+        ],
+    )
+    def test_certificate_errors_render_the_polynomial(self, capsys, argv, message):
+        code, out, err = run(capsys, "predict", "--what", "sym", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["num=1; den=1,-1", "den=1,-1; num=1", "den = 1,-1;num = 1", "1;1,-1"],
+    )
+    def test_series_keys_name_their_polynomials(self, capsys, text):
+        code, out, _ = run(capsys, "predict", "--what", "sym", "--series", text,
+                           "--degree", "3")
+        assert (code, out.splitlines()[0]) == (0, "1, 1, 1, 1")
+        code, out, _ = run(capsys, "predict", "--what", "A", "--alphas", "1",
+                           "--series2", text, "--degree", "3")
+        assert (code, out.splitlines()[0]) == (0, "1, 1, 1, 1")
+
+    @pytest.mark.parametrize(
+        "text", ["foo=1; bar=1,-1", "num=1; num=1,-1", "den=1,-1; den=1", "1; den=1,-1"]
+    )
+    def test_unknown_repeated_or_mixed_series_keys_are_usage_errors(self, capsys, text):
+        code, out, err = run(capsys, "predict", "--what", "sym", "--series", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected the keys num and den once each, got {text!r}\n"
 
 
 class TestCompute:
@@ -304,6 +343,17 @@ class TestCompute:
             capsys, "compute", "--symmetry", "std:r=two,q=2", "--what", "sym"
         )
         assert code == 2
+
+    def test_validation_stays_cheap_up_to_the_dimension_cap(self, capsys):
+        # d = 16 is the largest d whose V⊗3 fits the cap; validation works
+        # on sparse integer columns, so this takes well under a second
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "compute", "--symmetry", "std:r=16,q=2", "--what", "sym",
+            "--degree", "1",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (0, "1, 16\n")
 
 
 class TestVerify:
@@ -615,6 +665,64 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: tensor power dimension {power} exceeds cap 4096\n"
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (("--what", "sym", "--alphas", ",".join(map(str, range(1, 41)))), 40),
+            (("--what", "ext", "--alphas", "1", "--betas", ",".join(["2"] * 17)), 17),
+            (("--what", "sym", "--series", "1;" + ",".join(["1"] * 30)), 29),
+            (("--what", "A", "--alphas", "1",
+              "--series2", ",".join(["1"] * 18) + ";1"), 17),
+        ],
+    )
+    def test_certificate_degrees_beyond_the_cap_exit_3_at_once(
+        self, capsys, argv, degree
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "predict", *argv, "--degree", "2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        message = f"certificate degree {degree} exceeds cap {CERTIFICATE_CAP}"
+        assert err == f"error: {message}\n"
+
+    def test_cap_certificate_degree_itself_is_allowed(self, capsys):
+        roots = ",".join(map(str, range(1, CERTIFICATE_CAP + 1)))
+        code, out, _ = run(capsys, "predict", "--what", "sym", "--alphas", roots,
+                           "--degree", "1")
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            f"1, {CERTIFICATE_CAP * (CERTIFICATE_CAP + 1) // 2}",
+            f"birank: ({CERTIFICATE_CAP}, 0)",
+        ]
+
+    @pytest.mark.parametrize(
+        "length, argv, message",
+        [
+            # the default r_max is half the truncation order: 119 // 2
+            (120, (), f"recurrence order 59 exceeds cap {DETECTION_CAP}"),
+            (120, ("--rmax", str(DETECTION_CAP + 1)),
+             f"recurrence order {DETECTION_CAP + 1} exceeds cap {DETECTION_CAP}"),
+            (ORDER_CAP + 2, ("--rmax", "2"),
+             f"series order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"),
+        ],
+    )
+    def test_detection_beyond_the_cap_exits_3_at_once(
+        self, capsys, length, argv, message
+    ):
+        coeffs = ",".join(str(n * n + 1) for n in range(length))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "series", "detect-rational", "--coeffs", coeffs, *argv
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_default_detection_up_to_the_cap_is_allowed(self, capsys):
+        # 2 * DETECTION_CAP + 2 coefficients give the default r_max = DETECTION_CAP
+        coeffs = ",".join(str(n + 1) for n in range(2 * DETECTION_CAP + 2))
+        code, out, _ = run(capsys, "series", "detect-rational", "--coeffs", coeffs)
+        assert (code, out) == (0, "num=1; den=1,-2,1\n")
 
     @pytest.mark.parametrize("what", ["sym", "ext"])
     def test_expansion_orders_beyond_the_cap_exit_3_at_once(self, capsys, what):

@@ -4,6 +4,11 @@
 Conjugating R by g⊗g for an invertible rational g gives a dense, fractional
 "user" symmetry isomorphic to R, so every graded dimension must come out
 the same as for the builtin it came from.
+
+The library reads R only as sparse integer columns; the dense ``Fraction``
+validator and conjugation matrix in ``oracles.py`` must reject the same
+candidates with the same witness and give relation rows spanning the same
+space.
 """
 
 import random
@@ -14,9 +19,10 @@ import pytest
 
 from heckeseries import rmatrix, verify
 from heckeseries.cli import main
-from heckeseries.linalg import solve_square
+from heckeseries.linalg import nullspace, row_basis, solve_square
 from heckeseries.partitions import partition_pairs
 from heckeseries.rmatrix import (
+    SymmetryError,
     build_standard,
     build_super,
     dim_e_component,
@@ -47,20 +53,23 @@ def mat_mul(a, b):
     ]
 
 
-def dense_conjugate(sym, rng):
-    """(g⊗g) R (g⊗g)^-1 for a random invertible rational g."""
-    d = sym.d
+def random_invertible(n, rng):
+    """(g, g^-1) for a random invertible rational n×n matrix g."""
     while True:
         g = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
-            for _ in range(d)
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
         ]
-        cols = [solve_square(g, [int(i == j) for i in range(d)]) for j in range(d)]
+        cols = [solve_square(g, [int(i == j) for i in range(n)]) for j in range(n)]
         if None not in cols:
-            break
-    g_inv = [list(row) for row in zip(*cols)]
+            return g, [list(row) for row in zip(*cols)]
+
+
+def dense_conjugate(sym, rng):
+    """(g⊗g) R (g⊗g)^-1 for a random invertible rational g."""
+    g, g_inv = random_invertible(sym.d, rng)
     mat = mat_mul(mat_mul(kron(g, g), [list(r) for r in sym.matrix]), kron(g_inv, g_inv))
-    return load_and_validate(d, sym.q, mat)
+    return load_and_validate(sym.d, sym.q, mat)
 
 
 def test_free_algebra_without_relations():
@@ -122,9 +131,60 @@ def test_hom_dims_match_oracles_and_survive_conjugation(target, source):
     assert oracles.e_component_dim(a_dense, b_dense, 4) == dim_e_component(a, b, 4)
 
 
+def rejection(check, *args):
+    """(type, witness, message) of the SymmetryError raised, or None."""
+    try:
+        check(*args)
+    except SymmetryError as exc:
+        return type(exc), exc.witness, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name,build,n_max", BUILTINS, ids=[b[0] for b in BUILTINS])
+def test_validator_rejects_like_the_dense_oracle(name, build, n_max):
+    """Builtins and dense conjugates, each as given, with one entry
+    perturbed, and conjugated by a random G on V⊗V (which keeps the
+    quadratic relation but not, in general, the braid identity)."""
+    rng = random.Random("reject" + name)
+    sym = build()
+    seen = set()
+    for base in (sym, dense_conjugate(sym, rng)):
+        mat = [list(row) for row in base.matrix]
+        dd = len(mat)
+        candidates = [mat]
+        for _ in range(3):
+            bad = [list(row) for row in mat]
+            step = Fraction(rng.choice([-2, -1, 1]), rng.randint(1, 2))
+            bad[rng.randrange(dd)][rng.randrange(dd)] += step
+            candidates.append(bad)
+        g, g_inv = random_invertible(dd, rng)
+        candidates.append(mat_mul(mat_mul(g, mat), g_inv))
+        for cand in candidates:
+            got = rejection(load_and_validate, sym.d, sym.q, cand)
+            assert got == rejection(oracles.validate_dense, sym.d, sym.q, cand)
+            seen.add(got and got[0])
+    assert seen == {None, rmatrix.HeckeViolation, rmatrix.BraidViolation}
+
+
+@pytest.mark.parametrize("target,source", HOM_PAIRS, ids=["x".join(p) for p in HOM_PAIRS])
+def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
+    a, b = HOM_SYMS[target](), HOM_SYMS[source]()
+    rng = random.Random("conj" + target + source)
+    for pair in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
+        rows = rmatrix._conjugation_rows(*pair)
+        want = oracles.conj_minus_one(*pair)
+        size = len(want)
+        factor = next(
+            x / y for row, wrow in zip(rows, want) for x, y in zip(row, wrow) if y
+        )
+        assert factor and rows == [[factor * y for y in wrow] for wrow in want]
+        assert row_basis(rows, size) == row_basis(want, size)
+        assert nullspace(zip(*rows), size) == nullspace(zip(*want), size)
+
+
 def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     calls = {"chains": 0, "conj": 0}
-    engine, conj = rmatrix._graded_quotient_dims, rmatrix._pair_conjugation_matrix
+    engine, conj = rmatrix._graded_quotient_dims, rmatrix._conjugation_rows
 
     def counting_engine(*args):
         calls["chains"] += 1
@@ -135,9 +195,9 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
         return conj(*args)
 
     monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
-    monkeypatch.setattr(rmatrix, "_pair_conjugation_matrix", counting_conj)
+    monkeypatch.setattr(rmatrix, "_conjugation_rows", counting_conj)
     # one sym chain (source and target coincide); one A and one E chain,
-    # each with its conjugation matrix
+    # each with its conjugation rows
     assert verify.suite_homspace(*[build_standard(2, 2)] * 2, 5).passed
     assert calls == {"chains": 3, "conj": 2}
     calls.update(chains=0, conj=0)

@@ -9,7 +9,11 @@ import pytest
 
 from heckeseries import series as series_module
 from heckeseries.partitions import in_hook
+from heckeseries.linalg import CapExceeded
 from heckeseries.series import (
+    CERTIFICATE_CAP,
+    DETECTION_CAP,
+    ORDER_CAP,
     BirankCertificate,
     CertificateError,
     InconclusiveDetection,
@@ -24,8 +28,10 @@ from heckeseries.series import (
     hankel_minor,
     poly_gcd,
     poly_mul,
+    poly_from_roots,
     predict_hom_series,
     schur_minor,
+    split_rational_form,
     sturm_all_roots_positive,
     total_positivity,
 )
@@ -214,6 +220,28 @@ class TestDetectRational:
             done += 1
 
 
+class TestDetectionCaps:
+    def test_cap_is_checked_before_the_first_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a solve started before the cap check")
+
+        monkeypatch.setattr(series_module.linalg, "solve_square", refuse)
+        f = TruncSeries(range(1, 120))
+        message = f"recurrence order {DETECTION_CAP + 1} exceeds cap {DETECTION_CAP}"
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            detect_rational(f, DETECTION_CAP + 1)
+        message = f"series order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            detect_rational(TruncSeries([1] * (ORDER_CAP + 2)), 2)
+
+    def test_caps_themselves_are_allowed(self):
+        den = [1, -3, 1] + [0] * (DETECTION_CAP - 3) + [1]
+        f = expand_ratio([1], den, 2 * DETECTION_CAP + 2)
+        assert detect_rational(f, DETECTION_CAP) == RationalForm((1,), den)
+        f = TruncSeries([1] * (ORDER_CAP + 1))
+        assert detect_rational(f, 2) == RationalForm((1,), (1, -1))
+
+
 class TestRationalForm:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +257,24 @@ class TestRationalForm:
     def test_expand(self):
         form = RationalForm((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
         assert form.expand(4).coeffs == (1, 2, 2, 2, 2)
+
+    def test_keys_name_their_polynomials(self):
+        want = ("1", "1,-1")
+        assert split_rational_form("num=1; den=1,-1") == want
+        assert split_rational_form("den=1,-1;num=1") == want
+        assert split_rational_form(" den = 1,-1 ; num = 1 ") == want
+        assert split_rational_form("1; 1,-1") == want
+        assert RationalForm.parse("den=1,-1; num=1") == RationalForm.parse("1;1,-1")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["foo=1; bar=1,-1", "num=1; num=1,-1", "1; den=1,-1", "num=1;den=1;x", "1"],
+    )
+    def test_unknown_repeated_or_mixed_keys_are_refused(self, text):
+        with pytest.raises(ValueError):
+            split_rational_form(text)
+        with pytest.raises(ValueError):
+            RationalForm.parse(text)
 
 
 class TestSturm:
@@ -304,6 +350,19 @@ class TestBirankCertificate:
         with pytest.raises(RootLocationError) as info:
             BirankCertificate.from_polynomials([1, 1], [1])
         assert info.value.polynomial == (1, 1)
+
+    def test_degree_is_capped_before_any_root_count(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("root count started before the degree check")
+
+        monkeypatch.setattr(series_module, "sturm_all_roots_positive", refuse)
+        top = poly_from_roots(range(1, CERTIFICATE_CAP + 2))
+        for f0, f1 in ((top, [1]), ([1, -1], top), ([1, Fraction(1, 2)], top)):
+            with pytest.raises(CapExceeded) as info:
+                BirankCertificate.from_polynomials(f0, f1)
+            assert str(info.value) == (
+                f"certificate degree {CERTIFICATE_CAP + 1} exceeds cap {CERTIFICATE_CAP}"
+            )
 
     def test_detection_pipeline(self):
         f = TruncSeries([1, 2, 3, 4, 5, 6])
