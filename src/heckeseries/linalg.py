@@ -10,7 +10,8 @@ determinant.  ``rank``, ``row_basis``, ``nullspace``, ``solve_square`` and
 ``det`` are thin readers of one ``Echelon``.  Matrices are lists of rows.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
-already imports this one.
+already imports this one, and so does ``ORDER_CAP``, the one degree cap that
+both the tensor-power engine and the series expansions enforce.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ class CapExceeded(ValueError):
     """Requested work exceeds a size cap: a tensor-power dimension, a
     Schur-minor weight, a series order or a symmetric-function degree.
     Every cap is checked before any of the work it bounds."""
+
+
+# The highest degree of a graded dimension and the highest order of a series
+# expansion.  Work and output grow with it even where the ambient dimension
+# does not, as for d = 1, whose d**n never exceeds any dimension cap;
+# degrees and orders above this are refused before the first one is computed.
+ORDER_CAP = 1000
 
 
 def clear_denominators(row):

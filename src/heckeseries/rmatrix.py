@@ -13,11 +13,13 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .linalg import CapExceeded
+from .linalg import ORDER_CAP, CapExceeded
 from .partitions import as_partition, weight
 
 # Refuse tensor computations whose ambient dimension d**n exceeds this;
 # validation works on V⊗3, so symmetries with d**3 above it are refused too.
+# Degrees n above linalg.ORDER_CAP are refused as well; only d = 1 gets
+# past the first check with such a degree.
 DIMENSION_CAP = 4096
 
 
@@ -58,6 +60,8 @@ def _check_cap(d: int, n: int):
         raise CapExceeded(
             f"tensor power dimension {d}**{n} exceeds cap {DIMENSION_CAP}"
         )
+    if n > ORDER_CAP:
+        raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
 
 
 def _memo(sym, key, build):

@@ -17,8 +17,14 @@ the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 eliminations on Fraction matrices, independent of the library's one
 fraction-free integer kernel.
 
-``expand_ratio_dense`` expands num/den by inverting the padded denominator
-as a dense series, where the library runs the denominator's recurrence.
+``expand_ratio_dense`` expands num/den by solving one dense triangular
+Toeplitz system with the textbook elimination, where the library runs the
+denominator's recurrence.
+
+``squarefree_sturm_all_roots_positive`` is the two-pass root certificate the
+library once ran: a squarefree part through ``poly_gcd`` and
+``poly_divide_exact``, then the classical Sturm chain of that part.  The
+library builds one generalized Sturm sequence of the polynomial itself.
 
 ``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
 the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
@@ -33,7 +39,7 @@ from functools import lru_cache
 from heckeseries import linalg
 from heckeseries.partitions import _strip_counts, as_partition, weight
 from heckeseries.rmatrix import BraidViolation, HeckeViolation
-from heckeseries.series import TruncSeries
+from heckeseries.series import TruncSeries, _poly_divmod, poly_derivative, poly_trim
 
 
 def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
@@ -272,14 +278,61 @@ def oracle_det(rows) -> Fraction:
 
 
 def expand_ratio_dense(num, den, order: int) -> TruncSeries:
-    """num(t)/den(t) to the given order as num times the series inverse of
-    den, both padded or cut to order + 1 coefficients."""
+    """num(t)/den(t) to the given order: the coefficients x solve T x = num,
+    where T is the lower triangular Toeplitz matrix of den, with num and den
+    padded or cut to order + 1 coefficients."""
 
     def pad(p):
         p = [Fraction(x) for x in p][: order + 1]
-        return TruncSeries(p + [Fraction(0)] * (order + 1 - len(p)))
+        return p + [Fraction(0)] * (order + 1 - len(p))
 
-    return pad(num or [0]).mul(pad(den).inverse())
+    den = pad(den)
+    rows = [[den[i - j] if j <= i else 0 for j in range(order + 1)] for i in range(order + 1)]
+    return TruncSeries(oracle_solve_square(rows, pad(num)))
+
+
+def poly_gcd(p, q) -> list[Fraction]:
+    """Monic gcd of two rational polynomials."""
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def poly_divide_exact(p, d) -> list[Fraction]:
+    """Quotient p / d, requiring zero remainder."""
+    quotient, remainder = _poly_divmod(p, d)
+    if remainder:
+        raise ValueError("inexact polynomial division")
+    return quotient
+
+
+def squarefree_sturm_all_roots_positive(p) -> bool:
+    """Every complex root of p (nonzero, p(0) != 0) is positive real: the
+    squarefree part sf = p / gcd(p, p') carries every distinct root, and its
+    classical Sturm chain must count deg sf roots in (0, inf)."""
+    p = poly_trim(p)
+    g = poly_gcd(p, poly_derivative(p))
+    sf = poly_divide_exact(p, g)
+    if len(sf) == 1:
+        return True
+    chain = [sf, poly_derivative(sf)]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    at_zero = sign_changes([q[0] for q in chain])
+    at_inf = sign_changes([q[-1] for q in chain])
+    return at_zero - at_inf == len(sf) - 1
 
 
 @lru_cache(maxsize=None)

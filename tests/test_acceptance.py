@@ -37,7 +37,6 @@ from heckeseries.series import (
     diamond,
     expand_ratio,
     exterior_from_symmetric,
-    poly_gcd,
     poly_mul,
     predict_hom_series,
     schur_minor,
@@ -55,7 +54,7 @@ from heckeseries.verify import detected_certificate
 
 import pytest
 
-from oracles import count_mixed_matrices, lr_coeff_via_pieri
+from oracles import count_mixed_matrices, lr_coeff_via_pieri, poly_gcd
 
 
 def poly_from_roots(roots):

@@ -669,6 +669,38 @@ class TestTypedFailures:
     @pytest.mark.parametrize(
         "argv, degree",
         [
+            # d = 1: d**n never exceeds the dimension cap, the degree does
+            (("compute", "--symmetry", "std:r=1,q=2", "--what", "A:std:r=1,q=2",
+              "--degree", "200000"), 200000),
+            (("compute", "--symmetry", "std:r=1,q=2", "--what", "A:std:r=1,q=2",
+              "--degree", "50000"), 50000),
+            (("compute", "--symmetry", "std:r=1,q=2", "--what", "sym",
+              "--degree", "1000000"), 1000000),
+            (("verify", "--suite", "hilbert", "--symmetry", "std:r=1,q=2",
+              "--nmax", "10000"), 10000),
+        ],
+    )
+    def test_tensor_degrees_beyond_the_cap_exit_3_at_once(self, capsys, argv, degree):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: tensor degree {degree} exceeds cap {ORDER_CAP}\n"
+
+    @pytest.mark.parametrize(
+        "what, tail",
+        [("sym", "1"), ("ext", "0"), ("A:std:r=1,q=2", "1"), ("E:std:r=1,q=2", "0")],
+    )
+    def test_cap_tensor_degree_itself_is_allowed(self, capsys, what, tail):
+        code, out, _ = run(
+            capsys, "compute", "--symmetry", "std:r=1,q=2", "--what", what,
+            "--degree", str(ORDER_CAP),
+        )
+        assert (code, out) == (0, ", ".join(["1", "1"] + [tail] * (ORDER_CAP - 1)) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
             (("--what", "sym", "--alphas", ",".join(map(str, range(1, 41)))), 40),
             (("--what", "ext", "--alphas", "1", "--betas", ",".join(["2"] * 17)), 17),
             (("--what", "sym", "--series", "1;" + ",".join(["1"] * 30)), 29),
@@ -685,6 +717,15 @@ class TestTypedFailures:
         assert (code, out) == (3, "")
         message = f"certificate degree {degree} exceeds cap {CERTIFICATE_CAP}"
         assert err == f"error: {message}\n"
+
+    def test_cap_degree_certificate_with_huge_roots_is_fast(self, capsys):
+        roots = ",".join(str(10**9 + i) for i in range(CERTIFICATE_CAP))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "predict", "--what", "sym", "--alphas", roots,
+                           "--degree", "2")
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert out.splitlines()[1] == f"birank: ({CERTIFICATE_CAP}, 0)"
 
     def test_cap_certificate_degree_itself_is_allowed(self, capsys):
         roots = ",".join(map(str, range(1, CERTIFICATE_CAP + 1)))
@@ -756,11 +797,12 @@ class TestTypedFailures:
         monkeypatch.setattr(
             series, "diamond", lambda f, g, order, hooks=(): TruncSeries.one(order)
         )
-        code, out, err = run(
-            capsys,
-            "predict", "--what", "A", "--alphas", "1,1", "--alphas2", "1,1",
-            "--degree", "4",
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: pairing product disagrees")
-        assert "Traceback" not in err
+        # integer roots, and golden-ratio roots that no root search splits
+        for argv in (
+            ("--alphas", "1,1", "--alphas2", "1,1", "--degree", "4"),
+            ("--series", "1;1,-3,1", "--alphas2", "1"),
+        ):
+            code, out, err = run(capsys, "predict", "--what", "A", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: pairing product disagrees")
+            assert "Traceback" not in err

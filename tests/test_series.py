@@ -16,6 +16,7 @@ from heckeseries.series import (
     ORDER_CAP,
     BirankCertificate,
     CertificateError,
+    ConsistencyError,
     InconclusiveDetection,
     RationalForm,
     RootLocationError,
@@ -26,7 +27,6 @@ from heckeseries.series import (
     expand_ratio,
     exterior_from_symmetric,
     hankel_minor,
-    poly_gcd,
     poly_mul,
     poly_from_roots,
     predict_hom_series,
@@ -36,7 +36,12 @@ from heckeseries.series import (
     total_positivity,
 )
 
-from oracles import expand_ratio_dense
+from oracles import (
+    expand_ratio_dense,
+    poly_divide_exact,
+    poly_gcd,
+    squarefree_sturm_all_roots_positive,
+)
 
 
 def geometric(ratio, order):
@@ -301,6 +306,46 @@ class TestSturm:
         with pytest.raises(ValueError):
             sturm_all_roots_positive([])
 
+    def test_one_sequence_agrees_with_the_squarefree_chain(self, monkeypatch):
+        # products of factors with positive, negative, complex, fractional
+        # and repeated roots, under a random rational scale
+        rng = random.Random(9)
+
+        def ratio():
+            return Fraction(rng.randint(1, 12), rng.randint(1, 5))
+
+        def factor():
+            kind = rng.choice(["pos", "pos", "pos", "neg", "complex"])
+            if kind == "pos":
+                return [1, -ratio()]
+            if kind == "neg":
+                return [1, ratio()]
+            b, c = ratio(), ratio()
+            return [1, b, b * b / 4 + c]  # discriminant -4c < 0
+
+        divisions = []
+
+        def counting_divmod(p, d):
+            divisions.append(1)
+            return divmod_(p, d)
+
+        divmod_ = series_module._poly_divmod
+        monkeypatch.setattr(series_module, "_poly_divmod", counting_divmod)
+        verdicts = set()
+        for _ in range(400):
+            p = [Fraction(rng.choice([-7, -1, 1, 3]), rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 4)):
+                f = factor()
+                for _ in range(rng.choice([1, 1, 1, 2, 3])):
+                    p = poly_mul(p, f)
+            divisions.clear()
+            verdict = sturm_all_roots_positive(p)
+            assert verdict == squarefree_sturm_all_roots_positive(p), p
+            # one Euclid pass: no squarefree step before the sequence
+            assert len(divisions) <= len(p) - 1
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestTotalPositivity:
     def test_clean_series(self):
@@ -477,7 +522,10 @@ class TestPredictHomSeries:
 
         golden = BirankCertificate.from_polynomials([1, -3, 1], [1])
         zero = BirankCertificate.from_polynomials([1], [1])
-        certs = [golden, zero] + [cert(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(4)]
+        irrational_super = BirankCertificate.from_polynomials([1, -3, 1], [1, -4, 2])
+        certs = [golden, zero, irrational_super] + [
+            cert(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(4)
+        ]
         order = 12
         for a in certs:
             for b in (golden, zero, certs[rng.randrange(2, len(certs))]):
@@ -500,29 +548,44 @@ class TestPredictHomSeries:
         assert time.perf_counter() - start < 2.0
         assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
 
-    def test_huge_integer_root_takes_closed_form(self, monkeypatch):
+    def test_every_certificate_pair_is_cross_checked(self, monkeypatch):
         big = 10**9 + 7
-        a = BirankCertificate.from_polynomials(poly_mul([1, -1], [1, -big]), [1])
-        b = BirankCertificate.from_polynomials([1, -1], [1, -1])
-        assert series_module._reciprocal_integer_roots(a.f0) == [1, big]
-        closed = []
+        certs = [
+            BirankCertificate.from_polynomials(poly_mul([1, -1], [1, -big]), [1]),
+            BirankCertificate.from_polynomials([1, -3, 1], [1]),  # golden ratio
+            BirankCertificate.from_polynomials([1], [1]),  # rank zero
+            BirankCertificate.from_polynomials([1, -3, 1], [1, -5, 5]),
+        ]
+        right = diamond
 
-        def spy(num, den, order):
-            closed.append((list(num), list(den)))
-            return expand_ratio(num, den, order)
+        def off_by_one(f, g, order, hooks=()):
+            out = list(right(f, g, order, hooks).coeffs)
+            out[-1] += 1
+            return TruncSeries(out)
 
-        monkeypatch.setattr(series_module, "expand_ratio", spy)
-        f = predict_hom_series(a, b, 4)
-        # the product formula (1+t)(1+big t) / ((1-t)(1-big t)) was expanded
-        assert ([1, big + 1, big], [1, -big - 1, big]) in closed
-        assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
+        monkeypatch.setattr(series_module, "diamond", off_by_one)
+        for a in certs:
+            for b in certs:
+                with pytest.raises(ConsistencyError, match="pairing product disagrees"):
+                    predict_hom_series(a, b, 4)
 
-    def test_reciprocal_integer_roots(self):
-        roots = series_module._reciprocal_integer_roots
-        assert roots([1]) == []
-        assert roots(poly_mul(poly_mul([1, -3], [1, -1]), [1, -3])) == [1, 3, 3]
-        assert roots([1, -3, 1]) is None  # golden-ratio roots
-        assert roots(poly_mul([1, -2], [1, -3, 1])) is None
+    def test_power_sums_of_certificates(self):
+        power_sums = series_module._power_sums
+        order = 6
+        # reciprocal roots 1, 3, 3: p_k = 1 + 2 * 3^k
+        f = BirankCertificate.from_polynomials(
+            poly_mul(poly_mul([1, -3], [1, -1]), [1, -3]), [1]
+        ).symmetric_series(order)
+        assert power_sums(f.coeffs, order)[1:] == [1 + 2 * 3**k for k in range(1, order + 1)]
+        # golden ratio: p_k is the Lucas number L_2k
+        f = BirankCertificate.from_polynomials([1, -3, 1], [1]).symmetric_series(order)
+        assert power_sums(f.coeffs, order)[1:] == [3, 7, 18, 47, 123, 322]
+        # super alphabet (2 | 5): p_k = 2^k - (-5)^k
+        f = BirankCertificate.from_polynomials([1, -2], [1, -5]).symmetric_series(order)
+        assert power_sums(f.coeffs, order)[1:] == [2**k - (-5) ** k for k in range(1, order + 1)]
+        # and the same identity solved for h returns the series
+        p = power_sums(f.coeffs, order)
+        assert series_module._exp_power_sums(p, order) == f
 
 
 def test_poly_mul():
@@ -535,7 +598,7 @@ def test_divmod_on_random_rational_polynomials():
     trim, divmod_, exact = (
         series_module.poly_trim,
         series_module._poly_divmod,
-        series_module.poly_divide_exact,
+        poly_divide_exact,
     )
 
     def rational_poly(deg):
