@@ -5,9 +5,10 @@ fraction-free on integer rows: denominators are cleared as a row comes in
 and every row is kept gcd-reduced, so every intermediate value is an exact
 integer no matter how badly conditioned the input is.  ``Echelon.reduced``
 turns its rows into reduced echelon form with one common integer pivot
-value, and the rational factor and sort parity it records give the
-determinant.  ``rank``, ``row_basis``, ``nullspace``, ``solve_square`` and
-``det`` are thin readers of one ``Echelon``.  Matrices are lists of rows.
+value.  ``rank``, ``row_basis``, ``nullspace`` and ``solve_square`` are
+thin readers of one ``Echelon``.  Matrices are lists of rows.  Determinants
+are not among them: the only ones the package needs, Schur values, come
+from the memoised expansion in ``series.schur_values``.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 class CapExceeded(ValueError):
@@ -56,14 +57,14 @@ def _content(row) -> int:
 
 
 def _eliminate(row, brow, p):
-    """(row·brow[p] - brow·row[p] made primitive, brow[p], the gcd divided
-    out): the fraction-free step that clears column p of row."""
+    """row·brow[p] - brow·row[p] made primitive: the fraction-free step that
+    clears column p of row."""
     lead, v = brow[p], row[p]
     row = [a * lead - b * v for a, b in zip(row, brow)]
     g = _content(row)
     if g > 1:
         row = [a // g for a in row]
-    return row, lead, max(g, 1)
+    return row
 
 
 class Echelon:
@@ -72,54 +73,35 @@ class Echelon:
     Rows are stored with strictly increasing pivot columns and positive
     pivot entries; each stored row is zero left of its pivot.  Stored rows
     are plain echelon, never rewritten; ``reduced`` gives the reduced form.
-
-    For the determinant, each stored row is ``scales[i]`` times its input
-    row plus a combination of rows added before it, and ``parity`` is the
-    parity of the permutation that sorts the rows, in insertion order, by
-    pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self.scales: list[Fraction] = []
-        self.parity = 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row):
-        """(reduced row, num, den): the row against the basis, and the factor
-        num/den its cleared integer form was multiplied by on the way."""
-        num = den = 1
-        for brow, p in zip(self.rows, self.pivots):
-            if row[p]:
-                row, lead, g = _eliminate(row, brow, p)
-                num *= lead
-                den *= g
-        return row, num, den
-
     def reduce(self, row) -> list[int]:
         """Reduce a row against the basis; result is integer, gcd-normalized."""
-        return self._reduce(clear_denominators(row))[0]
+        row = clear_denominators(row)
+        for brow, p in zip(self.rows, self.pivots):
+            if row[p]:
+                row = _eliminate(row, brow, p)
+        return row
 
     def add(self, row) -> bool:
         """Insert a row; True when it enlarged the span."""
-        ints = clear_denominators(row)
-        out, num, den = self._reduce(ints)
+        out = self.reduce(row)
         for j, v in enumerate(out):
             if v:
                 if v < 0:
                     out = [-a for a in out]
-                    num = -num
-                k = next(k for k, x in enumerate(ints) if x)
                 pos = bisect(self.pivots, j)
-                self.parity ^= (len(self.rows) - pos) & 1
                 self.rows.insert(pos, out)
                 self.pivots.insert(pos, j)
-                self.scales.insert(pos, Fraction(ints[k]) / row[k] * num / den)
                 return True
         return False
 
@@ -134,7 +116,7 @@ class Echelon:
         for row, p in zip(reversed(self.rows), reversed(self.pivots)):
             for brow, c in zip(out, reversed(self.pivots)):
                 if row[c]:
-                    row = _eliminate(row, brow, c)[0]
+                    row = _eliminate(row, brow, c)
             out.append(row)
         out.reverse()
         D = lcm(*(row[p] for row, p in zip(out, self.pivots)))
@@ -188,18 +170,6 @@ def solve_square(a_rows, rhs):
         return None
     D, reduced = ech.reduced()
     return [Fraction(row[n], D) for row in reduced]
-
-
-def det(rows) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    ech = Echelon(len(rows))
-    for r in rows:
-        if not ech.add(r):
-            return Fraction(0)
-    sign = -1 if ech.parity else 1
-    return sign * prod(row[p] for row, p in zip(ech.rows, ech.pivots)) / prod(
-        ech.scales, start=Fraction(1)
-    )
 
 
 def invert_unitriangular(u) -> list[list[int]]:

@@ -40,7 +40,7 @@ from .series import (
     poly_from_roots,
     poly_negate_t,
     poly_trim,
-    schur_minor,
+    schur_values,
 )
 
 BASES = ("m", "h", "e", "s")
@@ -302,9 +302,10 @@ def hall_rep(f: TruncSeries, n: int) -> SymElement:
     if n > f.order:
         raise ValueError(f"degree {n} exceeds truncation order {f.order}")
     _check_degree(n)
+    value = schur_values(f)
     coeffs = {}
     for lam in enumerate_partitions(n):
-        val = schur_minor(f, lam)
+        val = value(lam)
         if val:
             coeffs[lam] = val
     return SymElement(n, "s", coeffs)
@@ -378,11 +379,11 @@ def tensor_power_character(f0, f1, n: int) -> SymElement:
 
 def schur_value(f: TruncSeries, lam) -> Fraction:
     """Value of the series homomorphism on a Schur generator, computed both
-    by basis conversion and by the Toeplitz determinant; the two routes must
-    agree."""
+    by basis conversion and by the Jacobi-Trudi table of
+    ``series.schur_values``; the two routes must agree."""
     lam = as_partition(lam)
     via_basis = hom_eval(f, SymElement.generator("s", lam))
-    via_minor = schur_minor(f, lam)
+    via_minor = schur_values(f)(lam)
     if via_basis != via_minor:
         raise ConsistencyError(
             f"Schur evaluation routes disagree at {lam}: "

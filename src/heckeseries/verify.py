@@ -29,7 +29,7 @@ from .series import (
     check_weight,
     diamond,
     exterior_from_symmetric,
-    schur_minor,
+    schur_values,
 )
 
 SUITES = ("hilbert", "character", "homspace", "positivity")
@@ -224,10 +224,10 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
     rectangle rows never reverses."""
     check_weight(max_weight)
     report = VerificationReport("positivity")
-    f = cert.symmetric_series(max_weight)
+    value = schur_values(cert.symmetric_series(max_weight))
     for w in range(max_weight + 1):
         for lam in enumerate_partitions(w):
-            val = schur_minor(f, lam)
+            val = value(lam)
             hook = in_hook(lam, cert.r0, cert.r1)
             ok = val >= 0 and (val > 0) == hook
             report.add(
@@ -237,9 +237,7 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
                 ok,
             )
     for k in range(1, max_weight + 1):
-        values = [
-            schur_minor(f, (n,) * k) for n in range(1, max_weight // k + 1)
-        ]
+        values = [value((n,) * k) for n in range(1, max_weight // k + 1)]
         if not values:
             continue
         seen_zero = False

@@ -15,7 +15,10 @@ the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
-fraction-free integer kernel.
+fraction-free integer kernel.  ``jacobi_trudi_det`` is one ``oracle_det``
+of the matrix (a_{lam_i - i + j}) per partition, where the library expands
+that determinant along its last column into one memoised integer table per
+series; ``minor_sum_diamond`` is the pairing product summed from it.
 
 ``expand_ratio_dense`` expands num/den by solving one dense triangular
 Toeplitz system with the textbook elimination, where the library runs the
@@ -37,7 +40,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from heckeseries import linalg
-from heckeseries.partitions import _strip_counts, as_partition, weight
+from heckeseries.partitions import (
+    _strip_counts,
+    as_partition,
+    enumerate_partitions,
+    weight,
+)
 from heckeseries.rmatrix import BraidViolation, HeckeViolation
 from heckeseries.series import TruncSeries, _poly_divmod, poly_derivative, poly_trim
 
@@ -275,6 +283,28 @@ def oracle_det(rows) -> Fraction:
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def jacobi_trudi_det(f: TruncSeries, lam) -> Fraction:
+    """det(a_{lam_i - i + j}), the matrix read entry by entry, row by row,
+    through ``f.coeff``."""
+    k = len(lam)
+    return oracle_det([[f.coeff(lam[s] - s + t) for t in range(k)] for s in range(k)])
+
+
+def minor_sum_diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
+    """Coefficient n is the sum over partitions of weight n of the two
+    Jacobi-Trudi determinants multiplied together."""
+    return TruncSeries(
+        sum(
+            (
+                jacobi_trudi_det(f, lam) * jacobi_trudi_det(g, lam)
+                for lam in enumerate_partitions(n)
+            ),
+            Fraction(0),
+        )
+        for n in range(order + 1)
+    )
 
 
 def expand_ratio_dense(num, den, order: int) -> TruncSeries:

@@ -2,6 +2,7 @@
 tests pin exact lines; exit codes distinguish verification failures (1),
 input errors (2), and cap overruns (3)."""
 
+import random
 import time
 
 import pytest
@@ -14,7 +15,9 @@ from heckeseries.series import (
     DETECTION_CAP,
     ORDER_CAP,
     WEIGHT_CAP,
+    BirankCertificate,
     TruncSeries,
+    poly_from_roots,
 )
 
 
@@ -628,6 +631,33 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: weight {argv[-1]} exceeds cap {WEIGHT_CAP}\n"
+
+    def test_diamond_at_the_weight_cap_is_fast(self, capsys):
+        rng = random.Random(24)
+        f, g = (
+            ",".join(["1"] + [str(rng.randint(-9, 9)) for _ in range(WEIGHT_CAP)])
+            for _ in range(2)
+        )
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "series", "diamond", "--f", f, "--g", g, "--degree", str(WEIGHT_CAP)
+        )
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert len(out.split(", ")) == WEIGHT_CAP + 1
+
+    def test_total_positivity_at_the_weight_cap_is_fast(self, capsys):
+        cert = BirankCertificate.from_polynomials(
+            poly_from_roots([1, 2, 3]), poly_from_roots([1, 2])
+        )
+        coeffs = ",".join(str(c) for c in cert.symmetric_series(WEIGHT_CAP).coeffs)
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "series", "total-positivity", "--coeffs", coeffs,
+            "--max-weight", str(WEIGHT_CAP),
+        )
+        assert time.perf_counter() - start < 0.75
+        assert (code, out) == (0, "ok\n")
 
     def test_all_suites_check_the_weight_before_any_suite_runs(
         self, capsys, monkeypatch

@@ -31,6 +31,7 @@ from heckeseries.series import (
     poly_from_roots,
     predict_hom_series,
     schur_minor,
+    schur_values,
     split_rational_form,
     sturm_all_roots_positive,
     total_positivity,
@@ -38,6 +39,8 @@ from heckeseries.series import (
 
 from oracles import (
     expand_ratio_dense,
+    jacobi_trudi_det,
+    minor_sum_diamond,
     poly_divide_exact,
     poly_gcd,
     squarefree_sturm_all_roots_positive,
@@ -149,6 +152,46 @@ class TestHankelMinor:
             for k in range(0, 4):
                 lam = (i,) * k if i else ()
                 assert hankel_minor(f, i, k) == schur_minor(f, lam)
+
+
+class TestSchurValues:
+    def test_every_partition_agrees_with_the_determinant(self):
+        rng = random.Random(2026)
+        a0s = [0, 1, 2, Fraction(-1, 2)]
+        for trial in range(320):
+            order = rng.randint(0, 7)
+            kind = trial % 4
+            if kind == 0:  # integers
+                tail = [rng.randint(-6, 6) for _ in range(order)]
+            elif kind == 1:  # fractions with unrelated denominators
+                tail = [
+                    Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7, 11]))
+                    for _ in range(order)
+                ]
+            elif kind == 2:  # mostly zero coefficients
+                tail = [rng.choice([0, 0, 0, 1, -2, Fraction(3, 4)]) for _ in range(order)]
+            else:  # a positive certificate-like series
+                tail = list(expand_ratio([1, 1], [1, -rng.randint(1, 3)], order).coeffs[1:])
+            f = TruncSeries([a0s[trial // 4 % 4]] + tail)
+            value = schur_values(f)
+            for w in range(order + 1):
+                for lam in series_module.enumerate_partitions(w):
+                    assert value(lam) == jacobi_trudi_det(f, lam), (f, lam)
+            # Hankel windows (i,)*k, zero parts included
+            for i in range(order + 1):
+                for k in range(order - i + 2):
+                    assert value((i,) * k) == jacobi_trudi_det(f, (i,) * k), (f, i, k)
+                    assert hankel_minor(f, i, k) == value((i,) * k)
+
+    @pytest.mark.parametrize("lam", [(3,), (5,), (2, 2), (1, 1, 1, 1), (0, 0, 0, 0), (3, 0)])
+    def test_entries_beyond_the_window_raise_as_coeff_does(self, lam):
+        f = TruncSeries([1, 2, 3])
+        with pytest.raises(ValueError) as expected:
+            jacobi_trudi_det(f, lam)
+        with pytest.raises(ValueError) as got:
+            schur_values(f)(lam)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).endswith("beyond truncation order 2")
 
 
 class TestDetectRational:
@@ -368,6 +411,31 @@ class TestTotalPositivity:
     def test_single_positive_root_polynomial_is_clean(self):
         assert total_positivity(TruncSeries([1, 2, 0, 0, 0, 0]), 4) is None
 
+    def test_first_violation_equals_the_determinant_scan(self):
+        rng = random.Random(12)
+        hits = 0
+        for _ in range(60):
+            order = rng.randint(0, 7)
+            f = TruncSeries(
+                [rng.choice([0, 1, 2, Fraction(1, 3)])]
+                + [
+                    Fraction(rng.randint(-1, 6), rng.choice([1, 1, 2, 7]))
+                    for _ in range(order)
+                ]
+            )
+            expected = next(
+                (
+                    (lam, v)
+                    for w in range(order + 1)
+                    for lam in series_module.enumerate_partitions(w)
+                    if (v := jacobi_trudi_det(f, lam)) < 0
+                ),
+                None,
+            )
+            assert total_positivity(f, order) == expected
+            hits += expected is not None
+        assert 0 < hits < 60
+
 
 class TestBirankCertificate:
     def test_from_polynomials(self):
@@ -472,16 +540,38 @@ class TestDiamond:
     def test_hooks_skip_every_partition_outside_them(self, monkeypatch):
         f = expand_ratio([1], [1, -5, 6], 8)
         g = expand_ratio([1, 1], [1, -1], 8)
+        # every partition a Schur table evaluates, the recursion's included,
+        # passes through its __missing__ once
         seen = []
+        evaluate = series_module._SchurTable.__missing__
 
-        def spy(h, lam):
+        def spy(table, lam):
             seen.append(lam)
-            return schur_minor(h, lam)
+            return evaluate(table, lam)
 
-        monkeypatch.setattr(series_module, "schur_minor", spy)
+        monkeypatch.setattr(series_module._SchurTable, "__missing__", spy)
         pruned = diamond(f, g, 8, hooks=((2, 0), (1, 1)))
         assert seen and all(in_hook(lam, 2, 0) and in_hook(lam, 1, 1) for lam in seen)
-        assert pruned.coeffs == diamond(f, g, 8).coeffs
+        seen.clear()
+        full = diamond(f, g, 8)
+        assert any(not in_hook(lam, 1, 1) for lam in seen)
+        assert pruned.coeffs == full.coeffs
+
+    def test_equals_the_minor_sum_on_seeded_series(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            order = rng.randint(0, 6)
+            f, g = (
+                TruncSeries(
+                    [rng.choice([0, 1, 2, Fraction(1, 2)])]
+                    + [
+                        Fraction(rng.randint(-4, 4), rng.choice([1, 1, 3, 5]))
+                        for _ in range(order)
+                    ]
+                )
+                for _ in range(2)
+            )
+            assert diamond(f, g, order) == minor_sum_diamond(f, g, order)
 
 
 class TestPredictHomSeries:
@@ -570,22 +660,33 @@ class TestPredictHomSeries:
                     predict_hom_series(a, b, 4)
 
     def test_power_sums_of_certificates(self):
-        power_sums = series_module._power_sums
         order = 6
+
+        def power_sums(cert):
+            h = [c.numerator for c in cert.symmetric_series(order).coeffs]
+            p = series_module._power_sums(h, order)
+            assert all(type(x) is int for x in p)
+            return p
+
         # reciprocal roots 1, 3, 3: p_k = 1 + 2 * 3^k
-        f = BirankCertificate.from_polynomials(
+        cert = BirankCertificate.from_polynomials(
             poly_mul(poly_mul([1, -3], [1, -1]), [1, -3]), [1]
-        ).symmetric_series(order)
-        assert power_sums(f.coeffs, order)[1:] == [1 + 2 * 3**k for k in range(1, order + 1)]
+        )
+        assert power_sums(cert)[1:] == [1 + 2 * 3**k for k in range(1, order + 1)]
         # golden ratio: p_k is the Lucas number L_2k
-        f = BirankCertificate.from_polynomials([1, -3, 1], [1]).symmetric_series(order)
-        assert power_sums(f.coeffs, order)[1:] == [3, 7, 18, 47, 123, 322]
+        cert = BirankCertificate.from_polynomials([1, -3, 1], [1])
+        assert power_sums(cert)[1:] == [3, 7, 18, 47, 123, 322]
         # super alphabet (2 | 5): p_k = 2^k - (-5)^k
-        f = BirankCertificate.from_polynomials([1, -2], [1, -5]).symmetric_series(order)
-        assert power_sums(f.coeffs, order)[1:] == [2**k - (-5) ** k for k in range(1, order + 1)]
+        cert = BirankCertificate.from_polynomials([1, -2], [1, -5])
+        p = power_sums(cert)
+        assert p[1:] == [2**k - (-5) ** k for k in range(1, order + 1)]
         # and the same identity solved for h returns the series
-        p = power_sums(f.coeffs, order)
-        assert series_module._exp_power_sums(p, order) == f
+        assert series_module._exp_power_sums(p, order) == cert.symmetric_series(order)
+
+    def test_a_remainder_in_the_exponential_step_is_a_bug(self):
+        # p_1 = 1, p_2 = 0 would need h_2 = 1/2: no product of integral series
+        with pytest.raises(ConsistencyError, match="non-integral h_2"):
+            series_module._exp_power_sums([0, 1, 0], 2)
 
 
 def test_poly_mul():

@@ -2,6 +2,7 @@
 built-in families."""
 
 import pytest
+from oracles import jacobi_trudi_det
 
 from heckeseries import verify
 from heckeseries.rmatrix import (
@@ -11,6 +12,7 @@ from heckeseries.rmatrix import (
     serialize_symmetry,
 )
 from heckeseries.linalg import CapExceeded
+from heckeseries.partitions import enumerate_partitions, format_partition
 from heckeseries.series import WEIGHT_CAP, BirankCertificate
 from heckeseries.verify import (
     VerificationReport,
@@ -200,6 +202,31 @@ class TestSuitePositivity:
         names = [c.name for c in report.checks]
         assert "rectangle_vanishing[k=1]" in names
         assert "rectangle_vanishing[k=4]" in names
+
+    @pytest.mark.parametrize(
+        "f0, f1",
+        [([1, -3, 2], [1]), ([1, -3, 1], [1, -2]), ([1], [1]), ([1, -4, 4], [1, -1])],
+    )
+    def test_rows_carry_the_determinant_values(self, f0, f1):
+        max_weight = 7
+        cert = BirankCertificate.from_polynomials(f0, f1)
+        f = cert.symmetric_series(max_weight)
+        expected = [
+            (f"schur_support[{format_partition(lam)}]", f"value {jacobi_trudi_det(f, lam)}")
+            for w in range(max_weight + 1)
+            for lam in enumerate_partitions(w)
+        ] + [
+            (
+                f"rectangle_vanishing[k={k}]",
+                ", ".join(
+                    str(jacobi_trudi_det(f, (n,) * k)) for n in range(1, max_weight // k + 1)
+                ),
+            )
+            for k in range(1, max_weight + 1)
+        ]
+        report = suite_positivity(cert, max_weight)
+        assert [(c.name, c.lhs) for c in report.checks] == expected
+        assert report.passed
 
 
 def test_run_suites_order_and_unknown_names():
