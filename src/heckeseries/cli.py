@@ -204,26 +204,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from .series import TruncSeries, detect_rational, diamond, total_positivity
+    from . import series
 
     if args.action == "detect-rational":
         coeffs = _parse_rationals(_require(args.coeffs, "--coeffs"))
-        f = TruncSeries(coeffs)
+        f = series.TruncSeries(coeffs)
         r_max = args.rmax if args.rmax is not None else max(0, f.order // 2)
-        form = detect_rational(f, r_max)
+        form = series.detect_rational(f, r_max)
         if form is None:
             print(f"inconclusive at truncation order {f.order}")
             return 1
         print(form.render())
         return 0
+    # each cap is checked before the operands are padded to the size it bounds
     if args.action == "diamond":
+        series.check_order(args.degree)
         f = _padded_series(_require(args.f, "--f"), args.degree)
         g = _padded_series(_require(args.g, "--g"), args.degree)
-        print(diamond(f, g, args.degree).render())
+        print(series.diamond(f, g, args.degree).render())
         return 0
     if args.action == "total-positivity":
+        series.check_weight(args.max_weight)
         f = _padded_series(_require(args.coeffs, "--coeffs"), args.max_weight)
-        hit = total_positivity(f, args.max_weight)
+        hit = series.total_positivity(f, args.max_weight)
         if hit is None:
             print("ok")
             return 0
@@ -313,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Coefficient lists are comma-separated exact rationals. For "
             "diamond and total-positivity the list denotes a polynomial "
             "(higher coefficients are exact zeros); detect-rational treats "
-            "it as the known truncation window."
+            "it as the known truncation window. diamond needs constant term "
+            "1 in both operands; its --degree is capped at 1000, "
+            "total-positivity's --max-weight at 24."
         ),
     )
     series_cmd.add_argument(

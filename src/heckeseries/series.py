@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .linalg import ORDER_CAP
-from .partitions import Partition, enumerate_partitions, in_hook
+from .partitions import Partition, enumerate_partitions
 
 
 class InconclusiveDetection(ValueError):
@@ -25,19 +25,22 @@ class CertificateError(ValueError):
 
 
 class ConsistencyError(AssertionError):
-    """Two independent evaluation routes disagreed; indicates a code bug."""
+    """An exact step left a remainder that the mathematics rules out;
+    indicates a code bug."""
 
 
-# Schur-value sums (diamond, total_positivity, the positivity suite) visit
-# every partition of every weight up to W, each a few integer products in one
-# memoised table per series, so their cost grows like p(W): at W = 24 about
-# 0.2 s for diamond on random integer series, on a shared 2-CPU machine under
-# Python 3.11.  Weights above this are refused before the first value.
+# Scans that need a sign or a check per partition visit every partition of
+# every weight up to W: Schur values in total_positivity and the positivity
+# suite, each a few integer products in one memoised table per series, and
+# the character suite's quotient checks.  Their cost grows like p(W): at
+# W = 24 about 0.1 s for total_positivity on a certified series, on a shared
+# 2-CPU machine under Python 3.11.  Weights above this are refused before the
+# first value.  The pairing product (diamond) visits no partition.
 WEIGHT_CAP = 24
-# expand_ratio takes order x len(den) steps, but its coefficients grow in
-# size with the order, and so do the work per step and the rendered output;
-# orders above linalg.ORDER_CAP are refused before any coefficient is
-# computed.
+# expand_ratio takes order x len(den) steps and diamond order**2, but their
+# coefficients grow in size with the order, and so do the work per step and
+# the rendered output; orders above linalg.ORDER_CAP are refused before any
+# coefficient is computed.
 # A Sturm sequence's remainders grow in size with the degree and with the
 # size of the roots, and the degree dominates: on a shared 2-CPU machine
 # under Python 3.11, degree 16 takes 0.004 s on small integer roots, 0.04 s
@@ -55,6 +58,11 @@ DETECTION_CAP = 24
 def check_weight(w: int):
     if w > WEIGHT_CAP:
         raise linalg.CapExceeded(f"weight {w} exceeds cap {WEIGHT_CAP}")
+
+
+def check_order(n: int):
+    if n > ORDER_CAP:
+        raise linalg.CapExceeded(f"series order {n} exceeds cap {ORDER_CAP}")
 
 
 def check_certificate_degree(n: int):
@@ -214,8 +222,7 @@ class TruncSeries:
 
 def expand_ratio(num, den, order: int) -> TruncSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be nonzero."""
-    if order > ORDER_CAP:
-        raise linalg.CapExceeded(f"series order {order} exceeds cap {ORDER_CAP}")
+    check_order(order)
     den = [Fraction(x) for x in den]
     if not den or den[0] == 0:
         raise ValueError("denominator needs nonzero constant term")
@@ -447,8 +454,7 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
             f"recurrence order {r_max} exceeds cap {DETECTION_CAP}"
         )
     n = f.order
-    if n > ORDER_CAP:
-        raise linalg.CapExceeded(f"series order {n} exceeds cap {ORDER_CAP}")
+    check_order(n)
     a = f.coeff
 
     def recurrence_holds(c, m):
@@ -576,29 +582,34 @@ def exterior_from_symmetric(f: TruncSeries) -> TruncSeries:
     return f.negate_variable().inverse()
 
 
-def diamond(f: TruncSeries, g: TruncSeries, order: int, hooks=()) -> TruncSeries:
+def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     """Degreewise pairing product: coefficient n is the sum over partitions
-    of weight n of the two Schur-determinant values multiplied together.
+    lam of weight n of the Schur-determinant values of f and g at lam.
 
-    Each (r0, r1) in ``hooks`` is a promise that one operand's minors vanish
-    off the (r0, r1) hook, so partitions outside any of them are skipped."""
+    A series with constant term 1 is the image of the complete homogeneous
+    functions h_n under a ring homomorphism, so Cauchy's identity
+    sum_lam s_lam(x) s_lam(y) t^|lam| = exp(sum_k p_k(x) p_k(y) t^k / k)
+    (Macdonald, ch. I.4) gives the whole product from power sums: Newton's
+    identity reads them off each operand, they are multiplied termwise and
+    exponentiated by the same identity.  Each operand is read at D t, D the
+    lcm of its denominators, so every step runs on integers; coefficient n
+    is divided by (D E)**n at the end.  ValueError on a constant term other
+    than 1: the minors then weight lam by a_0**len(lam), which no ring
+    homomorphism does.
+    """
+    check_order(order)
     if f.order < order or g.order < order:
         raise ValueError("both operands must carry at least the target order")
-    check_weight(order)
-    value_f, value_g = schur_values(f), schur_values(g)
-    out = []
-    for n in range(order + 1):
-        s = Fraction(0)
-        for lam in enumerate_partitions(n):
-            if not all(in_hook(lam, r0, r1) for r0, r1 in hooks):
-                continue
-            a = value_f(lam)
-            if a:
-                b = value_g(lam)
-                if b:
-                    s += a * b
-        out.append(s)
-    return TruncSeries(out)
+    p, scale = [1] * (order + 1), 1
+    for s in (f, g):
+        if s.coeffs[0] != 1:
+            raise ValueError("the pairing product needs constant term 1")
+        cs = s.coeffs[: order + 1]
+        D = lcm(*(c.denominator for c in cs))
+        h = [c.numerator * (D**n // c.denominator) for n, c in enumerate(cs)]
+        p = [x * y for x, y in zip(p, _power_sums(h, order))]
+        scale *= D
+    return _exp_power_sums(p, order).scale_variable(Fraction(1, scale))
 
 
 def _power_sums(h, order: int) -> list[int]:
@@ -628,27 +639,5 @@ def predict_hom_series(
     cert_a: BirankCertificate, cert_b: BirankCertificate, order: int
 ) -> TruncSeries:
     """Predicted Hilbert series of the graded hom algebra of two certified
-    symmetries, computed by the pairing product.  A certified series is
-    h_n of a supersymmetric alphabet of r0 + r1 letters, so its Schur minors
-    are hook Schur functions and vanish off the (r0, r1) hook (Berele-Regev);
-    the product sums over partitions inside both hooks only.
-
-    The product is cross-checked against Cauchy's identity
-    sum_lam s_lam(x) s_lam(y) t^|lam| = exp(sum_k p_k(x) p_k(y) t^k / k),
-    which holds for any two series with constant term 1: the power sums of
-    both, integers since certified series are integral, are read off by
-    Newton's identity, multiplied, and exponentiated by the same recurrence.
-    ConsistencyError when the two disagree.
-    """
-    fa = cert_a.symmetric_series(order)
-    fb = cert_b.symmetric_series(order)
-    result = diamond(fa, fb, order, hooks=(cert_a.birank, cert_b.birank))
-
-    pa, pb = (_power_sums([c.numerator for c in f.coeffs], order) for f in (fa, fb))
-    closed = _exp_power_sums([x * y for x, y in zip(pa, pb)], order)
-    if closed != result:
-        raise ConsistencyError(
-            "pairing product disagrees with the closed-form expansion; "
-            f"got {result.render()} vs {closed.render()}"
-        )
-    return result
+    symmetries: the pairing product of their symmetric series."""
+    return diamond(cert_a.symmetric_series(order), cert_b.symmetric_series(order), order)

@@ -18,7 +18,9 @@ eliminations on Fraction matrices, independent of the library's one
 fraction-free integer kernel.  ``jacobi_trudi_det`` is one ``oracle_det``
 of the matrix (a_{lam_i - i + j}) per partition, where the library expands
 that determinant along its last column into one memoised integer table per
-series; ``minor_sum_diamond`` is the pairing product summed from it.
+series; ``minor_sum_diamond`` is the pairing product summed from it by its
+definition, where the library's ``diamond`` evaluates no partition and
+exponentiates products of power sums (Cauchy's identity).
 
 ``expand_ratio_dense`` expands num/den by solving one dense triangular
 Toeplitz system with the textbook elimination, where the library runs the

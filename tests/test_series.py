@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from heckeseries import series as series_module
-from heckeseries.partitions import in_hook
 from heckeseries.linalg import CapExceeded
 from heckeseries.series import (
     CERTIFICATE_CAP,
@@ -537,41 +536,49 @@ class TestDiamond:
         with pytest.raises(ValueError):
             diamond(TruncSeries([1, 1]), TruncSeries([1, 1, 1]), 2)
 
-    def test_hooks_skip_every_partition_outside_them(self, monkeypatch):
+    def test_evaluates_no_partition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pairing product evaluated a partition")
+
+        # every Schur value a table computes passes through its __missing__
+        monkeypatch.setattr(series_module, "enumerate_partitions", refuse)
+        monkeypatch.setattr(series_module._SchurTable, "__missing__", refuse)
         f = expand_ratio([1], [1, -5, 6], 8)
         g = expand_ratio([1, 1], [1, -1], 8)
-        # every partition a Schur table evaluates, the recursion's included,
-        # passes through its __missing__ once
-        seen = []
-        evaluate = series_module._SchurTable.__missing__
-
-        def spy(table, lam):
-            seen.append(lam)
-            return evaluate(table, lam)
-
-        monkeypatch.setattr(series_module._SchurTable, "__missing__", spy)
-        pruned = diamond(f, g, 8, hooks=((2, 0), (1, 1)))
-        assert seen and all(in_hook(lam, 2, 0) and in_hook(lam, 1, 1) for lam in seen)
-        seen.clear()
-        full = diamond(f, g, 8)
-        assert any(not in_hook(lam, 1, 1) for lam in seen)
-        assert pruned.coeffs == full.coeffs
+        assert diamond(f, g, 8) == minor_sum_diamond(f, g, 8)
+        cert = BirankCertificate.from_polynomials([1, -3, 1], [1, -5, 5])
+        series = cert.symmetric_series(8)
+        assert predict_hom_series(cert, cert, 8) == minor_sum_diamond(series, series, 8)
 
     def test_equals_the_minor_sum_on_seeded_series(self):
         rng = random.Random(14)
-        for _ in range(40):
-            order = rng.randint(0, 6)
-            f, g = (
-                TruncSeries(
-                    [rng.choice([0, 1, 2, Fraction(1, 2)])]
-                    + [
-                        Fraction(rng.randint(-4, 4), rng.choice([1, 1, 3, 5]))
-                        for _ in range(order)
-                    ]
-                )
-                for _ in range(2)
-            )
-            assert diamond(f, g, order) == minor_sum_diamond(f, g, order)
+        kinds = ("integer", "fractional", "polynomial")
+
+        def unit_series(kind, order):
+            if kind == "integer":
+                tail = [rng.randint(-9, 9) for _ in range(order)]
+            elif kind == "fractional":
+                # denominators that share no factor with one another
+                tail = [
+                    Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 11]))
+                    for _ in range(order)
+                ]
+            else:
+                # a short polynomial padded with exact zeros, as the CLI reads it
+                tail = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+                tail = (tail + [0] * order)[:order]
+            return TruncSeries([1] + tail)
+
+        for order in range(11):
+            for kind in kinds:
+                f, g = unit_series(kind, order), unit_series(rng.choice(kinds), order)
+                assert diamond(f, g, order) == minor_sum_diamond(f, g, order)
+        one = TruncSeries.one(3)
+        for a0 in (0, 2, Fraction(1, 2)):
+            f = TruncSeries([a0, 1, -1, 2])
+            for pair in ((f, one), (one, f)):
+                with pytest.raises(ValueError, match="needs constant term 1"):
+                    diamond(*pair, 3)
 
 
 class TestPredictHomSeries:
@@ -638,7 +645,7 @@ class TestPredictHomSeries:
         assert time.perf_counter() - start < 2.0
         assert f.coeffs == diamond(a.symmetric_series(4), b.symmetric_series(4), 4).coeffs
 
-    def test_every_certificate_pair_is_cross_checked(self, monkeypatch):
+    def test_every_certificate_pair_is_cross_checked(self):
         big = 10**9 + 7
         certs = [
             BirankCertificate.from_polynomials(poly_mul([1, -1], [1, -big]), [1]),
@@ -646,18 +653,11 @@ class TestPredictHomSeries:
             BirankCertificate.from_polynomials([1], [1]),  # rank zero
             BirankCertificate.from_polynomials([1, -3, 1], [1, -5, 5]),
         ]
-        right = diamond
-
-        def off_by_one(f, g, order, hooks=()):
-            out = list(right(f, g, order, hooks).coeffs)
-            out[-1] += 1
-            return TruncSeries(out)
-
-        monkeypatch.setattr(series_module, "diamond", off_by_one)
+        order = 6
         for a in certs:
             for b in certs:
-                with pytest.raises(ConsistencyError, match="pairing product disagrees"):
-                    predict_hom_series(a, b, 4)
+                fa, fb = a.symmetric_series(order), b.symmetric_series(order)
+                assert predict_hom_series(a, b, order) == minor_sum_diamond(fa, fb, order)
 
     def test_power_sums_of_certificates(self):
         order = 6
