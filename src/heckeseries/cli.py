@@ -177,15 +177,7 @@ def cmd_compute(args) -> int:
         print(rmatrix.dim_quotient(sym, lam, mu))
         return 0
     elif what.startswith(("A:", "E:")):
-        sym2 = _parse_symmetry_spec(what[2:])
-        fn = (
-            rmatrix.dim_intertwiner
-            if what.startswith("A:")
-            else rmatrix.dim_e_component
-        )
-        # top degree first: the cap is checked before any work, and the
-        # lower degrees are then read from the cached chain
-        dims = [fn(sym2, sym, n) for n in range(n_max, -1, -1)][::-1]
+        dims = rmatrix.hom_dims(_parse_symmetry_spec(what[2:]), sym, what[0], n_max)
     else:
         raise UsageError(f"unknown computation {what!r}")
     print(", ".join(str(v) for v in dims))

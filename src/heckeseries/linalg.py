@@ -5,10 +5,13 @@ fraction-free on integer rows: denominators are cleared as a row comes in
 and every row is kept gcd-reduced, so every intermediate value is an exact
 integer no matter how badly conditioned the input is.  ``Echelon.reduced``
 turns its rows into reduced echelon form with one common integer pivot
-value.  ``rank``, ``row_basis``, ``nullspace`` and ``solve_square`` are
-thin readers of one ``Echelon``.  Matrices are lists of rows.  Determinants
-are not among them: the only ones the package needs, Schur values, come
-from the memoised expansion in ``series.schur_values``.
+value.  ``rank``, ``row_basis`` and ``nullspace`` are thin readers of one
+``Echelon``.  Matrices are lists of rows.  Determinants and square solves
+are not among them: the only determinants the package needs, Schur values,
+come from the memoised expansion in ``series.schur_values``, and recurrence
+detection solves its nested systems in one Berlekamp-Massey pass.
+``primitive`` is the one gcd reduction, shared with the integer series
+kernels.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
@@ -18,7 +21,6 @@ both the tensor-power engine and the series expansions enforce.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -35,36 +37,30 @@ class CapExceeded(ValueError):
 ORDER_CAP = 1000
 
 
-def clear_denominators(row):
-    """Rescale a rational row to coprime integers, preserving signs."""
-    denom = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (denom // x.denominator) for x in row]
-    g = _content(ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _content(row) -> int:
-    """gcd of the entries (0 for a zero row), stopping early at 1."""
+def primitive(row: list[int]) -> list[int]:
+    """An integer row over the gcd of its entries, a positive factor that
+    keeps every sign; a row of content 0 or 1 is returned as it is.  The
+    gcd stops early at 1."""
     g = 0
     for a in row:
         if a:
             g = gcd(g, a)
             if g == 1:
-                break
-    return g
+                return row
+    return [a // g for a in row] if g > 1 else row
+
+
+def clear_denominators(row):
+    """Rescale a rational row to coprime integers, preserving signs."""
+    denom = lcm(*(x.denominator for x in row))
+    return primitive([x.numerator * (denom // x.denominator) for x in row])
 
 
 def _eliminate(row, brow, p):
     """row·brow[p] - brow·row[p] made primitive: the fraction-free step that
     clears column p of row."""
     lead, v = brow[p], row[p]
-    row = [a * lead - b * v for a, b in zip(row, brow)]
-    g = _content(row)
-    if g > 1:
-        row = [a // g for a in row]
-    return row
+    return primitive([a * lead - b * v for a, b in zip(row, brow)])
 
 
 class Echelon:
@@ -160,16 +156,6 @@ def nullspace(rows, ncols: int) -> list[list[int]]:
             x[p] = -row[f]
         basis.append(clear_denominators(x))
     return basis
-
-
-def solve_square(a_rows, rhs):
-    """Unique rational solution of a square system, or None when singular."""
-    n = len(a_rows)
-    ech = _echelon((list(row) + [b] for row, b in zip(a_rows, rhs)), n + 1)
-    if ech.pivots != list(range(n)):
-        return None
-    D, reduced = ech.reduced()
-    return [Fraction(row[n], D) for row in reduced]
 
 
 def invert_unitriangular(u) -> list[list[int]]:

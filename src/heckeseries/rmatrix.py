@@ -432,23 +432,24 @@ def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: s
     return _memo(sym_source, (kind, "relations", sym_target), build)
 
 
-def _hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n: int):
+def hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n_max: int):
+    """Dimensions for n = 0..n_max of hom family ``kind``: "A" as in
+    ``dim_intertwiner``, "E" as in ``dim_e_component``."""
     require_same_q(sym_target, sym_source)
-    big = sym_source.d * sym_target.d
     return _cached_dims(
         sym_source,
         (kind, sym_target),
-        big,
+        sym_source.d * sym_target.d,
         lambda p: _hom_relations(sym_target, sym_source, kind),
-        n,
-    )[n]
+        n_max,
+    )
 
 
 def dim_intertwiner(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:
     """Dimension of the space of maps between the n-th tensor powers
     commuting with both braid actions: the graded quotient of the tensor
     algebra on Hom(V, V') by the row space of (conjugation - identity)."""
-    return _hom_dims(sym_target, sym_source, "A", n)
+    return hom_dims(sym_target, sym_source, "A", n)[n]
 
 
 def dim_e_component(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:
@@ -457,4 +458,4 @@ def dim_e_component(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int
     of Hom(V, V').  Since dim ∩_p W_p = N - dim Σ_p W_p^⊥ and W_p^⊥ is the
     annihilator of I placed at slots (p, p+1), this is the graded quotient
     by that annihilator."""
-    return _hom_dims(sym_target, sym_source, "E", n)
+    return hom_dims(sym_target, sym_source, "E", n)[n]

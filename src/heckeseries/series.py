@@ -41,17 +41,19 @@ WEIGHT_CAP = 24
 # coefficients grow in size with the order, and so do the work per step and
 # the rendered output; orders above linalg.ORDER_CAP are refused before any
 # coefficient is computed.
-# A Sturm sequence's remainders grow in size with the degree and with the
-# size of the roots, and the degree dominates: on a shared 2-CPU machine
-# under Python 3.11, degree 16 takes 0.004 s on small integer roots, 0.04 s
-# on roots near 10^9 and 2.3 s on roots near 10^100, degree 20 0.008 s,
-# 0.12 s and 9.4 s.  Certificate polynomials of higher degree are refused
-# before they are built or root-counted.
+# A Sturm sequence's pseudo-remainders grow in size with the degree and
+# with the size of the roots, and the degree dominates: on a shared 2-CPU
+# machine under Python 3.11, degree 16 takes 0.0004 s on small integer
+# roots, 0.006 s on roots near 10^9 and 0.5 s on roots near 10^100, degree
+# 20 0.001 s, 0.02 s and 2 s.  Certificate polynomials of higher degree are
+# refused before they are built or root-counted.
 CERTIFICATE_CAP = 16
-# detect_rational solves one r x r system for each order r up to r_max, so
-# its cost grows like r_max**4: on the same machine, r_max = 24 takes 0.1 s
-# on small integer coefficients and 0.5 s on 64-bit ones, r_max = 32 0.2 s
-# and 2 s.  Larger r_max are refused before the first solve.
+# detect_rational's one pass stops once its length passes r_max, after about
+# 2 r_max steps on a window with no recurrence: on the same machine, 60
+# random coefficients at r_max = 24 take 0.004 s at 64 bits, 0.05 s at 256
+# and 0.7 s at 1024.  A window that fits runs to its end with entries the
+# size of an r x r Hankel minor: order 1000 with 24 roots 1..24 takes 5 s.
+# Larger r_max are refused before the window is read.
 DETECTION_CAP = 24
 
 
@@ -108,10 +110,6 @@ def poly_negate_t(p) -> list[Fraction]:
     return [Fraction(x) * (-1) ** i for i, x in enumerate(p)]
 
 
-def poly_derivative(p) -> list[Fraction]:
-    return [Fraction(c) * i for i, c in enumerate(p)][1:]
-
-
 def render_poly(p) -> str:
     """Ascending coefficients as a comma list, e.g. ``1,-2,1``."""
     return ",".join(str(c) for c in p)
@@ -123,22 +121,6 @@ def poly_from_roots(roots) -> list[Fraction]:
     for a in roots:
         out = poly_mul(out, [Fraction(1), -Fraction(a)])
     return out
-
-
-def _poly_divmod(p, d) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of p by d, the remainder of lower degree."""
-    p, d = poly_trim(p), poly_trim(d)
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    out = [Fraction(0)] * max(0, len(p) - len(d) + 1)
-    work = list(p)
-    for shift in range(len(p) - len(d), -1, -1):
-        f = work[shift + len(d) - 1] / d[-1]
-        out[shift] = f
-        if f:
-            for i, c in enumerate(d):
-                work[shift + i] -= f * c
-    return poly_trim(out), poly_trim(work)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +421,21 @@ def schur_minor(f: TruncSeries, lam: Partition) -> Fraction:
 def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
     """Least-order stable linear recurrence fitting the whole tail window.
 
-    Tries orders r = 0..r_max.  For each r the candidate coefficients are
-    solved from the last r windowed equations, then the recurrence is walked
-    backwards to its onset o.  A candidate is accepted only when the onset
-    satisfies o <= r_max + 1 (numerator degree at most r_max) and the window
-    verifies at least r + 1 equations.  Returns None when nothing fits; a
-    returned form is re-verified as q * f having zero coefficients from the
-    onset through the truncation order.
+    An order-r candidate a_m = sum_j c_j a_{m-j} solves the last r window
+    equations; walked backwards, it holds from its onset o through the
+    truncation order.  The least order whose candidate has o <= r_max + 1
+    (numerator degree at most r_max) and verifies at least r + 1 equations
+    wins; None when no order up to r_max fits.
+
+    These nested systems are the leading blocks of one Hankel matrix of the
+    descending window a_n, ..., a_0, followed by r_max zeros for the a_{m<0}
+    that the walk reads, so one fraction-free Berlekamp-Massey pass (Massey
+    1969) on the integers D a_m, D the lcm of the denominators, solves them
+    all.  The connection polynomial that the pass holds at length L, just
+    before it grows past L, is the reversed order-L candidate when its top
+    coefficient q(0) is nonzero, and the equations the pass has checked are
+    those the walk verifies.  A candidate that passes the rules is the
+    unique solution of its system, so the result is the per-order one.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -455,39 +445,49 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
         )
     n = f.order
     check_order(n)
-    a = f.coeff
+    D = lcm(*(c.denominator for c in f.coeffs))
+    a = [c.numerator * (D // c.denominator) for c in f.coeffs]
 
-    def recurrence_holds(c, m):
-        return a(m) == sum(cj * a(m - j - 1) for j, cj in enumerate(c))
+    def form(lam, length, checked):
+        """The rational form of connection polynomial lam at the given
+        length, once the pass has checked its equations on the first
+        ``checked`` terms, or None when a rule rejects it."""
+        q = (lam + [0] * (length + 1 - len(lam)))[::-1]  # q[j] = lam[L - j]
+        verified = min(checked - length, n)
+        onset = n - verified + 1
+        if not q[0] or onset > r_max + 1 or verified < length + 1:
+            return None
+        num = [sum(q[j] * a[i - j] for j in range(min(i, length) + 1))
+               for i in range(onset)]
+        return RationalForm(
+            poly_trim(Fraction(x, q[0] * D) for x in num), [Fraction(x, q[0]) for x in q]
+        )
 
-    for r in range(0, min(r_max, n) + 1):
-        if r == 0:
-            c: list[Fraction] = []
-        else:
-            rows = [[a(m - j) for j in range(1, r + 1)] for m in range(n - r + 1, n + 1)]
-            rhs = [a(m) for m in range(n - r + 1, n + 1)]
-            sol = linalg.solve_square(rows, rhs)
-            if sol is None:
-                continue
-            c = list(sol)
-            while c and c[-1] == 0:
-                c.pop()
-        r_eff = len(c)
-        m = n
-        while m >= 1 and recurrence_holds(c, m):
-            m -= 1
-        onset = m + 1
-        if onset > r_max + 1:
-            continue
-        if n - onset + 1 < r_eff + 1:
-            continue
-        q = [Fraction(1)] + [-cj for cj in c]
-        prod = poly_mul(q, list(f.coeffs))
-        if any(prod[i] != 0 for i in range(onset, n + 1)):
-            continue
-        p = poly_trim(prod[:onset])
-        return RationalForm(tuple(p), tuple(q))
-    return None
+    u = a[::-1] + [0] * r_max
+    # lam is the connection polynomial, lam[0] the weight of the newest
+    # term; prev is the one before the last growth, with its discrepancy
+    # prev_d, and gap the steps since then
+    lam, prev, prev_d, length, gap = [1], [1], 1, 0, 1
+    for N in range(len(u)):
+        d = sum(x * u[N - i] for i, x in enumerate(lam))
+        if d:
+            grows = 2 * length <= N
+            if grows:
+                got = form(lam, length, N)
+                if got is not None or N + 1 - length > r_max:
+                    return got
+            # lam <- prev_d lam - d t^gap prev, the fraction-free update
+            step = [prev_d * x for x in lam]
+            step += [0] * (gap + len(prev) - len(step))
+            for i, x in enumerate(prev, gap):
+                step[i] -= d * x
+            while not step[-1]:
+                step.pop()
+            if grows:
+                prev, prev_d, length, gap = lam, d, N + 1 - length, 0
+            lam = linalg.primitive(step)
+        gap += 1
+    return form(lam, length, len(u))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +523,10 @@ def sturm_all_roots_positive(p) -> bool:
     One Sturm sequence of p itself: p, p', then negated remainders down to
     g = gcd(p, p').  By the generalized Sturm theorem its sign changes at 0
     minus those at infinity count the distinct roots of p in (0, inf), with
-    no squarefree step, and p has deg p - deg g distinct roots in all.  Each
-    term is rescaled to a primitive integer polynomial, a positive factor
-    that keeps every sign and keeps the remainders small.
+    no squarefree step, and p has deg p - deg g distinct roots in all.  Every
+    term is a primitive integer polynomial: each remainder is an integer
+    pseudo-remainder divided by its content, positive factors that keep
+    every sign, keep the terms small and leave no fraction.
     """
     p = poly_trim(p)
     if not p:
@@ -534,15 +535,33 @@ def sturm_all_roots_positive(p) -> bool:
         raise ValueError("polynomial must not vanish at 0")
     if len(p) == 1:
         return True
-    chain = [linalg.clear_denominators(q) for q in (p, poly_derivative(p))]
+    ints = linalg.clear_denominators(p)
+    chain = [ints, linalg.primitive([i * c for i, c in enumerate(ints)][1:])]
     while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(linalg.clear_denominators([-c for c in rem]))
+        chain.append(linalg.primitive([-c for c in rem]))
     at_zero = _sign_changes([q[0] for q in chain])
     at_inf = _sign_changes([q[-1] for q in chain])
     return at_zero - at_inf == len(p) - len(chain[-1])
+
+
+def _pseudo_remainder(p: list[int], d: list[int]) -> list[int]:
+    """The trimmed remainder of c·p by d for integer polynomials, with c a
+    power of |lc d|: a positive factor, so every sign is kept."""
+    p, lead = list(p), d[-1]
+    sign, lead = (1, lead) if lead > 0 else (-1, -lead)
+    n = len(d) - 1
+    for shift in range(len(p) - 1 - n, -1, -1):
+        top = p.pop() * sign
+        if top:
+            p = [x * lead for x in p]
+            for i, c in enumerate(d[:n], shift):
+                p[i] -= top * c
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def birank_certificate(f: TruncSeries, r_max: int) -> BirankCertificate:

@@ -13,10 +13,9 @@ from typing import NamedTuple
 from .partitions import enumerate_partitions, format_partition, in_hook
 from .rmatrix import (
     HeckeSymmetry,
-    dim_e_component,
-    dim_intertwiner,
     dim_quotient,
     exterior_dims,
+    hom_dims,
     require_same_q,
     symmetric_dims,
 )
@@ -185,8 +184,8 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
         return report
     # one degree beyond the matrix checks.  Summed with multinomial weights,
     # the monomials m_lam over lam ⊢ n give p_1^n, and the series
-    # homomorphism sends p_1 to the t-coefficient of f1(-t)/f0(t)
-    t1 = -(cert.f0 + (0,))[1] - (cert.f1 + (0,))[1]
+    # homomorphism sends p_1 to the t-coefficient of the symmetric series
+    t1 = cert.symmetric_series(1).coeff(1)
     for n in range(1, n_max + 2):
         report.compare(f"tensor_dimension_identity[n={n}]", t1**n, sym.d**n)
     return report
@@ -205,11 +204,8 @@ def suite_homspace(
     f_source = TruncSeries(symmetric_dims(sym_source, n_max))
     f_target = TruncSeries(symmetric_dims(sym_target, n_max))
     predicted = diamond(f_source, f_target, n_max)
-    # top degree first: the cap is checked before any work, and the lower
-    # degrees are then read from the cached chain
-    degrees = range(n_max, -1, -1)
-    a_dims = [dim_intertwiner(sym_target, sym_source, n) for n in degrees][::-1]
-    e_dims = [dim_e_component(sym_target, sym_source, n) for n in degrees][::-1]
+    a_dims = hom_dims(sym_target, sym_source, "A", n_max)
+    e_dims = hom_dims(sym_target, sym_source, "E", n_max)
     for n in range(n_max + 1):
         report.compare(f"hom_dim[n={n}]", a_dims[n], predicted.coeff(n))
     dual_expected = exterior_from_symmetric(TruncSeries(a_dims))

@@ -26,10 +26,18 @@ exponentiates products of power sums (Cauchy's identity).
 Toeplitz system with the textbook elimination, where the library runs the
 denominator's recurrence.
 
+``per_order_detect_rational`` is the recurrence detector the library once
+ran: one ``oracle_solve_square`` of the last r window equations for each
+order r, a backward walk to the onset, and a re-check of q·f over the
+verified range.  The library solves all orders in one fraction-free
+Berlekamp-Massey pass.
+
 ``squarefree_sturm_all_roots_positive`` is the two-pass root certificate the
 library once ran: a squarefree part through ``poly_gcd`` and
-``poly_divide_exact``, then the classical Sturm chain of that part.  The
-library builds one generalized Sturm sequence of the polynomial itself.
+``poly_divide_exact``, then the classical Sturm chain of that part.  Both
+divide ``Fraction`` polynomials with ``poly_divmod``; the library builds one
+generalized Sturm sequence of the polynomial itself from integer
+pseudo-remainders.
 
 ``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
 the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
@@ -49,7 +57,7 @@ from heckeseries.partitions import (
     weight,
 )
 from heckeseries.rmatrix import BraidViolation, HeckeViolation
-from heckeseries.series import TruncSeries, _poly_divmod, poly_derivative, poly_trim
+from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 
 
 def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
@@ -323,11 +331,63 @@ def expand_ratio_dense(num, den, order: int) -> TruncSeries:
     return TruncSeries(oracle_solve_square(rows, pad(num)))
 
 
+def per_order_detect_rational(f: TruncSeries, r_max: int):
+    """For r = 0..min(r_max, n): solve the last r window equations, strip
+    trailing zero coefficients, walk the recurrence back to its onset o and
+    accept when o <= r_max + 1, the window verifies at least r_eff + 1
+    equations and q·f vanishes from o through n.  None when no order fits."""
+    n = f.order
+    a = f.coeff
+
+    def recurrence_holds(c, m):
+        return a(m) == sum(cj * a(m - j - 1) for j, cj in enumerate(c))
+
+    for r in range(0, min(r_max, n) + 1):
+        rows = [[a(m - j) for j in range(1, r + 1)] for m in range(n - r + 1, n + 1)]
+        c = oracle_solve_square(rows, [a(m) for m in range(n - r + 1, n + 1)])
+        if c is None:
+            continue
+        while c and c[-1] == 0:
+            c.pop()
+        m = n
+        while m >= 1 and recurrence_holds(c, m):
+            m -= 1
+        onset = m + 1
+        if onset > r_max + 1 or n - onset + 1 < len(c) + 1:
+            continue
+        q = [Fraction(1)] + [-cj for cj in c]
+        prod = poly_mul(q, list(f.coeffs))
+        if any(prod[i] != 0 for i in range(onset, n + 1)):
+            continue
+        return RationalForm(tuple(poly_trim(prod[:onset])), tuple(q))
+    return None
+
+
+def poly_derivative(p) -> list[Fraction]:
+    return [Fraction(c) * i for i, c in enumerate(p)][1:]
+
+
+def poly_divmod(p, d) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of p by d, the remainder of lower degree."""
+    p, d = poly_trim(p), poly_trim(d)
+    if not d:
+        raise ZeroDivisionError("division by zero polynomial")
+    out = [Fraction(0)] * max(0, len(p) - len(d) + 1)
+    work = list(p)
+    for shift in range(len(p) - len(d), -1, -1):
+        f = work[shift + len(d) - 1] / d[-1]
+        out[shift] = f
+        if f:
+            for i, c in enumerate(d):
+                work[shift + i] -= f * c
+    return poly_trim(out), poly_trim(work)
+
+
 def poly_gcd(p, q) -> list[Fraction]:
     """Monic gcd of two rational polynomials."""
     a, b = poly_trim(p), poly_trim(q)
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
@@ -336,7 +396,7 @@ def poly_gcd(p, q) -> list[Fraction]:
 
 def poly_divide_exact(p, d) -> list[Fraction]:
     """Quotient p / d, requiring zero remainder."""
-    quotient, remainder = _poly_divmod(p, d)
+    quotient, remainder = poly_divmod(p, d)
     if remainder:
         raise ValueError("inexact polynomial division")
     return quotient
@@ -353,7 +413,7 @@ def squarefree_sturm_all_roots_positive(p) -> bool:
         return True
     chain = [sf, poly_derivative(sf)]
     while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-c for c in rem])

@@ -847,6 +847,19 @@ class TestTypedFailures:
         code, out, _ = run(capsys, "series", "detect-rational", "--coeffs", coeffs)
         assert (code, out) == (0, "num=1; den=1,-2,1\n")
 
+    def test_detection_on_big_coefficients_at_the_cap_is_fast(self, capsys):
+        # one Berlekamp-Massey pass stops once its length passes r_max:
+        # about 1 s here, where a solve per order took 35-53 s
+        rng = random.Random(1024)
+        coeffs = ",".join(str(rng.getrandbits(1024)) for _ in range(60))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "series", "detect-rational", "--coeffs", coeffs,
+            "--rmax", str(DETECTION_CAP),
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (code, out, err) == (1, "inconclusive at truncation order 59\n", "")
+
     @pytest.mark.parametrize("what", ["sym", "ext"])
     def test_expansion_orders_beyond_the_cap_exit_3_at_once(self, capsys, what):
         start = time.perf_counter()

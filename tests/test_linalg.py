@@ -6,8 +6,9 @@ in ``oracles.py``), independent of the fraction-free integer kernel under
 test.  The subspace-intersection tests check the ``intersect_bases`` oracle
 in ``oracles.py``, which the quotient-engine cross-checks rely on, and the
 determinant tests check ``oracle_det``, the reference for the Schur-value
-table of ``series.schur_values``; the package itself computes no
-determinant.
+table of ``series.schur_values``, and the square-solve tests check
+``oracle_solve_square``, on which the per-order detection oracle rests; the
+package itself computes no determinant and solves no square system.
 """
 
 import random
@@ -23,8 +24,8 @@ from heckeseries.linalg import (
     invert_unitriangular,
     nullspace,
     rank,
+    primitive,
     row_basis,
-    solve_square,
 )
 
 
@@ -65,6 +66,16 @@ def test_clear_denominators():
     assert clear_denominators([Fraction(2), Fraction(4)]) == [1, 2]
     assert clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
     assert clear_denominators([Fraction(-1, 2)]) == [-1]
+
+
+def test_primitive_divides_by_the_positive_content():
+    assert primitive([6, -4, 0, 10]) == [3, -2, 0, 5]
+    assert primitive([-6, -4]) == [-3, -2]
+    row = [3, -2, 0]
+    assert primitive(row) is row  # content 1: nothing to divide
+    zero = [0, 0]
+    assert primitive(zero) is zero and primitive([]) == []
+    assert primitive([-7]) == [-1]
 
 
 def test_clear_denominators_on_mixed_int_and_fraction_rows():
@@ -176,14 +187,6 @@ def test_intersect_bases_random_dimension_formula():
             assert ech_a.contains(vec) and ech_b.contains(vec)
 
 
-def test_solve_square():
-    sol = solve_square([[2, 1], [1, 1]], [3, 2])
-    assert sol == [Fraction(1), Fraction(1)]
-    assert solve_square([[1, 1], [1, 1]], [1, 2]) is None
-    sol = solve_square([[Fraction(1, 2)]], [Fraction(1, 3)])
-    assert sol == [Fraction(2, 3)]
-
-
 def test_det():
     det = oracle_det
     assert det([[1, 2], [3, 4]]) == -2
@@ -267,9 +270,11 @@ class TestKernelAgainstOracles:
             planted = n if rng.random() < 0.7 else rng.randint(0, n - 1)
             m = dense_fraction_matrix(rng, n, n, planted)
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            # the kernel finds a system singular exactly when its determinant vanishes
-            assert (solve_square(m, b) is None) == (oracle_det(m) == 0)
-            assert solve_square(m, b) == oracle_solve_square(m, b)
+            # the oracle finds a system singular exactly when its determinant vanishes
+            x = oracle_solve_square(m, b)
+            assert (x is None) == (oracle_det(m) == 0)
+            if x is not None:
+                assert [_dot(row, x) for row in m] == b
 
     def test_singular_systems(self):
         rng = random.Random(77)
@@ -279,23 +284,21 @@ class TestKernelAgainstOracles:
             assert oracle_det(m) == 0
             x = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
             consistent = [_dot(row, x) for row in m]
-            assert solve_square(m, consistent) is None
             assert oracle_solve_square(m, consistent) is None
         # rows 1 and 2 agree on the left and disagree on the right
         m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert solve_square(m, [1, 5, 0]) is None
-        assert solve_square(m, [1, 2, 0]) is None
         assert oracle_solve_square(m, [1, 5, 0]) is None
+        assert oracle_solve_square(m, [1, 2, 0]) is None
 
     def test_zero_rows_and_empty_matrix(self):
         assert oracle_det([]) == 1
-        assert solve_square([], []) == [] == oracle_solve_square([], [])
+        assert oracle_solve_square([], []) == []
         assert rank([[0, 0, 0]] * 3, 3) == 0
         assert row_basis([[0, 0], [0, 0]], 2) == []
         assert nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert nullspace([], 2) == [[1, 0], [0, 1]]
         assert oracle_det([[1, 2], [0, 0]]) == 0
-        assert solve_square([[0, 0], [0, 1]], [0, 1]) is None
+        assert oracle_solve_square([[0, 0], [0, 1]], [0, 1]) is None
         assert Echelon(0).reduced() == (1, [])
         assert Echelon(3).reduced() == (1, [])
 
@@ -346,7 +349,6 @@ def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
         "rank": lambda: linalg.rank([[1, 2], [2, 4]], 2),
         "row_basis": lambda: linalg.row_basis([[1, 2], [2, 4]], 2),
         "nullspace": lambda: linalg.nullspace([[1, 2]], 2),
-        "solve_square": lambda: linalg.solve_square([[2, 1], [1, 1]], [3, 2]),
         "symmetric_dims": lambda: symmetric_dims(build_standard(2, 3), 3),
     }
     for name, call in calls.items():
