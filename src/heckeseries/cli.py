@@ -110,7 +110,11 @@ def _parse_symmetry_spec(spec: str):
     fields = [f.strip() for f in rest.split(",")]
     try:
         if kind == "std":
-            kv = dict(f.split("=", 1) for f in fields)
+            kv = dict(f.split("=", 1) for f in fields if "=" in f)
+            if len(kv) != len(fields) or sorted(kv) != ["q", "r"]:
+                raise UsageError(
+                    f"std specifier must be 'std:r=R,q=Q', got {spec!r}"
+                )
             return rmatrix.build_standard(int(kv["r"]), Fraction(kv["q"]))
         if kind == "super":
             if len(fields) != 3 or not fields[2].startswith("q="):

@@ -85,6 +85,8 @@ class HeckeSymmetry:
         q = Fraction(q)
         if q == 0:
             raise ValueError("the parameter q must be nonzero")
+        if d < 1:
+            raise ValueError("dimension must be at least 1")
         dd = d * d
         if len(matrix) != dd or any(len(row) != dd for row in matrix):
             raise ValueError(f"matrix must be {dd}x{dd}")
@@ -96,25 +98,20 @@ class HeckeSymmetry:
         self._cache = {}
         _validate(self)
 
-    def _minus_q(self):
-        """Rows of b·M - a·s = b·s·(R - q), where R = M/s and q = a/b."""
-        dd = self.d * self.d
-        rows = [[0] * dd for _ in range(dd)]
-        for r, c, x in _entries(self, self.q.denominator, -self.q.numerator):
-            rows[r][c] = x
-        return rows
+    def _pair_basis(self, key: str):
+        """Im or Ker of b·M - a·s = b·s·(R - q), where R = M/s and q = a/b."""
+        a, b = self.q.numerator, self.q.denominator
+        return _memo(self, key, lambda: _relation_basis(
+            _entries(self, b, -a), self.d**2, key == "kernel"
+        ))
 
     def image_pair_basis(self):
         """Row basis of Im(R - q) inside V⊗V."""
-        return _memo(self, "image", lambda: tuple(
-            map(tuple, linalg.row_basis(zip(*self._minus_q()), self.d**2))
-        ))
+        return self._pair_basis("image")
 
     def kernel_pair_basis(self):
         """Basis of Ker(R - q) inside V⊗V."""
-        return _memo(self, "kernel", lambda: tuple(
-            map(tuple, linalg.nullspace(self._minus_q(), self.d**2))
-        ))
+        return self._pair_basis("kernel")
 
     def __repr__(self):
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
@@ -141,6 +138,20 @@ def _entries(sym: HeckeSymmetry, u: int, v: int):
         entries[c] = entries.get(c, 0) + v * s
         out += [(r, c, x) for r, x in entries.items() if x]
     return out
+
+
+def _relation_basis(entries, size: int, kernel: bool):
+    """A basis of Ker X if ``kernel``, else a row basis of Im X (the row
+    space of the transpose), for the size×size integer operator X with the
+    given nonzero ``(row, col, x)``.  The nonzero rows reach ``linalg`` in
+    index order, so every basis is that of the dense matrix: a zero row is
+    a no-op in ``linalg.Echelon``."""
+    rows = {}
+    for r, c, x in entries:
+        i, j = (r, c) if kernel else (c, r)
+        rows.setdefault(i, [0] * size)[j] = x
+    rows = [rows[i] for i in sorted(rows)]
+    return tuple(map(tuple, (linalg.nullspace if kernel else linalg.row_basis)(rows, size)))
 
 
 def _apply(cols, d: int, n: int, pos: int, vec):
@@ -261,6 +272,8 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
         d = int(keyed(2, "d"))
     except ValueError as exc:
         raise FileFormatError(2, f"bad dimension: {exc}") from None
+    if d < 1:
+        raise FileFormatError(2, "dimension must be at least 1")
     try:
         q = Fraction(keyed(3, "q"))
     except (ValueError, ZeroDivisionError) as exc:
@@ -386,17 +399,16 @@ def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
 # hom-space dimensions for a pair of symmetries
 
 
-def _conjugation_rows(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
-    """Rows of (conjugation - identity) on the square of Hom(V, V'), times
-    the nonzero integer a·s'·s.  Conjugation takes a two-slot map φ to
-    R'^{-1}·φ·R with R = M/s the source symmetry, and the quadratic relation
-    gives R'^{-1} = (R' - (q-1))/q = P/(a·s') with P = b·M' - (a-b)·s'."""
+def _conjugation_entries(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
+    """Nonzero ``(row, col, x)`` of the transpose of (conjugation - identity)
+    on the square of Hom(V, V'), times a·s'·s.  Conjugation takes a two-slot
+    map φ to R'^{-1}·φ·R with R = M/s the source symmetry, and the quadratic
+    relation gives R'^{-1} = (R' - (q-1))/q = P/(a·s') with P = b·M' - (a-b)·s'."""
     d, dp = sym_source.d, sym_target.d
     big = d * dp
-    size = big * big
     a, b = sym_source.q.numerator, sym_source.q.denominator
     scale = a * _columns(sym_target)[0] * _columns(sym_source)[0]
-    mat = [[-scale * (r == c) for c in range(size)] for r in range(size)]
+    out = {(k, k): -scale for k in range(big * big)}
     right = [
         (*divmod(r, d), *divmod(c, d), m) for r, c, m in _entries(sym_source, 1, 0)
     ]
@@ -405,8 +417,8 @@ def _conjugation_rows(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
         for b1, e1, b2, e2, m in right:
             row = (a2 * d + b2) * big + (c2 * d + e2)
             col = (a1 * d + b1) * big + (c1 * d + e1)
-            mat[row][col] += p * m
-    return mat
+            out[col, row] = out.get((col, row), 0) + p * m
+    return [(r, c, x) for (r, c), x in out.items() if x]
 
 
 def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
@@ -417,32 +429,19 @@ def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
         )
 
 
-def _hom_relations(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str):
-    """Pair relations of hom family ``kind``, built once per pair: the row
-    space of (conjugation - identity) for "A", the annihilator of
-    I = Im(conjugation - identity) for "E"."""
-
-    def build():
-        rows = _conjugation_rows(sym_target, sym_source)
-        size = len(rows)
-        if kind == "A":
-            return linalg.row_basis(rows, size)
-        return linalg.nullspace(zip(*rows), size)
-
-    return _memo(sym_source, (kind, "relations", sym_target), build)
-
-
 def hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n_max: int):
     """Dimensions for n = 0..n_max of hom family ``kind``: "A" as in
-    ``dim_intertwiner``, "E" as in ``dim_e_component``."""
+    ``dim_intertwiner``, "E" as in ``dim_e_component``.  The pair relations,
+    built once per pair, are Im X for "A" and Ker X for "E", with X the
+    transpose of (conjugation - identity)."""
     require_same_q(sym_target, sym_source)
-    return _cached_dims(
-        sym_source,
-        (kind, sym_target),
-        sym_source.d * sym_target.d,
-        lambda p: _hom_relations(sym_target, sym_source, kind),
-        n_max,
-    )
+    big = sym_source.d * sym_target.d
+    def relations(p):
+        return _memo(sym_source, (kind, "relations", sym_target), lambda: _relation_basis(
+            _conjugation_entries(sym_target, sym_source), big * big, kind == "E"
+        ))
+
+    return _cached_dims(sym_source, (kind, sym_target), big, relations, n_max)
 
 
 def dim_intertwiner(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:

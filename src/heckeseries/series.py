@@ -152,15 +152,8 @@ class TruncSeries:
         return self.coeffs[n]
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out)
+        n = min(self.order, other.order) + 1
+        return TruncSeries(poly_mul(self.coeffs[:n], other.coeffs[:n])[:n])
 
     __mul__ = mul
 
@@ -352,6 +345,8 @@ def hankel_minor(f: TruncSeries, i: int, k: int) -> Fraction:
         raise ValueError("window size must be nonnegative")
     if k and i + k - 1 > f.order:
         raise ValueError("window extends beyond the truncation order")
+    if i < 0 < k:
+        return Fraction(0)  # the first column a_{i-s} is all zero
     return schur_minor(f, (i,) * k)
 
 
@@ -410,7 +405,10 @@ def schur_values(f: TruncSeries):
 
 
 def schur_minor(f: TruncSeries, lam: Partition) -> Fraction:
-    """det(a_{lam_i - i + j}): a one-off read of ``schur_values``."""
+    """det(a_{lam_i - i + j}): a one-off read of ``schur_values``, for lam
+    weakly decreasing with no negative part (trailing zero parts allowed)."""
+    if any(x < 0 for x in lam) or any(x < y for x, y in zip(lam, lam[1:])):
+        raise ValueError(f"{tuple(lam)} is not a partition")
     return schur_values(f)(lam)
 
 

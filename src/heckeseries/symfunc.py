@@ -162,32 +162,28 @@ def _coeff_vector(u: SymElement, parts, index):
     return vec
 
 
+def _product(k, vec, transpose: bool):
+    """k·vec, or kᵀ·vec, for a square integer matrix k."""
+    rows = zip(*k) if transpose else k
+    return [sum(x * c for x, c in zip(row, vec) if x and c) for row in rows]
+
+
+def _conjugate_labels(vec, parts, index):
+    """Coordinates with Schur labels conjugated, an involution."""
+    return [vec[index[conjugate(lam)]] for lam in parts]
+
+
 def _to_schur(u: SymElement) -> SymElement:
     if u.basis == "s":
         return u
     parts, index, k_matrix, k_inverse = _CACHE.degree_data(u.degree)
     vec = _coeff_vector(u, parts, index)
-    n = len(parts)
-    out = [Fraction(0)] * n
-    if u.basis in ("h", "e"):
-        for j in range(n):
-            c = vec[j]
-            if not c:
-                continue
-            for i in range(j + 1):
-                k = k_matrix[i][j]
-                if k:
-                    row = i if u.basis == "h" else index[conjugate(parts[i])]
-                    out[row] += c * k
-    else:  # m: coordinates transform by the inverse transpose
-        for j in range(n):
-            c = vec[j]
-            if not c:
-                continue
-            for i in range(j, n):
-                k = k_inverse[j][i]
-                if k:
-                    out[i] += c * k
+    if u.basis == "m":
+        out = _product(k_inverse, vec, transpose=True)
+    else:
+        out = _product(k_matrix, vec, transpose=False)
+        if u.basis == "e":
+            out = _conjugate_labels(out, parts, index)
     return SymElement(u.degree, "s", dict(zip(parts, out)))
 
 
@@ -196,29 +192,12 @@ def _from_schur(u: SymElement, target: str) -> SymElement:
         return u
     parts, index, k_matrix, k_inverse = _CACHE.degree_data(u.degree)
     vec = _coeff_vector(u, parts, index)
-    n = len(parts)
-    if target == "e":
-        relabeled = [Fraction(0)] * n
-        for i in range(n):
-            relabeled[index[conjugate(parts[i])]] = vec[i]
-        vec = relabeled
-    out = [Fraction(0)] * n
-    if target in ("h", "e"):
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(i, n):
-                k = k_inverse[i][j]
-                if k and vec[j]:
-                    acc += k * vec[j]
-            out[i] = acc
-    else:  # m: coordinates transform by the transpose
-        for j in range(n):
-            acc = Fraction(0)
-            for i in range(j + 1):
-                k = k_matrix[i][j]
-                if k and vec[i]:
-                    acc += k * vec[i]
-            out[j] = acc
+    if target == "m":
+        out = _product(k_matrix, vec, transpose=True)
+    else:
+        if target == "e":
+            vec = _conjugate_labels(vec, parts, index)
+        out = _product(k_inverse, vec, transpose=False)
     return SymElement(u.degree, target, dict(zip(parts, out)))
 
 

@@ -12,6 +12,9 @@ columns, so use them only at small n.
 the first applies R to dense vectors on V⊗3 (``apply_block``) and raises
 what the library's validator raises, the second builds the conjugation on
 the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
+``dense_pair_bases`` and ``dense_hom_relations`` are the dense route to the
+relation bases that the library builds from sparse nonzero entries: every
+row of the full matrix, zero or not, goes through ``linalg`` in index order.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
@@ -48,6 +51,7 @@ integer matrices that the pairings of h and e products must reproduce.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from heckeseries import linalg
 from heckeseries.partitions import (
@@ -210,6 +214,28 @@ def conj_minus_one(sym_target, sym_source):
     conj = pair_conjugation_matrix(sym_target, sym_source)
     size = len(conj)
     return [[conj[r][c] - (r == c) for c in range(size)] for r in range(size)]
+
+
+def dense_pair_bases(sym):
+    """(Im, Ker) bases of R - q from the full d²×d² integer matrix
+    b·M - a·s = b·s·(R - q), for q = a/b and R = M/s; the image is the row
+    space of its transpose."""
+    dd = sym.d**2
+    a, b = sym.q.numerator, sym.q.denominator
+    s = lcm(*(x.denominator for row in sym.matrix for x in row))
+    rows = [
+        [b * int(x * s) - a * s * (r == c) for c, x in enumerate(row)]
+        for r, row in enumerate(sym.matrix)
+    ]
+    return linalg.row_basis(zip(*rows), dd), linalg.nullspace(rows, dd)
+
+
+def dense_hom_relations(sym_target, sym_source):
+    """(A, E) pair relations from the full matrix of (conjugation - identity):
+    its row space, and the null space of its transpose."""
+    rows = conj_minus_one(sym_target, sym_source)
+    size = len(rows)
+    return linalg.row_basis(rows, size), linalg.nullspace(zip(*rows), size)
 
 
 def intertwiner_dim(sym_target, sym_source, n: int) -> int:

@@ -308,6 +308,19 @@ class TestCompute:
         assert code == 2
         assert "line 1" in err
 
+    def test_nonpositive_file_dimension_is_a_usage_error(self, capsys, tmp_path):
+        # d = -1 with one row has a matrix of the right shape for d*d = 1
+        for d, rows in ((-1, "2\n"), (0, "")):
+            path = tmp_path / "dim.txt"
+            path.write_text(f"hecke-symmetry v1\nd = {d}\nq = 1\n{rows}")
+            for what in ("sym", "ext"):
+                code, out, err = run(
+                    capsys, "compute", "--symmetry", f"file:{path}",
+                    "--what", what, "--degree", "3",
+                )
+                assert (code, out) == (2, "")
+                assert "line 2: dimension must be at least 1" in err
+
     def test_invalid_symmetry_rejected(self, capsys, tmp_path):
         path = tmp_path / "braidless.txt"
         path.write_text(
@@ -345,6 +358,19 @@ class TestCompute:
             capsys, "compute", "--symmetry", "std:r=two,q=2", "--what", "sym"
         )
         assert code == 2
+
+    def test_std_specifier_takes_exactly_r_and_q(self, capsys):
+        for spec in ("std:r=2,q=2,x=1", "std:r=2,r=3,q=2", "std:r=2", "std:r=2,q"):
+            code, out, err = run(
+                capsys, "compute", "--symmetry", spec, "--what", "sym", "--degree", "2"
+            )
+            assert (code, out) == (2, "")
+            assert f"std specifier must be 'std:r=R,q=Q', got {spec!r}" in err
+        for spec in ("std:r=2,q=2", "std:q=2,r=2"):
+            code, out, _ = run(
+                capsys, "compute", "--symmetry", spec, "--what", "sym", "--degree", "2"
+            )
+            assert (code, out) == (0, "1, 2, 3\n")
 
     def test_validation_stays_cheap_up_to_the_dimension_cap(self, capsys):
         # d = 16 is the largest d whose V⊗3 fits the cap; validation works

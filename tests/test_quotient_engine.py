@@ -172,9 +172,13 @@ def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
     a, b = HOM_SYMS[target](), HOM_SYMS[source]()
     rng = random.Random("conj" + target + source)
     for pair in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
-        rows = rmatrix._conjugation_rows(*pair)
         want = oracles.conj_minus_one(*pair)
         size = len(want)
+        # the entries are the nonzeros of the transpose, each listed once
+        rows = [[0] * size for _ in range(size)]
+        for r, c, x in rmatrix._conjugation_entries(*pair):
+            assert x and not rows[c][r]
+            rows[c][r] = x
         factor = next(
             x / y for row, wrow in zip(rows, want) for x, y in zip(row, wrow) if y
         )
@@ -183,9 +187,29 @@ def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
         assert nullspace(zip(*rows), size) == nullspace(zip(*want), size)
 
 
+def test_relation_bases_equal_the_dense_route():
+    """The one sparse relation builder gives the pair bases and the hom
+    relations of the full matrices, bit for bit, under their memo keys."""
+    rng = random.Random("relation bases")
+    for name, build, _ in BUILTINS:
+        for sym in (build(), dense_conjugate(build(), rng)):
+            image, kernel = oracles.dense_pair_bases(sym)
+            assert sym.image_pair_basis() == tuple(map(tuple, image)), name
+            assert sym.kernel_pair_basis() == tuple(map(tuple, kernel)), name
+            assert sym._cache["image"] is sym.image_pair_basis()
+            assert sym._cache["kernel"] is sym.kernel_pair_basis()
+    for target, source in HOM_PAIRS:
+        a, b = HOM_SYMS[target](), HOM_SYMS[source]()
+        for t, s in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
+            for kind, want in zip("AE", oracles.dense_hom_relations(t, s)):
+                rmatrix.hom_dims(t, s, kind, 2)
+                got = s._cache[kind, "relations", t]
+                assert got == tuple(map(tuple, want)), (target, source, kind)
+
+
 def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     calls = {"chains": 0, "conj": 0}
-    engine, conj = rmatrix._graded_quotient_dims, rmatrix._conjugation_rows
+    engine, conj = rmatrix._graded_quotient_dims, rmatrix._conjugation_entries
 
     def counting_engine(*args):
         calls["chains"] += 1
@@ -196,9 +220,9 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
         return conj(*args)
 
     monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
-    monkeypatch.setattr(rmatrix, "_conjugation_rows", counting_conj)
+    monkeypatch.setattr(rmatrix, "_conjugation_entries", counting_conj)
     # one sym chain (source and target coincide); one A and one E chain,
-    # each with its conjugation rows
+    # each with its conjugation entries
     assert verify.suite_homspace(*[build_standard(2, 2)] * 2, 5).passed
     assert calls == {"chains": 3, "conj": 2}
     calls.update(chains=0, conj=0)

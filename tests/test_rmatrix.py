@@ -186,6 +186,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_and_validate(1, 0, [[1]])
 
+    def test_dimension_must_be_positive(self):
+        # d = -1 and d = 0 give a 1x1 and a 0x0 matrix of the right shape
+        for d, matrix in ((-1, [[2]]), (0, [])):
+            with pytest.raises(ValueError, match="dimension must be at least 1"):
+                load_and_validate(d, 2, matrix)
+            with pytest.raises(FileFormatError) as info:
+                parse_symmetry_text(
+                    f"hecke-symmetry v1\nd = {d}\nq = 2\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in matrix)
+                )
+            assert info.value.line == 2
+            assert "dimension must be at least 1" in str(info.value)
+
 
 def braid_generator(sym, n, pos, vec):
     """The braid generator at slots (pos, pos+1) of the n-th tensor power,

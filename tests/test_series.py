@@ -142,6 +142,18 @@ class TestHankelMinor:
         f = TruncSeries([1, 1, 1, 1])
         # determinant window sticking out to the left
         assert hankel_minor(f, 0, 2) == 1 * 1 - 1 * 0
+        # a negative top index reads no coefficient from the end of the list
+        g = TruncSeries([1, 2, 3, 5, 8])
+        for i in (-3, -2, -1):
+            for k in (1, 2):
+                assert hankel_minor(g, i, k) == jacobi_trudi_det(g, (i,) * k) == 0
+
+    def test_schur_minor_refuses_non_partitions(self):
+        f = TruncSeries([1, 2, 3, 5, 8])
+        for lam in ((2, -1), (0, 2), (-1,), (1, 0, 1)):
+            with pytest.raises(ValueError):
+                schur_minor(f, lam)
+        assert schur_minor(f, (2, 0, 0)) == jacobi_trudi_det(f, (2, 0, 0))
 
     def test_window_overflow(self):
         with pytest.raises(ValueError):
