@@ -52,20 +52,11 @@ def _size(text: str) -> int:
     return value
 
 
-def _parse_rationals(text: str) -> list[Fraction]:
-    toks = [t.strip() for t in text.split(",")]
-    if not toks or any(not t for t in toks):
-        raise UsageError(f"malformed rational list {text!r}")
-    try:
-        return [Fraction(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed rational list {text!r}: {exc}") from None
-
-
 def _certificate_from_flags(series_text, alphas, betas, suffix=""):
     from .series import (
         BirankCertificate,
         check_certificate_degree,
+        parse_rationals,
         poly_from_roots,
         poly_negate_t,
         split_rational_form,
@@ -80,7 +71,7 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
             texts = split_rational_form(series_text)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        num, den = map(_parse_rationals, texts)
+        num, den = map(parse_rationals, texts)
         # the series is f1(-t)/f0(t): numerator determines f1
         return BirankCertificate.from_polynomials(den, poly_negate_t(num))
     if not alphas and not betas:
@@ -90,7 +81,7 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
         )
     polys = []
     for roots in (alphas, betas):
-        roots = _parse_rationals(roots) if roots else ()
+        roots = parse_rationals(roots) if roots else ()
         check_certificate_degree(len(roots))
         polys.append(poly_from_roots(roots))
     return BirankCertificate.from_polynomials(*polys)
@@ -203,7 +194,7 @@ def cmd_series(args) -> int:
     from . import series
 
     if args.action == "detect-rational":
-        coeffs = _parse_rationals(_require(args.coeffs, "--coeffs"))
+        coeffs = series.parse_rationals(_require(args.coeffs, "--coeffs"))
         f = series.TruncSeries(coeffs)
         r_max = args.rmax if args.rmax is not None else max(0, f.order // 2)
         form = series.detect_rational(f, r_max)
@@ -241,9 +232,9 @@ def _require(value, flag: str):
 def _padded_series(text: str, order: int):
     """Coefficient lists on the command line denote polynomials: everything
     beyond the last given coefficient is an exact zero."""
-    from .series import TruncSeries
+    from .series import TruncSeries, parse_rationals
 
-    coeffs = _parse_rationals(text)
+    coeffs = parse_rationals(text)
     if len(coeffs) < order + 1:
         coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncSeries(coeffs)

@@ -72,14 +72,15 @@ def _memo(sym, key, build):
 
 
 class HeckeSymmetry:
-    """A validated solution R of the braid + quadratic relations on V⊗V.
-
-    ``matrix`` is d²×d² over exact rationals; column (i-1)·d + (j-1) holds
-    R(e_i⊗e_j) expressed with row (k-1)·d + (l-1) for the e_k⊗e_l component.
-    Instances are immutable after construction and safe to share.
+    """A validated solution R of the braid + quadratic relations on V⊗V,
+    stored once as M/s for an integer d²×d² matrix M: ``cols[c]`` lists the
+    nonzero ``(row, M[row][c])`` with rows ascending, and ``s`` is the lcm
+    of the entries' denominators.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j),
+    row (k-1)·d + (l-1) its e_k⊗e_l component.  ``matrix`` is a derived
+    read.  Instances are immutable after construction.
     """
 
-    __slots__ = ("d", "q", "matrix", "source", "_cache")
+    __slots__ = ("d", "q", "s", "cols", "source", "_cache")
 
     def __init__(self, d: int, q, matrix, source: str = "user"):
         q = Fraction(q)
@@ -93,10 +94,21 @@ class HeckeSymmetry:
         _check_cap(d, 3)
         self.d = d
         self.q = q
-        self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = [[Fraction(x) for x in row] for row in matrix]
+        cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
+        self.s = s = lcm(*(x.denominator for col in cols for _, x in col))
+        self.cols = tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
         self.source = source
         self._cache = {}
         _validate(self)
+
+    @property
+    def matrix(self):
+        """R as d² rows of d² ``Fraction`` entries, rebuilt from ``cols``."""
+        cols = [dict(col) for col in self.cols]
+        return tuple(
+            tuple(Fraction(col.get(r, 0), self.s) for col in cols) for r in range(len(cols))
+        )
 
     def _pair_basis(self, key: str):
         """Im or Ker of b·M - a·s = b·s·(R - q), where R = M/s and q = a/b."""
@@ -117,25 +129,12 @@ class HeckeSymmetry:
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
 
 
-def _columns(sym: HeckeSymmetry):
-    """``(s, cols)`` with R = M/s for an integer matrix M: ``cols[c]`` lists
-    the nonzero ``(row, M[row][c])``.  All arithmetic on R reads these."""
-
-    def build():
-        cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*sym.matrix)]
-        s = lcm(*(x.denominator for col in cols for _, x in col))
-        return s, tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
-
-    return _memo(sym, "columns", build)
-
-
 def _entries(sym: HeckeSymmetry, u: int, v: int):
     """Nonzero ``(row, col, x)`` of the integer matrix u·M + v·s."""
-    s, cols = _columns(sym)
     out = []
-    for c, col in enumerate(cols):
+    for c, col in enumerate(sym.cols):
         entries = {r: u * m for r, m in col}
-        entries[c] = entries.get(c, 0) + v * s
+        entries[c] = entries.get(c, 0) + v * sym.s
         out += [(r, c, x) for r, x in entries.items() if x]
     return out
 
@@ -174,7 +173,7 @@ def _validate(sym: HeckeSymmetry):
     d = sym.d
     dd = d * d
     a, b = sym.q.numerator, sym.q.denominator
-    s, cols = _columns(sym)
+    s, cols = sym.s, sym.cols
     # quadratic relation (R - q)(R + 1) = 0, column by column, as
     # (b·M - a·s)(M + s) = 0
     for c in range(dd):
@@ -204,7 +203,7 @@ def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
     d = len(parity)
     _check_cap(d, 3)  # before the d**4 matrix entries are built
     dd = d * d
-    mat = [[Fraction(0)] * dd for _ in range(dd)]
+    mat = [[0] * dd for _ in range(dd)]
     for i in range(d):
         for j in range(d):
             col = i * d + j
@@ -274,22 +273,22 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
         raise FileFormatError(2, f"bad dimension: {exc}") from None
     if d < 1:
         raise FileFormatError(2, "dimension must be at least 1")
+    _check_cap(d, 3)  # before any of the d**4 entries is read
     try:
         q = Fraction(keyed(3, "q"))
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(3, f"bad q: {exc}") from None
+    if q == 0:
+        raise FileFormatError(3, "the parameter q must be nonzero")
     dd = d * d
     body = lines[3:]
     if len(body) < dd:
         raise FileFormatError(len(lines), f"expected {dd} matrix rows")
     matrix = []
-    for k in range(dd):
-        line_no = 4 + k
-        toks = body[k].split()
+    for line_no, line in enumerate(body[:dd], 4):
+        toks = line.split()
         if len(toks) != dd:
-            raise FileFormatError(
-                line_no, f"expected {dd} entries, got {len(toks)}"
-            )
+            raise FileFormatError(line_no, f"expected {dd} entries, got {len(toks)}")
         try:
             matrix.append([Fraction(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
@@ -407,7 +406,7 @@ def _conjugation_entries(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
     d, dp = sym_source.d, sym_target.d
     big = d * dp
     a, b = sym_source.q.numerator, sym_source.q.denominator
-    scale = a * _columns(sym_target)[0] * _columns(sym_source)[0]
+    scale = a * sym_target.s * sym_source.s
     out = {(k, k): -scale for k in range(big * big)}
     right = [
         (*divmod(r, d), *divmod(c, d), m) for r, c, m in _entries(sym_source, 1, 0)

@@ -127,6 +127,18 @@ def poly_from_roots(roots) -> list[Fraction]:
 # truncated series
 
 
+def parse_rationals(text: str) -> list[Fraction]:
+    """The rationals of a comma list 'a,b,c'; an empty or malformed item
+    raises ValueError."""
+    toks = [t.strip() for t in text.split(",")]
+    if not all(toks):
+        raise ValueError(f"malformed rational list {text!r}")
+    try:
+        return [Fraction(t) for t in toks]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational list {text!r}: {exc}") from None
+
+
 class TruncSeries:
     """Power series known exactly up to and including degree `order`."""
 
@@ -185,10 +197,7 @@ class TruncSeries:
 
     @classmethod
     def parse(cls, text: str) -> "TruncSeries":
-        toks = [t.strip() for t in text.split(",")]
-        if not toks or any(not t for t in toks):
-            raise ValueError(f"malformed series {text!r}")
-        return cls([Fraction(t) for t in toks])
+        return cls(parse_rationals(text))
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -248,11 +257,7 @@ class RationalForm(_RationalFormFields):
 
     @classmethod
     def parse(cls, text: str) -> "RationalForm":
-        num, den = split_rational_form(text)
-        return cls(
-            tuple(Fraction(t.strip()) for t in num.split(",")),
-            tuple(Fraction(t.strip()) for t in den.split(",")),
-        )
+        return cls(*map(parse_rationals, split_rational_form(text)))
 
 
 def split_rational_form(text: str) -> tuple[str, str]:

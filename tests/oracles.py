@@ -189,8 +189,9 @@ def pair_conjugation_matrix(sym_target, sym_source):
     big = d * dp
     q = sym_target.q
     ddp = dp * dp
+    tmat = sym_target.matrix
     rinv = [
-        [(sym_target.matrix[r][c] - (q - 1) * (r == c)) / q for c in range(ddp)]
+        [(tmat[r][c] - (q - 1) * (r == c)) / q for c in range(ddp)]
         for r in range(ddp)
     ]
     rmat = sym_source.matrix

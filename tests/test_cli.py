@@ -567,6 +567,16 @@ class TestSeries:
         assert code == 1
         assert out.strip() == "violation at [1,1,1]: -1"
 
+    @pytest.mark.parametrize(
+        "coeffs, err",
+        [
+            ("1,,2", "error: malformed rational list '1,,2'\n"),
+            ("1,1/0", "error: malformed rational list '1,1/0': Fraction(1, 0)\n"),
+        ],
+    )
+    def test_malformed_coefficient_lists_are_usage_errors(self, capsys, coeffs, err):
+        assert run(capsys, "series", "detect-rational", "--coeffs", coeffs) == (2, "", err)
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "series", "detect-rational")
         assert code == 2
@@ -637,6 +647,11 @@ class TestParser:
             "1, 2000001, 3000004000002, 4000010000010000003, "
             "5000020000031000020000005"
         )
+
+
+# symmetry files over the dimension cap: name -> (d, whether all d*d rows
+# are written, each of d*d zeros)
+CAP_FILES = {"zeros17.hs": (17, True), "head17.hs": (17, False), "head100.hs": (100, False)}
 
 
 class TestTypedFailures:
@@ -765,9 +780,24 @@ class TestTypedFailures:
             # validation works on V⊗3
             (("compute", "--symmetry", "std:r=17,q=2", "--what", "sym",
               "--degree", "1"), "17**3"),
+            # a file's d is refused on line 2, before any row is read: a
+            # complete all-zero file and files that stop after the q line
+            *(
+                (("compute", "--symmetry", f"file:{name}", "--what", "sym",
+                  "--degree", "1"), f"{d}**3")
+                for name, (d, _) in CAP_FILES.items()
+            ),
         ],
     )
-    def test_dimension_cap_exits_3_before_any_work(self, capsys, argv, power):
+    def test_dimension_cap_exits_3_before_any_work(
+        self, capsys, tmp_path, monkeypatch, argv, power
+    ):
+        monkeypatch.chdir(tmp_path)
+        name = argv[2].removeprefix("file:")
+        if name in CAP_FILES:
+            d, complete = CAP_FILES[name]
+            rows = (" ".join(["0"] * d * d) + "\n") * (d * d) if complete else ""
+            (tmp_path / name).write_text(f"hecke-symmetry v1\nd = {d}\nq = 2\n{rows}")
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0

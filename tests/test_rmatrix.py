@@ -20,7 +20,6 @@ from heckeseries.rmatrix import (
     HeckeViolation,
     SymmetryError,
     _apply,
-    _columns,
     build_standard,
     build_super,
     dim_e_component,
@@ -130,12 +129,8 @@ class TestBuilders:
         assert sym.matrix == tuple(tuple(Fraction(x) for x in r) for r in expected)
 
     def test_nilpotent_square_at_minus_one(self):
-        sym = build_standard(2, -1)
-        dd = 4
-        m = [
-            [sym.matrix[i][j] + (i == j) for j in range(dd)]
-            for i in range(dd)
-        ]
+        mat = build_standard(2, -1).matrix
+        m = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
         assert all(x == 0 for row in mat_mul(m, m) for x in row)
 
     def test_builder_argument_validation(self):
@@ -203,9 +198,66 @@ class TestValidation:
 def braid_generator(sym, n, pos, vec):
     """The braid generator at slots (pos, pos+1) of the n-th tensor power,
     through the sparse integer apply: R = M/s."""
-    s, cols = _columns(sym)
-    out = _apply(cols, sym.d, n, pos, {x: int(v) for x, v in enumerate(vec) if v})
-    return [Fraction(out.get(x, 0), s) for x in range(len(vec))]
+    out = _apply(sym.cols, sym.d, n, pos, {x: int(v) for x, v in enumerate(vec) if v})
+    return [Fraction(out.get(x, 0), sym.s) for x in range(len(vec))]
+
+
+def seeded_conjugate(sym, seed):
+    """(g⊗g) R (g⊗g)^-1 for a seeded unit lower-triangular g with
+    fractional entries, as Fraction rows: a dense fractional user matrix."""
+    rng = random.Random(seed)
+    d = sym.d
+    g, g_inv = identity(d), identity(d)
+    for i in range(d):
+        for j in range(i):
+            g[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            # forward substitution: row i of g^-1 from the rows above it
+            g_inv[i] = [x - g[i][j] * y for x, y in zip(g_inv[i], g_inv[j])]
+    gg, gg_inv = kron(g, g), kron(g_inv, g_inv)
+    assert mat_mul(gg, gg_inv) == identity(d * d)
+    return mat_mul(mat_mul(gg, [list(row) for row in sym.matrix]), gg_inv)
+
+
+STORED_FORM_BUILDS = {
+    "std1": lambda: build_standard(1, 2),
+    "std2": lambda: build_standard(2, Fraction(3, 2)),
+    "std3": lambda: build_standard(3, -1),
+    "super11": lambda: build_super(1, 1, Fraction(1, 2)),
+    "super21": lambda: build_super(2, 1, 3),
+}
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("dense", [False, True], ids=["builtin", "dense"])
+    @pytest.mark.parametrize("name", sorted(STORED_FORM_BUILDS))
+    def test_int_fraction_and_string_rows_store_one_form(self, name, dense):
+        sym = STORED_FORM_BUILDS[name]()
+        rows = seeded_conjugate(sym, name) if dense else [list(row) for row in sym.matrix]
+        assert not dense or sym.d == 1 or any(x.denominator > 1 for row in rows for x in row)
+        # the same rows as Fractions, as ints where integral, and as strings
+        # with zeros written "0" and non-integers unreduced, -1/2 as "-3/6"
+        as_ints = [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+        as_text = [
+            [str(x) if x.denominator == 1 else f"{3 * x.numerator}/{3 * x.denominator}" for x in row]
+            for row in rows
+        ]
+        forms = [load_and_validate(sym.d, sym.q, m) for m in (rows, as_ints, as_text)]
+        s, cols = forms[0].s, forms[0].cols
+        assert all((f.s, f.cols) == (s, cols) for f in forms)
+        assert s == math.lcm(*(x.denominator for row in rows for x in row))
+        assert len(cols) == sym.d**2
+        for col in cols:
+            assert all(type(m) is int and m for _, m in col)
+            assert [r for r, _ in col] == sorted({r for r, _ in col})
+        assert forms[0].matrix == tuple(map(tuple, rows))
+        text = serialize_symmetry(forms[0])
+        assert serialize_symmetry(parse_symmetry_text(text)) == text
+
+    def test_entries_are_converted_before_zeros_drop(self):
+        sym = load_and_validate(1, Fraction(-1, 2), [["-3/6"]])
+        assert (sym.s, sym.cols) == (2, (((0, -1),),))
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: 'two'"):
+            load_and_validate(1, 2, [["two"]])
 
 
 class TestTensorOperator:
@@ -470,6 +522,10 @@ class TestSerialization:
         with pytest.raises(FileFormatError) as info:
             parse_symmetry_text("hecke-symmetry v1\nd = 1\nq = zero\n1\n")
         assert info.value.line == 3
+        with pytest.raises(FileFormatError) as info:
+            parse_symmetry_text("hecke-symmetry v1\nd = 1\nq = 0\n1\n")
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: the parameter q must be nonzero"
 
     def test_entry_errors_carry_line_numbers(self):
         good = serialize_symmetry(build_standard(2, 2))

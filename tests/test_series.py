@@ -26,6 +26,7 @@ from heckeseries.series import (
     expand_ratio,
     exterior_from_symmetric,
     hankel_minor,
+    parse_rationals,
     poly_mul,
     poly_from_roots,
     predict_hom_series,
@@ -91,6 +92,31 @@ class TestTruncSeries:
     def test_one(self):
         f = TruncSeries.one(3)
         assert f.coeffs == (1, 0, 0, 0)
+
+
+def test_parse_rationals():
+    assert parse_rationals(" 1, -3/6 ,0") == [1, Fraction(-1, 2), 0]
+    assert TruncSeries.parse("1, 1/2").coeffs == (1, Fraction(1, 2))
+    assert RationalForm.parse("1,2; 1,-1") == RationalForm((1, 2), (1, -1))
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_rationals, "1,", "malformed rational list '1,'"),
+        (parse_rationals, "", "malformed rational list ''"),
+        (parse_rationals, "1,x", "malformed rational list '1,x': Invalid literal for Fraction: 'x'"),
+        (parse_rationals, "1,1/0", "malformed rational list '1,1/0': Fraction(1, 0)"),
+        (TruncSeries.parse, "1,1/0", "malformed rational list '1,1/0': Fraction(1, 0)"),
+        (TruncSeries.parse, "1,,2", "malformed rational list '1,,2'"),
+        (RationalForm.parse, "1;1,1/0", "malformed rational list '1,1/0': Fraction(1, 0)"),
+        (RationalForm.parse, "1,,2;1", "malformed rational list '1,,2'"),
+    ],
+)
+def test_malformed_rational_lists_raise_value_error(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_expand_ratio():
