@@ -64,11 +64,8 @@ def poly_from_roots(roots):
     return out
 
 
-def test_criterion_01_standard_family(record_property):
-    record_property(
-        "criterion",
-        (1, "standard family: binomial dimensions, certificate, duality"),
-    )
+def test_criterion_01_standard_family(criterion):
+    criterion(1, "standard family: binomial dimensions, certificate, duality")
     t0 = time.monotonic()
     for r in (1, 2, 3):
         for q in (Fraction(1), Fraction(2), Fraction(-1)):
@@ -101,10 +98,8 @@ def test_criterion_01_standard_family(record_property):
     assert time.monotonic() - t0 < 60
 
 
-def test_criterion_02_super_family(record_property):
-    record_property(
-        "criterion", (2, "super (1,1) family: dimensions and birank")
-    )
+def test_criterion_02_super_family(criterion):
+    criterion(2, "super (1,1) family: dimensions and birank")
     t0 = time.monotonic()
     for q in (Fraction(1), Fraction(2)):
         sym = build_super(1, 1, q)
@@ -122,11 +117,8 @@ HOM_PAIRS = [
 ]
 
 
-def test_criterion_03_hom_space_dimensions(record_property):
-    record_property(
-        "criterion",
-        (3, "intertwiner dimensions match pairing product and closed form"),
-    )
+def test_criterion_03_hom_space_dimensions(criterion):
+    criterion(3, "intertwiner dimensions match pairing product and closed form")
     t0 = time.monotonic()
     for (al_t, be_t), (al_s, be_s), mk_target, mk_source in HOM_PAIRS:
         target, source = mk_target(), mk_source()
@@ -170,11 +162,8 @@ def test_criterion_03_hom_space_dimensions(record_property):
     assert time.monotonic() - t0 < 120
 
 
-def test_criterion_04_dual_component_dimensions(record_property):
-    record_property(
-        "criterion",
-        (4, "kernel-side dimensions equal the inverted-series transform"),
-    )
+def test_criterion_04_dual_component_dimensions(criterion):
+    criterion(4, "kernel-side dimensions equal the inverted-series transform")
     for (_, _), (_, _), mk_target, mk_source in HOM_PAIRS:
         target, source = mk_target(), mk_source()
         a_dims = [dim_intertwiner(target, source, n) for n in range(5)]
@@ -185,11 +174,8 @@ def test_criterion_04_dual_component_dimensions(record_property):
     assert [dim_e_component(a, a, n) for n in range(5)] == [1, 4, 6, 4, 1]
 
 
-def test_criterion_05_character_shadow(record_property):
-    record_property(
-        "criterion",
-        (5, "quotient dimensions equal series values; total dimension splits"),
-    )
+def test_criterion_05_character_shadow(criterion):
+    criterion(5, "quotient dimensions equal series values; total dimension splits")
     for sym in (build_standard(2, 2), build_super(1, 1, 1)):
         horizon = max(5, sym.d + 2)
         fs = TruncSeries([Fraction(v) for v in symmetric_dims(sym, horizon)])
@@ -221,10 +207,8 @@ def test_criterion_05_character_shadow(record_property):
             assert total == sym.d**n, (sym, n)
 
 
-def test_criterion_06_detection_roundtrip(record_property):
-    record_property(
-        "criterion", (6, "rational detection recovers 200 random coprime pairs")
-    )
+def test_criterion_06_detection_roundtrip(criterion):
+    criterion(6, "rational detection recovers 200 random coprime pairs")
     t0 = time.monotonic()
     rng = random.Random(31415926)
     recovered = 0
@@ -253,10 +237,8 @@ def test_criterion_06_detection_roundtrip(record_property):
     assert time.monotonic() - t0 < 10
 
 
-def test_criterion_07_support_law(record_property):
-    record_property(
-        "criterion", (7, "Schur values nonnegative with exact hook support")
-    )
+def test_criterion_07_support_law(criterion):
+    criterion(7, "Schur values nonnegative with exact hook support")
     for r0, r1 in ((2, 0), (1, 1), (0, 2), (2, 1)):
         cert = BirankCertificate.from_polynomials(
             poly_from_roots((1,) * r0), poly_from_roots((1,) * r1)
@@ -269,10 +251,8 @@ def test_criterion_07_support_law(record_property):
                 assert (val > 0) == in_hook(lam, r0, r1), (r0, r1, lam, val)
 
 
-def test_criterion_08_symmetric_function_identities(record_property):
-    record_property(
-        "criterion", (8, "ring identity suite through weight 7")
-    )
+def test_criterion_08_symmetric_function_identities(criterion):
+    criterion(8, "ring identity suite through weight 7")
     # alternating convolution of the two generator families vanishes
     for n in range(1, 8):
         total = SymElement(n, "s", {})
@@ -335,10 +315,8 @@ def random_unit_series(rng, order):
     )
 
 
-def test_criterion_09_pairing_product_laws(record_property):
-    record_property(
-        "criterion", (9, "pairing-product laws on 50 random series")
-    )
+def test_criterion_09_pairing_product_laws(criterion):
+    criterion(9, "pairing-product laws on 50 random series")
     rng = random.Random(2718281)
     order = 6
     for _ in range(50):
@@ -366,10 +344,8 @@ def test_criterion_09_pairing_product_laws(record_property):
         assert diamond(f, geo, order).coeffs == f.scale_variable(a).coeffs
 
 
-def test_criterion_10_validator_soundness(record_property):
-    record_property(
-        "criterion", (10, "validators accept the families, reject the fake")
-    )
+def test_criterion_10_validator_soundness(criterion):
+    criterion(10, "validators accept the families, reject the fake")
     for r in (1, 2, 3, 4):
         for q in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)):
             sym = build_standard(r, q)
