@@ -6,10 +6,12 @@ and every row is kept gcd-reduced, so every intermediate value is an exact
 integer no matter how badly conditioned the input is.  ``Echelon.reduced``
 turns its rows into reduced echelon form with one common integer pivot
 value.  ``rank``, ``row_basis`` and ``nullspace`` are thin readers of one
-``Echelon``.  Matrices are lists of rows.  Determinants and square solves
-are not among them: the only determinants the package needs, Schur values,
-come from the memoised expansion in ``series.schur_values``, and recurrence
-detection solves its nested systems in one Berlekamp-Massey pass.
+``Echelon``, and so is ``symfunc``'s inverse Kostka matrix, the right half
+of the reduced rows [K | I].  Matrices are lists of rows.  Determinants and
+square solves are not among the readers: the only determinants the package
+needs, Schur values, come from the memoised expansion in
+``series.schur_values``, and recurrence detection solves its nested systems
+in one Berlekamp-Massey pass.
 ``primitive`` is the one gcd reduction, shared with the integer series
 kernels.
 
@@ -156,17 +158,3 @@ def nullspace(rows, ncols: int) -> list[list[int]]:
             x[p] = -row[f]
         basis.append(clear_denominators(x))
     return basis
-
-
-def invert_unitriangular(u) -> list[list[int]]:
-    """Inverse of an upper triangular integer matrix with unit diagonal."""
-    p = len(u)
-    if any(u[i][i] != 1 for i in range(p)):
-        raise ValueError("matrix is not unitriangular")
-    inv = [[0] * p for _ in range(p)]
-    for j in range(p):
-        inv[j][j] = 1
-        for i in range(j - 1, -1, -1):
-            s = sum(u[i][k] * inv[k][j] for k in range(i + 1, j + 1) if u[i][k])
-            inv[i][j] = -s
-    return inv

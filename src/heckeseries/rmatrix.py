@@ -22,6 +22,12 @@ from .partitions import as_partition, weight
 # past the first check with such a degree.
 DIMENSION_CAP = 4096
 
+# Validation applies M to every basis vector of V⊗2 and V⊗3, so on dense
+# input its work grows like d**8 well inside the dimension cap.  Symmetries
+# whose bound on that work (``_validation_steps``) exceeds this are refused
+# before the first step.
+VALIDATION_CAP = 10**7
+
 
 class SymmetryError(ValueError):
     """Base class for validation failures of a candidate symmetry."""
@@ -94,7 +100,12 @@ class HeckeSymmetry:
         _check_cap(d, 3)
         self.d = d
         self.q = q
-        rows = [[Fraction(x) for x in row] for row in matrix]
+        # int and Fraction zeros are dropped unconverted; any other entry,
+        # a "0" string included, is converted in row order
+        rows = [
+            [Fraction(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
+            for row in matrix
+        ]
         cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
         self.s = s = lcm(*(x.denominator for col in cols for _, x in col))
         self.cols = tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
@@ -169,11 +180,31 @@ def _apply(cols, d: int, n: int, pos: int, vec):
     return {k: v for k, v in out.items() if v}
 
 
+def _validation_steps(d: int, cols) -> int:
+    """An upper bound on the inner-loop steps of ``_validate``'s ``_apply``
+    calls.  With at most m nonzeros per column, M applied to a vector of k
+    entries takes at most k·m steps and leaves at most k·m entries, and at
+    most d**3 on V⊗3: two applies per column of V⊗2, to a basis vector and
+    to a vector of at most m + 1 entries, and three applies per side of the
+    braid identity on each of the d**3 basis vectors of V⊗3."""
+    m = max(map(len, cols))
+    steps, k = d * d * (m + (m + 1) * m), 1
+    for _ in range(3):
+        steps += 2 * d**3 * k * m
+        k = min(k * m, d**3)
+    return steps
+
+
 def _validate(sym: HeckeSymmetry):
     d = sym.d
     dd = d * d
     a, b = sym.q.numerator, sym.q.denominator
     s, cols = sym.s, sym.cols
+    steps = _validation_steps(d, cols)
+    if steps > VALIDATION_CAP:
+        raise CapExceeded(
+            f"validation work bound {steps} exceeds cap {VALIDATION_CAP}"
+        )
     # quadratic relation (R - q)(R + 1) = 0, column by column, as
     # (b·M - a·s)(M + s) = 0
     for c in range(dd):

@@ -2,8 +2,8 @@
 
 The conversion engine is deliberately small: every change of basis routes
 through the Schur basis using the Kostka matrix and its integer inverse.
-Products use Littlewood-Richardson coefficients; evaluations of a series
-homomorphism use the h-basis, where the homomorphism is defined.
+Products concatenate h-labels, h_lam * h_mu = h_(lam u mu), and evaluations
+of a series homomorphism use the h-basis too, where it is defined.
 
 With partitions indexed in descending lexicographic order (the order
 enumerate_partitions emits), dominance refines the index order, so both
@@ -29,7 +29,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     kostka,
-    lr_coeff,
     partition_pairs,
     weight,
 )
@@ -135,7 +134,9 @@ class SymElement:
 
 
 class TransitionCache:
-    """Write-once-per-degree store of the Kostka matrix and its inverse."""
+    """Write-once-per-degree store of the Kostka matrix and its inverse, the
+    right half of the reduced rows [K | I]: K is unitriangular, so their
+    common pivot value is 1."""
 
     def __init__(self):
         self._by_degree: dict[int, tuple] = {}
@@ -147,7 +148,14 @@ class TransitionCache:
             parts = enumerate_partitions(n)
             index = {lam: i for i, lam in enumerate(parts)}
             k_matrix = [[kostka(lam, mu) for mu in parts] for lam in parts]
-            k_inverse = linalg.invert_unitriangular(k_matrix)
+            size = len(parts)
+            ech = linalg.Echelon(2 * size)
+            for i, row in enumerate(k_matrix):
+                ech.add(row + [int(i == j) for j in range(size)])
+            D, reduced = ech.reduced()
+            if D != 1:
+                raise ConsistencyError(f"degree-{n} Kostka matrix is not unitriangular")
+            k_inverse = [row[size:] for row in reduced]
             cached = self._by_degree[n] = (parts, index, k_matrix, k_inverse)
         return cached
 
@@ -211,20 +219,21 @@ def to_basis(u: SymElement, target: str) -> SymElement:
     return _from_schur(_to_schur(u), target)
 
 
+def _h_product(uh: SymElement, vh: SymElement) -> SymElement:
+    """Product of two h-basis elements: labels concatenate, sorted back into
+    a partition."""
+    out: dict[Partition, Fraction] = {}
+    for lam, a in uh.coeffs.items():
+        for mu, b in vh.coeffs.items():
+            nu = tuple(sorted(lam + mu, reverse=True))
+            out[nu] = out.get(nu, Fraction(0)) + a * b
+    return SymElement(uh.degree + vh.degree, "h", out)
+
+
 def multiply(u: SymElement, v: SymElement) -> SymElement:
     """Product, returned in the Schur basis."""
-    total = u.degree + v.degree
-    _check_degree(total)
-    us, vs = _to_schur(u), _to_schur(v)
-    out: dict[Partition, Fraction] = {}
-    for lam, a in us.coeffs.items():
-        for mu, b in vs.coeffs.items():
-            ab = a * b
-            for nu in enumerate_partitions(total):
-                c = lr_coeff(lam, mu, nu)
-                if c:
-                    out[nu] = out.get(nu, Fraction(0)) + ab * c
-    return SymElement(total, "s", out)
+    _check_degree(u.degree + v.degree)
+    return to_basis(_h_product(to_basis(u, "h"), to_basis(v, "h")), "s")
 
 
 def inner_product(u: SymElement, v: SymElement) -> Fraction:
@@ -349,9 +358,8 @@ def tensor_power_character(f0, f1, n: int) -> SymElement:
         b = specialize_super(SymElement.generator("m", mu), alpha_poly=f1)
         if b == 0:
             continue
-        h_part = SymElement.generator("h", lam)
-        e_part = SymElement.generator("e", mu)
-        term = to_basis(multiply(h_part, e_part), "h")
+        e_part = to_basis(SymElement.generator("e", mu), "h")
+        term = _h_product(SymElement.generator("h", lam), e_part)
         result = result + term.scaled(a * b)
     return result
 

@@ -18,12 +18,15 @@ row of the full matrix, zero or not, goes through ``linalg`` in index order.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
-fraction-free integer kernel.  ``jacobi_trudi_det`` is one ``oracle_det``
-of the matrix (a_{lam_i - i + j}) per partition, where the library expands
-that determinant along its last column into one memoised integer table per
-series; ``minor_sum_diamond`` is the pairing product summed from it by its
-definition, where the library's ``diamond`` evaluates no partition and
-exponentiates products of power sums (Cauchy's identity).
+fraction-free integer kernel, and ``invert_unitriangular`` is back
+substitution, the reference for the inverse Kostka matrix that the library
+reads off one reduced ``linalg.Echelon``.  ``jacobi_trudi_det`` is one
+``oracle_det`` of the matrix (a_{lam_i - i + j}) per partition, where the
+library expands that determinant along its last column into one memoised
+integer table per series; ``minor_sum_diamond`` is the pairing product
+summed from it by its definition, where the library's ``diamond``
+evaluates no partition and exponentiates products of power sums (Cauchy's
+identity).
 
 ``expand_ratio_dense`` expands num/den by solving one dense triangular
 Toeplitz system with the textbook elimination, where the library runs the
@@ -44,8 +47,10 @@ pseudo-remainders.
 
 ``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
 the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
-words, and ``count_row_col_matrices``/``count_mixed_matrices`` count the
-integer matrices that the pairings of h and e products must reproduce.
+words (``partitions.lr_coeff``, itself the independent count that the
+library's h-label products must reproduce), and
+``count_row_col_matrices``/``count_mixed_matrices`` count the integer
+matrices that the pairings of h and e products must reproduce.
 """
 
 import itertools
@@ -320,6 +325,21 @@ def oracle_det(rows) -> Fraction:
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def invert_unitriangular(u) -> list[list[int]]:
+    """Inverse of an upper triangular integer matrix with unit diagonal, by
+    back substitution column by column."""
+    p = len(u)
+    if any(u[i][i] != 1 for i in range(p)):
+        raise ValueError("matrix is not unitriangular")
+    inv = [[0] * p for _ in range(p)]
+    for j in range(p):
+        inv[j][j] = 1
+        for i in range(j - 1, -1, -1):
+            s = sum(u[i][k] * inv[k][j] for k in range(i + 1, j + 1) if u[i][k])
+            inv[i][j] = -s
+    return inv
 
 
 def jacobi_trudi_det(f: TruncSeries, lam) -> Fraction:

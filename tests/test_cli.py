@@ -3,13 +3,14 @@ tests pin exact lines; exit codes distinguish verification failures (1),
 input errors (2), and cap overruns (3)."""
 
 import random
+import re
 import time
 
 import pytest
 
 from heckeseries import series, verify
 from heckeseries.cli import main
-from heckeseries.rmatrix import build_standard, serialize_symmetry
+from heckeseries.rmatrix import VALIDATION_CAP, build_standard, serialize_symmetry
 from heckeseries.series import (
     CERTIFICATE_CAP,
     DETECTION_CAP,
@@ -649,6 +650,60 @@ class TestParser:
         )
 
 
+# every command with its help string and every flag it accepts; the help
+# text is pinned by these invariants, not by its layout, which argparse
+# changes across Python versions
+COMMAND_HELP = {
+    "predict": (
+        "closed-form series from a certified rational presentation",
+        {"--series", "--alphas", "--betas", "--series2", "--alphas2", "--betas2",
+         "--degree", "--what"},
+    ),
+    "compute": (
+        "exact dimensions from a concrete symmetry",
+        {"--symmetry", "--degree", "--what"},
+    ),
+    "verify": (
+        "run cross-validation suites",
+        {"--suite", "--symmetry", "--symmetry2", "--nmax", "--max-weight", "--machine"},
+    ),
+    "series": (
+        "series utilities: detection, pairing product, positivity",
+        {"--coeffs", "--f", "--g", "--degree", "--max-weight", "--rmax"},
+    ),
+}
+
+
+def help_text(capsys, monkeypatch, *argv):
+    """stdout of ``--help`` at 80 columns, with its whitespace collapsed."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.err) == (0, "")
+    return " ".join(captured.out.split())
+
+
+class TestHelp:
+    def test_top_level_lists_every_command_with_its_help(self, capsys, monkeypatch):
+        out = help_text(capsys, monkeypatch)
+        assert out.startswith("usage: heckeseries ")
+        assert "{predict,compute,verify,series}" in out
+        for command, (summary, _) in COMMAND_HELP.items():
+            assert f" {command} {summary} " in out + " ", command
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+    def test_subcommand_names_every_flag(self, capsys, monkeypatch, command):
+        out = help_text(capsys, monkeypatch, command)
+        assert out.startswith(f"usage: heckeseries {command} ")
+        assert set(re.findall(r"--[a-z0-9-]+", out)) == COMMAND_HELP[command][1] | {"--help"}
+        # choices are spelled out: verify's suites, the series actions
+        if command == "verify":
+            assert "{" + ",".join((*verify.SUITES, "all")) + "}" in out
+        if command == "series":
+            assert "{detect-rational,diamond,total-positivity}" in out
+
+
 # symmetry files over the dimension cap: name -> (d, whether all d*d rows
 # are written, each of d*d zeros)
 CAP_FILES = {"zeros17.hs": (17, True), "head17.hs": (17, False), "head100.hs": (100, False)}
@@ -803,6 +858,38 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: tensor power dimension {power} exceeds cap 4096\n"
+
+    def test_dense_validation_beyond_the_work_cap_exits_3_at_once(self, capsys, tmp_path):
+        # (g⊗g) R (g⊗g)^-1 for R = std:r=8,q=2 and g = I + J, J all ones,
+        # whose inverse is I - J/9: a valid symmetry with full columns, whose
+        # validation took 6.6 s before the work cap (one shared 2-CPU
+        # machine, Python 3.11); (d + 1)·g^-1 keeps the product integral
+        d = 8
+        g = [[1 + (i == j) for j in range(d)] for i in range(d)]
+        g_inv = [[(d + 1) * (i == j) - 1 for j in range(d)] for i in range(d)]
+
+        def kron(a):
+            return [[a[i][k] * a[j][l] for k in range(d) for l in range(d)]
+                    for i in range(d) for j in range(d)]
+
+        def mul(x, y):
+            cols = list(zip(*y))
+            return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+        m = [[int(x) for x in row] for row in build_standard(d, 2).matrix]
+        dense = mul(mul(kron(g), m), kron(g_inv))
+        rows = "".join(" ".join(f"{x}/{(d + 1) ** 2}" for x in row) + "\n" for row in dense)
+        path = tmp_path / "dense8.hs"
+        path.write_text(f"hecke-symmetry v1\nd = {d}\nq = 2\n{rows}")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "compute", "--symmetry", f"file:{path}", "--what", "sym", "--degree", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: validation work bound 38084608 exceeds cap {VALIDATION_CAP}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, degree",

@@ -8,20 +8,26 @@ in ``oracles.py``, which the quotient-engine cross-checks rely on, and the
 determinant tests check ``oracle_det``, the reference for the Schur-value
 table of ``series.schur_values``, and the square-solve tests check
 ``oracle_solve_square``, on which the per-order detection oracle rests; the
-package itself computes no determinant and solves no square system.
+package itself computes no determinant and solves no square system.  The
+unitriangular-inverse test checks ``invert_unitriangular`` in
+``oracles.py``, the reference for ``symfunc``'s inverse Kostka matrix.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import intersect_bases, oracle_det, oracle_solve_square
+from oracles import (
+    intersect_bases,
+    invert_unitriangular,
+    oracle_det,
+    oracle_solve_square,
+)
 
 from heckeseries import linalg
 from heckeseries.linalg import (
     Echelon,
     clear_denominators,
-    invert_unitriangular,
     nullspace,
     rank,
     primitive,
@@ -336,6 +342,7 @@ class TestKernelAgainstOracles:
 
 def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
     from heckeseries.rmatrix import build_standard, symmetric_dims
+    from heckeseries.symfunc import TransitionCache
 
     built = []
 
@@ -350,6 +357,7 @@ def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
         "row_basis": lambda: linalg.row_basis([[1, 2], [2, 4]], 2),
         "nullspace": lambda: linalg.nullspace([[1, 2]], 2),
         "symmetric_dims": lambda: symmetric_dims(build_standard(2, 3), 3),
+        "inverse Kostka matrix": lambda: TransitionCache().degree_data(4),
     }
     for name, call in calls.items():
         before = len(built)

@@ -13,6 +13,7 @@ from heckeseries import linalg, rmatrix, series, symfunc
 from heckeseries.partitions import conjugate, partition_pairs, weight
 from heckeseries.rmatrix import (
     DIMENSION_CAP,
+    VALIDATION_CAP,
     BraidViolation,
     CapExceeded,
     FileFormatError,
@@ -20,6 +21,7 @@ from heckeseries.rmatrix import (
     HeckeViolation,
     SymmetryError,
     _apply,
+    _validation_steps,
     build_standard,
     build_super,
     dim_e_component,
@@ -258,6 +260,51 @@ class TestStoredForm:
         assert (sym.s, sym.cols) == (2, (((0, -1),),))
         with pytest.raises(ValueError, match="Invalid literal for Fraction: 'two'"):
             load_and_validate(1, 2, [["two"]])
+        # zeros skip conversion, and the first bad entry in row order is
+        # still the one reported
+        rows = [[0, Fraction(0), "0", 0] for _ in range(4)]
+        rows[1][2], rows[2][0] = "x", "y"
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+            load_and_validate(2, 2, rows)
+
+
+class TestValidationBound:
+    @pytest.mark.parametrize("dense", [False, True], ids=["builtin", "dense"])
+    @pytest.mark.parametrize("name", sorted(STORED_FORM_BUILDS))
+    def test_bound_covers_the_steps_taken(self, monkeypatch, name, dense):
+        sym = STORED_FORM_BUILDS[name]()
+        rows = seeded_conjugate(sym, name) if dense else sym.matrix
+        steps = []
+
+        def counting_apply(cols, d, n, pos, vec):
+            stride = d ** (n - pos - 1)
+            steps.append(sum(len(cols[x % (stride * d * d) // stride]) for x in vec))
+            return _apply(cols, d, n, pos, vec)
+
+        monkeypatch.setattr(rmatrix, "_apply", counting_apply)
+        built = load_and_validate(sym.d, sym.q, rows)
+        assert 0 < sum(steps) <= _validation_steps(built.d, built.cols)
+
+    def test_builtins_at_the_dimension_cap_pass(self):
+        for sym in (build_standard(16, 2), build_super(8, 8, 2), build_super(0, 16, -1)):
+            assert _validation_steps(sym.d, sym.cols) <= VALIDATION_CAP
+
+    def test_refused_before_the_first_step(self, monkeypatch):
+        sym = build_super(2, 1, 3)
+        bound = _validation_steps(sym.d, sym.cols)
+
+        def refuse(*args):
+            raise AssertionError("validation started over the cap")
+
+        monkeypatch.setattr(rmatrix, "VALIDATION_CAP", bound - 1)
+        monkeypatch.setattr(rmatrix, "_apply", refuse)
+        with pytest.raises(
+            CapExceeded, match=f"^validation work bound {bound} exceeds cap {bound - 1}$"
+        ):
+            load_and_validate(sym.d, sym.q, sym.matrix)
+        monkeypatch.setattr(rmatrix, "_apply", _apply)
+        monkeypatch.setattr(rmatrix, "VALIDATION_CAP", bound)
+        assert load_and_validate(sym.d, sym.q, sym.matrix).cols == sym.cols
 
 
 class TestTensorOperator:

@@ -8,13 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from heckeseries import symfunc
 from heckeseries.linalg import CapExceeded
 from heckeseries.partitions import (
     _strip_counts,
     conjugate,
     enumerate_partitions,
     in_hook,
+    kostka,
     lr_coeff,
+    partition_pairs,
     standard_tableaux_count,
     weight,
 )
@@ -36,7 +39,7 @@ from heckeseries.symfunc import (
     to_basis,
 )
 
-from oracles import count_mixed_matrices, count_row_col_matrices
+from oracles import count_mixed_matrices, count_row_col_matrices, invert_unitriangular
 
 
 def gen(basis, lam):
@@ -141,6 +144,15 @@ class TestMultiply:
             left = multiply(ab, c)
             right = multiply(a, multiply(b, c))
             assert left == to_basis(right, left.basis)
+
+    def test_schur_structure_constants_are_lr_coefficients(self):
+        # products concatenate h-labels; the lattice-word count of
+        # partitions.lr_coeff is the independent route to the same numbers
+        for n in range(0, 8):
+            for lam, mu in partition_pairs(n):
+                prod = multiply(gen("s", lam), gen("s", mu))
+                for nu in enumerate_partitions(n):
+                    assert prod.coeff(nu) == lr_coeff(lam, mu, nu), (lam, mu, nu)
 
     def test_distributes_over_sums(self):
         a = gen("s", (2,)) + gen("s", (1, 1)).scaled(3)
@@ -499,3 +511,18 @@ def test_cold_transition_build_at_the_degree_cap():
                 k_matrix[i][m] * k_inverse[m][j] for m in range(i, j + 1)
             ) == 0
     assert elapsed < 5.0
+
+
+def test_inverse_kostka_matches_back_substitution():
+    cache = TransitionCache()
+    for n in range(0, DEGREE_CAP + 1):
+        _, _, k_matrix, k_inverse = cache.degree_data(n)
+        assert k_inverse == invert_unitriangular(k_matrix), n
+
+
+def test_inverse_kostka_needs_unit_pivots(monkeypatch):
+    # a table with diagonal 2 has no integer inverse: its reduced rows
+    # [K | I] share the pivot value 2, which must be refused, not read
+    monkeypatch.setattr(symfunc, "kostka", lambda lam, mu: 2 * kostka(lam, mu))
+    with pytest.raises(ConsistencyError):
+        TransitionCache().degree_data(3)
