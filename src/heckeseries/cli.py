@@ -106,14 +106,14 @@ def _parse_symmetry_spec(spec: str):
                 raise UsageError(
                     f"std specifier must be 'std:r=R,q=Q', got {spec!r}"
                 )
-            return rmatrix.build_standard(int(kv["r"]), Fraction(kv["q"]))
+            return rmatrix.build_standard(int(kv["r"]), linalg.parse_rational(kv["q"]))
         if kind == "super":
             if len(fields) != 3 or not fields[2].startswith("q="):
                 raise UsageError(
                     f"super specifier must be 'super:r0,r1,q=Q', got {spec!r}"
                 )
             return rmatrix.build_super(
-                int(fields[0]), int(fields[1]), Fraction(fields[2][2:])
+                int(fields[0]), int(fields[1]), linalg.parse_rational(fields[2][2:])
             )
     except (UsageError, linalg.CapExceeded):
         raise
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     series_cmd.add_argument("--g")
     series_cmd.add_argument("--degree", type=_size, default=12)
     series_cmd.add_argument("--max-weight", type=_size, default=8)
-    series_cmd.add_argument("--rmax", type=int)
+    series_cmd.add_argument("--rmax", type=_size)
     series_cmd.set_defaults(func=cmd_series)
     return parser
 

@@ -18,11 +18,15 @@ kernels.
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
 both the tensor-power engine and the series expansions enforce.
+``parse_rational``, the one parser of rational input, lives here too, so
+that reading a symmetry loads no ``series`` code.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -37,6 +41,23 @@ class CapExceeded(ValueError):
 # does not, as for d = 1, whose d**n never exceeds any dimension cap;
 # degrees and orders above this are refused before the first one is computed.
 ORDER_CAP = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first a literal whose mantissa digits
+    plus |exponent| exceed Python's limit on integer digits: ``Fraction``
+    expands an exponent without that limit, so "1e-10000000" alone would
+    take seconds."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            digits = sum(c.isdigit() for c in mantissa) + abs(int(exponent))
+        except ValueError:
+            digits = 0  # a malformed exponent: Fraction says why
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if digits > limit:
+            raise ValueError(f"rational literal expands past the limit of {limit} digits")
+    return Fraction(text)
 
 
 def primitive(row: list[int]) -> list[int]:

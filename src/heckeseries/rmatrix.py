@@ -4,7 +4,9 @@ Every graded dimension -- the two quadratic quotients, the mixed quotients
 and the two hom-algebra families -- comes from one engine: a quadratic
 quotient of a tensor algebra, computed degree by degree by fraction-free
 integer elimination on the previous quotient tensored with one more slot,
-so the full tensor-power matrices are never materialized.
+so the full tensor-power matrices are never materialized.  ``_relations``
+is the one builder of a family's pair relations ("sym", "ext", "A", "E")
+and ``_dims`` the one cache of its graded dimensions.
 """
 
 from __future__ import annotations
@@ -62,19 +64,14 @@ class FileFormatError(ValueError):
 
 
 def _check_cap(d: int, n: int):
-    if d**n > DIMENSION_CAP:
+    # d**n > cap exactly when d**min(n, k) > cap for k = cap.bit_length(),
+    # since 2**k > cap, so the check costs the same for any n
+    if d ** min(n, DIMENSION_CAP.bit_length()) > DIMENSION_CAP:
         raise CapExceeded(
             f"tensor power dimension {d}**{n} exceeds cap {DIMENSION_CAP}"
         )
     if n > ORDER_CAP:
         raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
-
-
-def _memo(sym, key, build):
-    """``sym._cache[key]``, built on first use."""
-    if key not in sym._cache:
-        sym._cache[key] = build()
-    return sym._cache[key]
 
 
 class HeckeSymmetry:
@@ -83,7 +80,8 @@ class HeckeSymmetry:
     nonzero ``(row, M[row][c])`` with rows ascending, and ``s`` is the lcm
     of the entries' denominators.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j),
     row (k-1)·d + (l-1) its e_k⊗e_l component.  ``matrix`` is a derived
-    read.  Instances are immutable after construction.
+    read.  Instances are immutable after construction; ``_cache`` holds
+    only what ``_relations`` and ``_dims`` derive from them.
     """
 
     __slots__ = ("d", "q", "s", "cols", "source", "_cache")
@@ -121,21 +119,6 @@ class HeckeSymmetry:
             tuple(Fraction(col.get(r, 0), self.s) for col in cols) for r in range(len(cols))
         )
 
-    def _pair_basis(self, key: str):
-        """Im or Ker of b·M - a·s = b·s·(R - q), where R = M/s and q = a/b."""
-        a, b = self.q.numerator, self.q.denominator
-        return _memo(self, key, lambda: _relation_basis(
-            _entries(self, b, -a), self.d**2, key == "kernel"
-        ))
-
-    def image_pair_basis(self):
-        """Row basis of Im(R - q) inside V⊗V."""
-        return self._pair_basis("image")
-
-    def kernel_pair_basis(self):
-        """Basis of Ker(R - q) inside V⊗V."""
-        return self._pair_basis("kernel")
-
     def __repr__(self):
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
 
@@ -148,20 +131,6 @@ def _entries(sym: HeckeSymmetry, u: int, v: int):
         entries[c] = entries.get(c, 0) + v * sym.s
         out += [(r, c, x) for r, x in entries.items() if x]
     return out
-
-
-def _relation_basis(entries, size: int, kernel: bool):
-    """A basis of Ker X if ``kernel``, else a row basis of Im X (the row
-    space of the transpose), for the size×size integer operator X with the
-    given nonzero ``(row, col, x)``.  The nonzero rows reach ``linalg`` in
-    index order, so every basis is that of the dense matrix: a zero row is
-    a no-op in ``linalg.Echelon``."""
-    rows = {}
-    for r, c, x in entries:
-        i, j = (r, c) if kernel else (c, r)
-        rows.setdefault(i, [0] * size)[j] = x
-    rows = [rows[i] for i in sorted(rows)]
-    return tuple(map(tuple, (linalg.nullspace if kernel else linalg.row_basis)(rows, size)))
 
 
 def _apply(cols, d: int, n: int, pos: int, vec):
@@ -306,7 +275,7 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
         raise FileFormatError(2, "dimension must be at least 1")
     _check_cap(d, 3)  # before any of the d**4 entries is read
     try:
-        q = Fraction(keyed(3, "q"))
+        q = linalg.parse_rational(keyed(3, "q"))
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(3, f"bad q: {exc}") from None
     if q == 0:
@@ -321,7 +290,7 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
         if len(toks) != dd:
             raise FileFormatError(line_no, f"expected {dd} entries, got {len(toks)}")
         try:
-            matrix.append([Fraction(t) for t in toks])
+            matrix.append([linalg.parse_rational(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(line_no, f"bad entry: {exc}") from None
     tail = [ln for ln in body[dd:] if ln.strip()]
@@ -385,28 +354,57 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     return dims
 
 
-def _cached_dims(sym: HeckeSymmetry, key, d: int, relations, n_max: int):
-    cached = sym._cache.get(key)
-    if cached is None or len(cached) <= n_max:
-        cached = _graded_quotient_dims(d, relations, n_max)
-        sym._cache[key] = cached
-    return list(cached[: n_max + 1])
+def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = None):
+    """The pair relations of family ``kind``, built once per symmetry and
+    target: Im X for "sym" and "A", a basis of Ker X for "ext" and "E", as
+    integer rows.  X is b·M - a·s = b·s·(R - q) on V⊗V for "sym" and "ext"
+    (q = a/b, R = M/s), and for "A" and "E" the transpose of (conjugation -
+    identity) on the square of Hom(V, V'), V' the target's space.  Im X is
+    the row space of the transpose, and the nonzero rows reach ``linalg`` in
+    index order, so every basis is that of the dense matrix: a zero row is a
+    no-op in ``linalg.Echelon``."""
+    key = ("relations", kind, target)
+    if key not in sym._cache:
+        if target is None:
+            size = sym.d**2
+            entries = _entries(sym, sym.q.denominator, -sym.q.numerator)
+        else:
+            size = (sym.d * target.d) ** 2
+            entries = _conjugation_entries(target, sym)
+        kernel = kind in ("ext", "E")
+        rows = {}
+        for r, c, x in entries:
+            i, j = (r, c) if kernel else (c, r)
+            rows.setdefault(i, [0] * size)[j] = x
+        rows = [rows[i] for i in sorted(rows)]
+        basis = (linalg.nullspace if kernel else linalg.row_basis)(rows, size)
+        sym._cache[key] = tuple(map(tuple, basis))
+    return sym._cache[key]
+
+
+def _dims(sym: HeckeSymmetry, kind: str, n_max: int, target: HeckeSymmetry | None = None):
+    """Dimensions for n = 0..n_max of the quotient by the ``kind`` relations
+    at every pair of adjacent slots, cached per symmetry and target; a
+    longer cached list serves any shorter request."""
+    key = ("dims", kind, target)
+    dims = sym._cache.get(key)
+    if dims is None or len(dims) <= n_max:
+        d = sym.d if target is None else sym.d * target.d
+        dims = _graded_quotient_dims(d, lambda p: _relations(sym, kind, target), n_max)
+        sym._cache[key] = dims
+    return dims[: n_max + 1]
 
 
 def symmetric_dims(sym: HeckeSymmetry, n_max: int):
     """dim of the degree-n component of the quadratic quotient by
     Im(R - q), for n = 0..n_max."""
-    return _cached_dims(
-        sym, "sym_dims", sym.d, lambda p: sym.image_pair_basis(), n_max
-    )
+    return _dims(sym, "sym", n_max)
 
 
 def exterior_dims(sym: HeckeSymmetry, n_max: int):
     """dim of the degree-n component of the quadratic quotient by
     Ker(R - q), for n = 0..n_max."""
-    return _cached_dims(
-        sym, "ext_dims", sym.d, lambda p: sym.kernel_pair_basis(), n_max
-    )
+    return _dims(sym, "ext", n_max)
 
 
 def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
@@ -415,13 +413,14 @@ def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
     after lam); no relation crosses a block boundary."""
     lam, mu = as_partition(lam), as_partition(mu)
     n = weight(lam) + weight(mu)
-    # per adjacent pair of slots: the relation basis, or None at a boundary
+    _check_cap(sym.d, n)  # before the n slots are listed
+    # per adjacent pair of slots: the relation family, or None at a boundary
     slots = []
-    for parts, basis in ((lam, sym.image_pair_basis), (mu, sym.kernel_pair_basis)):
+    for parts, kind in ((lam, "sym"), (mu, "ext")):
         for part in parts:
-            slots += [basis] * (part - 1) + [None]
+            slots += [kind] * (part - 1) + [None]
     return _graded_quotient_dims(
-        sym.d, lambda p: slots[p - 1]() if slots[p - 1] else (), n
+        sym.d, lambda p: _relations(sym, slots[p - 1]) if slots[p - 1] else (), n
     )[n]
 
 
@@ -461,17 +460,9 @@ def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
 
 def hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n_max: int):
     """Dimensions for n = 0..n_max of hom family ``kind``: "A" as in
-    ``dim_intertwiner``, "E" as in ``dim_e_component``.  The pair relations,
-    built once per pair, are Im X for "A" and Ker X for "E", with X the
-    transpose of (conjugation - identity)."""
+    ``dim_intertwiner``, "E" as in ``dim_e_component``."""
     require_same_q(sym_target, sym_source)
-    big = sym_source.d * sym_target.d
-    def relations(p):
-        return _memo(sym_source, (kind, "relations", sym_target), lambda: _relation_basis(
-            _conjugation_entries(sym_target, sym_source), big * big, kind == "E"
-        ))
-
-    return _cached_dims(sym_source, (kind, sym_target), big, relations, n_max)
+    return _dims(sym_source, kind, n_max, sym_target)
 
 
 def dim_intertwiner(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, n: int) -> int:

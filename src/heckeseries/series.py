@@ -134,7 +134,7 @@ def parse_rationals(text: str) -> list[Fraction]:
     if not all(toks):
         raise ValueError(f"malformed rational list {text!r}")
     try:
-        return [Fraction(t) for t in toks]
+        return [linalg.parse_rational(t) for t in toks]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational list {text!r}: {exc}") from None
 

@@ -65,7 +65,7 @@ from heckeseries.partitions import (
     enumerate_partitions,
     weight,
 )
-from heckeseries.rmatrix import BraidViolation, HeckeViolation
+from heckeseries.rmatrix import BraidViolation, HeckeViolation, _relations
 from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 
 
@@ -130,9 +130,9 @@ def quotient_dim(sym, lam, mu) -> int:
     n = weight(lam) + weight(mu)
     if n <= 1:
         return sym.d**n
-    bases = {p: sym.image_pair_basis() for p in block_positions(lam)}
+    bases = {p: _relations(sym, "sym") for p in block_positions(lam)}
     for p in block_positions(mu, weight(lam)):
-        bases[p] = sym.kernel_pair_basis()
+        bases[p] = _relations(sym, "ext")
     return spanning_quotient_dim(sym.d, bases, n)
 
 

@@ -2,12 +2,17 @@
 tests pin exact lines; exit codes distinguish verification failures (1),
 input errors (2), and cap overruns (3)."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import heckeseries
 from heckeseries import series, verify
 from heckeseries.cli import main
 from heckeseries.rmatrix import VALIDATION_CAP, build_standard, serialize_symmetry
@@ -19,6 +24,8 @@ from heckeseries.series import (
     BirankCertificate,
     poly_from_roots,
 )
+
+SRC = str(Path(heckeseries.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -615,6 +622,7 @@ class TestParser:
             ("predict", "--what", "sym", "--alphas", "1,1", "--degree", "-1"),
             ("series", "diamond", "--f", "1,1", "--g", "1,1", "--degree", "-1"),
             ("series", "total-positivity", "--coeffs", "1,1", "--max-weight", "-1"),
+            ("series", "detect-rational", "--coeffs", "1,2,3", "--rmax", "-1"),
         ],
     )
     def test_negative_sizes_are_usage_errors(self, capsys, argv):
@@ -622,6 +630,41 @@ class TestParser:
         assert code == 2
         assert out == ""
         assert "must be non-negative" in err
+
+    @pytest.mark.parametrize(
+        "argv, file_text, message",
+        [
+            (("compute", "--symmetry", "std:r=2,q=1e-1000000", "--what", "sym"), None,
+             "bad symmetry specifier 'std:r=2,q=1e-1000000': {}"),
+            (("compute", "--symmetry", "super:1,1,q=1e300000", "--what", "sym"), None,
+             "bad symmetry specifier 'super:1,1,q=1e300000': {}"),
+            (("compute", "--symmetry", "file:q.hs", "--what", "sym"),
+             "d = 1\nq = 1e-100000000\n2\n", "line 3: bad q: {}"),
+            (("compute", "--symmetry", "file:entry.hs", "--what", "sym"),
+             "d = 1\nq = 2\n1e-10000000\n", "line 4: bad entry: {}"),
+            (("predict", "--what", "sym", "--alphas", "1,1e-10000000"), None,
+             "malformed rational list '1,1e-10000000': {}"),
+            (("series", "detect-rational", "--coeffs", "1,2,1e10000000"), None,
+             "malformed rational list '1,2,1e10000000': {}"),
+        ],
+    )
+    def test_rationals_past_the_digit_limit_exit_2_at_once(
+        self, capsys, tmp_path, monkeypatch, argv, file_text, message
+    ):
+        # Fraction expands an exponent without Python's limit on integer
+        # digits: q=1e-300000 took 12.9 s, and 1e-1000000 ran past 60 s (one
+        # shared 2-CPU machine, Python 3.11)
+        monkeypatch.chdir(tmp_path)
+        if file_text is not None:
+            (tmp_path / argv[2].removeprefix("file:")).write_text("hecke-symmetry v1\n" + file_text)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.format(
+            f"rational literal expands past the limit of {limit} digits"
+        ) + "\n"
 
     def test_zero_degree_is_allowed(self, capsys):
         code, out, _ = run(
@@ -842,6 +885,13 @@ class TestTypedFailures:
                   "--degree", "1"), f"{d}**3")
                 for name, (d, _) in CAP_FILES.items()
             ),
+            # the check never builds d**n: 2**(10**9) took 9.6 s to refuse
+            (("compute", "--symmetry", "std:r=2,q=2", "--what", "sym",
+              "--degree", "1000000000"), "2**1000000000"),
+            (("verify", "--suite", "hilbert", "--symmetry", "std:r=2,q=2",
+              "--nmax", "1000000000"), "2**1000000000"),
+            (("compute", "--symmetry", "std:r=2,q=2", "--what", "A:std:r=2,q=2",
+              "--degree", "1000000000"), "4**1000000000"),
         ],
     )
     def test_dimension_cap_exits_3_before_any_work(
@@ -858,6 +908,26 @@ class TestTypedFailures:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert err == f"error: tensor power dimension {power} exceeds cap 4096\n"
+
+    def test_mixed_quotient_degree_beyond_the_cap_exits_3_in_bounded_memory(self):
+        # a slot list of length 10**9 ended in MemoryError under a 1.5 GB
+        # address-space limit; the child lowers its own limit to 1 GB, so a
+        # blow-up stays out of the test run
+        child = (
+            "import resource, sys\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from heckeseries.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, "compute", "--symmetry", "std:r=2,q=2",
+             "--what", "quotient:[1000000000];[]"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: tensor power dimension 2**1000000000 exceeds cap 4096\n"
 
     def test_dense_validation_beyond_the_work_cap_exits_3_at_once(self, capsys, tmp_path):
         # (g⊗g) R (g⊗g)^-1 for R = std:r=8,q=2 and g = I + J, J all ones,

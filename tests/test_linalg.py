@@ -14,6 +14,8 @@ unitriangular-inverse test checks ``invert_unitriangular`` in
 """
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from heckeseries.linalg import (
     Echelon,
     clear_denominators,
     nullspace,
+    parse_rational,
     rank,
     primitive,
     row_basis,
@@ -338,6 +341,26 @@ class TestKernelAgainstOracles:
                     assert row[p] == (D if i == j else 0)
             # same span as the input
             assert rank(rows + m, ncols) == len(rows)
+
+
+def test_parse_rational_refuses_exponents_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2)
+    assert parse_rational("1.5E2") == 150
+    # mantissa digits plus |exponent| at the limit are accepted
+    assert parse_rational(f"12e-{limit - 2}") == Fraction(12, 10 ** (limit - 2))
+    assert parse_rational(f"-1.5e{limit - 2}") == -15 * 10 ** (limit - 3)
+    # Fraction("1e-10000000") alone took 15 s
+    for text in (f"12e{limit - 1}", f"1.5e-{limit - 1}", "1e-10000000", "1e" + "9" * (limit - 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^rational literal expands past the limit of {limit} digits$"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+    # a malformed or overlong exponent is Fraction's to report
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1ex'$"):
+        parse_rational("1ex")
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        parse_rational("1e" + "9" * (limit + 1))
 
 
 def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import oracles
 import pytest
 
-from heckeseries import rmatrix, verify
+from heckeseries import linalg, rmatrix, verify
 from heckeseries.cli import main
 from heckeseries.linalg import nullspace, row_basis
 from heckeseries.partitions import partition_pairs
@@ -193,18 +193,18 @@ def test_relation_bases_equal_the_dense_route():
     rng = random.Random("relation bases")
     for name, build, _ in BUILTINS:
         for sym in (build(), dense_conjugate(build(), rng)):
-            image, kernel = oracles.dense_pair_bases(sym)
-            assert sym.image_pair_basis() == tuple(map(tuple, image)), name
-            assert sym.kernel_pair_basis() == tuple(map(tuple, kernel)), name
-            assert sym._cache["image"] is sym.image_pair_basis()
-            assert sym._cache["kernel"] is sym.kernel_pair_basis()
+            for kind, want in zip(("sym", "ext"), oracles.dense_pair_bases(sym)):
+                got = rmatrix._relations(sym, kind)
+                assert got == tuple(map(tuple, want)), (name, kind)
+                assert sym._cache["relations", kind, None] is got
     for target, source in HOM_PAIRS:
         a, b = HOM_SYMS[target](), HOM_SYMS[source]()
         for t, s in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
             for kind, want in zip("AE", oracles.dense_hom_relations(t, s)):
                 rmatrix.hom_dims(t, s, kind, 2)
-                got = s._cache[kind, "relations", t]
+                got = s._cache["relations", kind, t]
                 assert got == tuple(map(tuple, want)), (target, source, kind)
+                assert rmatrix._relations(s, kind, t) is got
 
 
 def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
@@ -230,6 +230,31 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
     assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
     assert calls == {"chains": 1, "conj": 1}
+    # each relation family is eliminated once per symmetry and target,
+    # whichever reader asks first: sym and ext take the image and the
+    # kernel of R - q, A and E those of the conjugation
+    built = []
+    for name in ("row_basis", "nullspace"):
+        def counting(rows, ncols, fn=getattr(linalg, name), name=name):
+            built.append(name)
+            return fn(rows, ncols)
+
+        monkeypatch.setattr(linalg, name, counting)
+    sym = build_standard(2, 2)
+    assert symmetric_dims(sym, 4) == [1, 2, 3, 4, 5]
+    assert exterior_dims(sym, 4) == [1, 2, 1, 0, 0]
+    assert dim_quotient(sym, (2, 1), (2,)) == 6
+    assert dim_quotient(sym, (3,), (2, 2)) == 4
+    assert built == ["row_basis", "nullspace"]
+    built.clear()
+    calls.update(conj=0)
+    target, source = build_standard(2, 2), build_super(1, 1, 2)
+    assert rmatrix.hom_dims(target, source, "A", 3) == [1, 4, 8, 12]
+    assert rmatrix.hom_dims(target, source, "E", 3) == [1, 4, 8, 12]
+    assert dim_intertwiner(target, source, 4) == 16
+    assert dim_e_component(target, source, 4) == 16
+    assert built == ["row_basis", "nullspace"]
+    assert calls["conj"] == 2
 
 
 # (name, builtin specifier, constructor) for the file-path tests

@@ -378,7 +378,7 @@ class TestGradedDims:
         first = symmetric_dims(sym, 4)
         second = symmetric_dims(sym, 4)
         assert first == second
-        assert "sym_dims" in sym._cache
+        assert sym._cache["dims", "sym", None] == first
 
 
 class TestDimQuotient:
