@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals, on one elimination kernel.
 
 ``Echelon`` is the only Gaussian elimination in the package.  It runs
-fraction-free on integer rows: denominators are cleared as a row comes in
-and every row is kept gcd-reduced, so every intermediate value is an exact
-integer no matter how badly conditioned the input is.  ``Echelon.reduced``
-turns its rows into reduced echelon form with one common integer pivot
-value.  ``rank``, ``row_basis`` and ``nullspace`` are thin readers of one
-``Echelon``, and so is ``symfunc``'s inverse Kostka matrix, the right half
-of the reduced rows [K | I].  Matrices are lists of rows.  Determinants and
-square solves are not among the readers: the only determinants the package
-needs, Schur values, come from the memoised expansion in
-``series.schur_values``, and recurrence detection solves its nested systems
-in one Berlekamp-Massey pass.
+fraction-free on integer rows kept gcd-reduced, so every intermediate value
+is an exact integer, and converts no rationals: ``rank``, ``row_basis`` and
+``nullspace`` clear each row of a rational matrix once.  ``Echelon.reduced``
+gives reduced echelon form with one common integer pivot value (``symfunc``'s
+inverse Kostka matrix is the right half of the reduced rows [K | I]), and
+``Echelon.annihilator`` one primitive vector per free column orthogonal to
+every row: coordinates on the quotient, for ``nullspace`` and ``rmatrix``'s
+graded-quotient engine.  Matrices are lists of rows.  Determinants and
+square solves are not among the readers: Schur values come from the
+memoised expansion in ``series.schur_values``, and recurrence detection
+solves its nested systems in one Berlekamp-Massey pass.
 ``primitive`` is the one gcd reduction, shared with the integer series
 kernels.
 
@@ -104,8 +104,8 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, row) -> list[int]:
-        """Reduce a row against the basis; result is integer, gcd-normalized."""
-        row = clear_denominators(row)
+        """Reduce an integer row against the basis, gcd-normalized."""
+        row = primitive(list(row))
         for brow, p in zip(self.rows, self.pivots):
             if row[p]:
                 row = _eliminate(row, brow, p)
@@ -144,11 +144,25 @@ class Echelon:
             for row, p in zip(out, self.pivots)
         ]
 
+    def annihilator(self) -> list[list[int]]:
+        """One primitive integer vector per free column f, orthogonal to
+        every stored row: D at f, the reduced rows' entries at f negated on
+        their pivots."""
+        D, reduced = self.reduced()
+        basis = []
+        for f in sorted(set(range(self.ncols)).difference(self.pivots)):
+            x = [0] * self.ncols
+            x[f] = D
+            for row, p in zip(reduced, self.pivots):
+                x[p] = -row[f]
+            basis.append(primitive(x))
+        return basis
+
 
 def _echelon(rows, ncols: int) -> Echelon:
     ech = Echelon(ncols)
     for r in rows:
-        ech.add(r)
+        ech.add(clear_denominators(r))
     return ech
 
 
@@ -166,16 +180,4 @@ def row_basis(rows, ncols: int) -> list[list[int]]:
 
 def nullspace(rows, ncols: int) -> list[list[int]]:
     """Basis of {x : M x = 0}, one integer vector per free column."""
-    ech = _echelon(rows, ncols)
-    D, reduced = ech.reduced()
-    in_pivots = set(ech.pivots)
-    basis = []
-    for f in range(ncols):
-        if f in in_pivots:
-            continue
-        x = [0] * ncols
-        x[f] = D
-        for row, p in zip(reduced, ech.pivots):
-            x[p] = -row[f]
-        basis.append(clear_denominators(x))
-    return basis
+    return _echelon(rows, ncols).annihilator()

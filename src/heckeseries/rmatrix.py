@@ -74,6 +74,12 @@ def _check_cap(d: int, n: int):
         raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
 
 
+def _rational(x) -> Fraction:
+    """``Fraction(x)``, reading a string through ``linalg.parse_rational`` so
+    that its digit bound holds for library callers too."""
+    return linalg.parse_rational(x) if isinstance(x, str) else Fraction(x)
+
+
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V,
     stored once as M/s for an integer d²×d² matrix M: ``cols[c]`` lists the
@@ -87,7 +93,7 @@ class HeckeSymmetry:
     __slots__ = ("d", "q", "s", "cols", "source", "_cache")
 
     def __init__(self, d: int, q, matrix, source: str = "user"):
-        q = Fraction(q)
+        q = _rational(q)
         if q == 0:
             raise ValueError("the parameter q must be nonzero")
         if d < 1:
@@ -101,7 +107,7 @@ class HeckeSymmetry:
         # int and Fraction zeros are dropped unconverted; any other entry,
         # a "0" string included, is converted in row order
         rows = [
-            [Fraction(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
+            [_rational(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
             for row in matrix
         ]
         cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
@@ -199,7 +205,7 @@ def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
     (0 even, 1 odd): even diagonal pairs scale by q and odd ones by -1,
     ordered pairs swap with the sign of odd-odd pairs, and the
     lower-triangular correction keeps the quadratic relation exact."""
-    q = Fraction(q)
+    q = _rational(q)
     d = len(parity)
     _check_cap(d, 3)  # before the d**4 matrix entries are built
     dd = d * d
@@ -323,7 +329,8 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     _check_cap(d, n_max)
     dims = [1, d] if n_max else [1]
     # ext[j*d + a]: the class of (basis vector j of Q_{n-2})⊗e_a in Q_{n-1},
-    # as (basis index, integer coefficient) pairs, all up to one common scale
+    # as (basis index, integer coefficient) pairs: its pairings with the
+    # annihilator of the degree-(n-1) relations, one coordinate per vector
     ext = [[(a, 1)] for a in range(d)]
     for n in range(2, n_max + 1):
         ncols = dims[n - 1] * d
@@ -340,17 +347,8 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
         dims.append(ncols - ech.rank)
         if n == n_max:
             break
-        # scaled by the common pivot value D, which leaves every span alone
-        D, reduced = ech.reduced()
-        pivot_row = dict(zip(ech.pivots, reduced))
-        free = [c for c in range(ncols) if c not in pivot_row]
-        index = {c: k for k, c in enumerate(free)}
-        ext = [
-            [(index[c], D)]
-            if c in index
-            else [(index[f], -pivot_row[c][f]) for f in free if pivot_row[c][f]]
-            for c in range(ncols)
-        ]
+        ann = ech.annihilator()
+        ext = [[(k, x[c]) for k, x in enumerate(ann) if x[c]] for c in range(ncols)]
     return dims
 
 

@@ -207,6 +207,40 @@ def test_relation_bases_equal_the_dense_route():
                 assert rmatrix._relations(s, kind, t) is got
 
 
+def test_engine_hands_echelon_integer_rows_only(monkeypatch):
+    """Past the relation bases, no row is cleared of denominators: with
+    ``linalg.clear_denominators`` made to raise once those bases are built
+    (through the rational readers), the dims of dense fractional conjugates
+    still equal the dense oracles."""
+    rng = random.Random("integer rows")
+    sym = dense_conjugate(build_super(2, 1, 2), rng)
+    a, b = dense_conjugate(build_standard(2, 2), rng), dense_conjugate(build_super(1, 1, 2), rng)
+    assert all(any(x.denominator > 1 for row in s.matrix for x in row) for s in (sym, a, b))
+    want = {
+        "sym": [oracles.quotient_dim(sym, [k] if k else [], []) for k in range(5)],
+        "ext": [oracles.quotient_dim(sym, [], [k] if k else []) for k in range(5)],
+        "mixed": oracles.quotient_dim(sym, (2, 1), (2,)),
+        "A": [oracles.intertwiner_dim(a, b, k) for k in range(4)],
+        "E": [oracles.e_component_dim(a, b, k) for k in range(4)],
+    }
+    # oracles.quotient_dim has built the sym and ext bases; A and E next
+    for kind in "AE":
+        rmatrix._relations(b, kind, a)
+
+    def refuse(row):
+        raise AssertionError("a row reached clear_denominators")
+
+    monkeypatch.setattr(linalg, "clear_denominators", refuse)
+    got = {
+        "sym": symmetric_dims(sym, 4),
+        "ext": exterior_dims(sym, 4),
+        "mixed": dim_quotient(sym, (2, 1), (2,)),
+        "A": rmatrix.hom_dims(a, b, "A", 3),
+        "E": rmatrix.hom_dims(a, b, "E", 3),
+    }
+    assert got == want
+
+
 def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     calls = {"chains": 0, "conj": 0}
     engine, conj = rmatrix._graded_quotient_dims, rmatrix._conjugation_entries

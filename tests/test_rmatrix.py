@@ -4,6 +4,8 @@ dense Kronecker embedding built independently in the test module."""
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,23 @@ class TestStoredForm:
         rows[1][2], rows[2][0] = "x", "y"
         with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
             load_and_validate(2, 2, rows)
+
+    def test_strings_past_the_digit_limit_are_refused_at_once(self):
+        # Fraction("1e-200000") alone takes over a second; parse_rational
+        # refuses it before expanding the exponent
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        huge = "1e-200000"
+        calls = {
+            "build_standard q": lambda: build_standard(2, huge),
+            "build_super q": lambda: build_super(1, 1, huge),
+            "load_and_validate q": lambda: load_and_validate(1, huge, [[-1]]),
+            "load_and_validate entry": lambda: load_and_validate(1, 2, [[huge]]),
+        }
+        for name, call in calls.items():
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"^rational literal expands past the limit of {limit} digits$"):
+                call()
+            assert time.perf_counter() - start < 1, name
 
 
 class TestValidationBound:
