@@ -12,8 +12,8 @@ graded-quotient engine.  Matrices are lists of rows.  Determinants and
 square solves are not among the readers: Schur values come from the
 memoised expansion in ``series.schur_values``, and recurrence detection
 solves its nested systems in one Berlekamp-Massey pass.
-``primitive`` is the one gcd reduction, shared with the integer series
-kernels.
+``primitive`` is the one gcd reduction and ``scale_to_integers`` the one
+scaling of a rational row to integers, both shared with the series kernels.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
@@ -73,10 +73,16 @@ def primitive(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
+def scale_to_integers(row) -> tuple[int, list[int]]:
+    """``(D, [x*D for x in row])`` for a rational row, D the lcm of its
+    denominators."""
+    D = lcm(*(x.denominator for x in row))
+    return D, [x.numerator * (D // x.denominator) for x in row]
+
+
 def clear_denominators(row):
     """Rescale a rational row to coprime integers, preserving signs."""
-    denom = lcm(*(x.denominator for x in row))
-    return primitive([x.numerator * (denom // x.denominator) for x in row])
+    return primitive(scale_to_integers(row)[1])
 
 
 def _eliminate(row, brow, p):

@@ -309,8 +309,9 @@ class BirankCertificate(NamedTuple):
 
     @classmethod
     def from_polynomials(cls, f0, f1) -> "BirankCertificate":
-        f0 = poly_trim(f0) or [Fraction(1)]
-        f1 = poly_trim(f1) or [Fraction(1)]
+        # the zero polynomial is refused below, by its constant term 0
+        f0 = poly_trim(f0) or [Fraction(0)]
+        f1 = poly_trim(f1) or [Fraction(0)]
         for p in (f0, f1):
             check_certificate_degree(len(p) - 1)
         for p in (f0, f1):
@@ -393,9 +394,8 @@ def schur_values(f: TruncSeries):
     contribute a factor a_0 each.  A matrix entry beyond the truncation
     order raises as TruncSeries.coeff does.
     """
-    D = lcm(*(c.denominator for c in f.coeffs))
-    table = _SchurTable([c.numerator * (D // c.denominator) for c in f.coeffs])
-    b0 = table.b[0]
+    D, b = linalg.scale_to_integers(f.coeffs)
+    table, b0 = _SchurTable(b), b[0]
 
     def value(lam) -> Fraction:
         k = len(lam)
@@ -448,8 +448,7 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
         )
     n = f.order
     check_order(n)
-    D = lcm(*(c.denominator for c in f.coeffs))
-    a = [c.numerator * (D // c.denominator) for c in f.coeffs]
+    D, a = linalg.scale_to_integers(f.coeffs)
 
     def form(lam, length, checked):
         """The rational form of connection polynomial lam at the given

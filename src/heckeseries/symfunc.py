@@ -4,6 +4,8 @@ The conversion engine is deliberately small: every change of basis routes
 through the Schur basis using the Kostka matrix and its integer inverse.
 Products concatenate h-labels, h_lam * h_mu = h_(lam u mu), and evaluations
 of a series homomorphism use the h-basis too, where it is defined.
+Tensor-power characters are Hall representatives of a series, read off the
+one Schur-value table of ``series.schur_values`` (super Cauchy identity).
 
 With partitions indexed in descending lexicographic order (the order
 enumerate_partitions emits), dominance refines the index order, so both
@@ -29,7 +31,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     kostka,
-    partition_pairs,
     weight,
 )
 from .series import (
@@ -299,17 +300,17 @@ def hall_rep(f: TruncSeries, n: int) -> SymElement:
     return SymElement(n, "s", coeffs)
 
 
-def _alphabet_series(roots, poly, sign: int) -> list[Fraction]:
-    """Polynomial prod(1 + sign*x_i t) from explicit roots, or the given
-    polynomial (sign already baked in by the caller)."""
+def _alphabet_poly(roots, poly) -> list[Fraction]:
+    """Polynomial prod(1 - x_i t) from explicit roots, or the given
+    polynomial."""
     if roots and poly is not None:
         raise ValueError("give either explicit roots or a polynomial, not both")
-    if poly is not None:
-        p = [Fraction(c) for c in poly]
-        if not p or p[0] == 0:
-            raise ValueError("alphabet polynomial needs a nonzero constant term")
-        return p
-    return poly_from_roots(-sign * Fraction(x) for x in roots)
+    if poly is None:
+        return poly_from_roots(roots)
+    p = [Fraction(c) for c in poly]
+    if not p or p[0] == 0:
+        raise ValueError("alphabet polynomial needs a nonzero constant term")
+    return p
 
 
 def specialize_super(
@@ -322,46 +323,31 @@ def specialize_super(
     """Evaluate u on a two-alphabet (even/odd) specialization.
 
     The defining data is the series sum h_n t^n = prod(1 + beta_j t) /
-    prod(1 - alpha_i t).  Alphabets come either as explicit rational root
-    lists or as integer polynomials with the roots left implicit: the
-    denominator polynomial is prod(1 - alpha_i t), the numerator polynomial
-    prod(1 - beta_j t) and is flipped to -t internally, so results stay
-    exact even when the roots are irrational.
+    prod(1 - alpha_i t).  Each alphabet comes either as an explicit rational
+    root list or as a polynomial prod(1 - x t) with the roots left implicit,
+    the betas' flipped to -t, so results stay exact even when the roots are
+    irrational.
     """
-    den = _alphabet_series(alphas, alpha_poly, -1)
-    if beta_poly is not None:
-        num = poly_negate_t(_alphabet_series((), beta_poly, +1))
-    else:
-        num = _alphabet_series(betas, None, +1)
-    f = expand_ratio(num, den, u.degree if u.degree > 0 else 1)
-    return hom_eval(f, u)
+    den = _alphabet_poly(alphas, alpha_poly)
+    num = poly_negate_t(_alphabet_poly(betas, beta_poly))
+    return hom_eval(expand_ratio(num, den, max(u.degree, 1)), u)
 
 
 def tensor_power_character(f0, f1, n: int) -> SymElement:
     """Character of the n-th tensor power attached to a certified pair of
     polynomials, expanded in the h-basis.
 
-    Sums m_lam(alpha) * m_mu(beta) * h_lam * e_mu over all two-partition
-    splittings of n, where the alphabet values come from the single-alphabet
-    series 1/f0 and 1/f1.
+    With f0 = prod(1 - alpha_i t) and f1 = prod(1 - beta_j t), the character
+    is sum m_lam(alpha) m_mu(beta) h_lam e_mu over pairs of partitions of n,
+    which by the super Cauchy identity (Macdonald I.4) is the Hall
+    representative sum_nu s_nu[f1(-t)/f0(t)] s_nu, read off the one Schur
+    table of that series.
     """
-    f0 = poly_trim(f0) or [Fraction(1)]
-    f1 = poly_trim(f1) or [Fraction(1)]
-    if f0[0] != 1 or f1[0] != 1:
+    f0, f1 = poly_trim(f0), poly_trim(f1)
+    if f0[:1] != [1] or f1[:1] != [1]:
         raise ValueError("alphabet polynomials need constant term 1")
     _check_degree(n)
-    result = SymElement(n, "h", {})
-    for lam, mu in partition_pairs(n):
-        a = specialize_super(SymElement.generator("m", lam), alpha_poly=f0)
-        if a == 0:
-            continue
-        b = specialize_super(SymElement.generator("m", mu), alpha_poly=f1)
-        if b == 0:
-            continue
-        e_part = to_basis(SymElement.generator("e", mu), "h")
-        term = _h_product(SymElement.generator("h", lam), e_part)
-        result = result + term.scaled(a * b)
-    return result
+    return to_basis(hall_rep(expand_ratio(poly_negate_t(f1), f0, n), n), "h")
 
 
 def schur_value(f: TruncSeries, lam) -> Fraction:

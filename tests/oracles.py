@@ -28,6 +28,12 @@ summed from it by its definition, where the library's ``diamond``
 evaluates no partition and exponentiates products of power sums (Cauchy's
 identity).
 
+``pair_sum_character`` is the tensor-power character the library once
+built: a sum over every partition pair (lam, mu) of m_lam(alpha)
+m_mu(beta) h_lam e_mu, the alphabet values specialized through
+``symfunc.specialize_super``.  The library reads the same element off one
+Schur-value table by the super Cauchy identity (``symfunc.hall_rep``).
+
 ``expand_ratio_dense`` expands num/den by solving one dense triangular
 Toeplitz system with the textbook elimination, where the library runs the
 denominator's recurrence.
@@ -63,10 +69,12 @@ from heckeseries.partitions import (
     _strip_counts,
     as_partition,
     enumerate_partitions,
+    partition_pairs,
     weight,
 )
 from heckeseries.rmatrix import BraidViolation, HeckeViolation, _relations
 from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
+from heckeseries.symfunc import SymElement, _h_product, specialize_super, to_basis
 
 
 def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
@@ -362,6 +370,24 @@ def minor_sum_diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries
         )
         for n in range(order + 1)
     )
+
+
+def pair_sum_character(f0, f1, n: int) -> SymElement:
+    """The degree-n tensor-power character as the sum over partition pairs
+    (lam, mu) of n of m_lam(alpha) m_mu(beta) h_lam e_mu, each alphabet
+    value a specialization at the implicit roots of f0 or f1."""
+    result = SymElement(n, "h", {})
+    for lam, mu in partition_pairs(n):
+        a = specialize_super(SymElement.generator("m", lam), alpha_poly=f0)
+        if a == 0:
+            continue
+        b = specialize_super(SymElement.generator("m", mu), alpha_poly=f1)
+        if b == 0:
+            continue
+        e_part = to_basis(SymElement.generator("e", mu), "h")
+        term = _h_product(SymElement.generator("h", lam), e_part)
+        result = result + term.scaled(a * b)
+    return result
 
 
 def expand_ratio_dense(num, den, order: int) -> TruncSeries:

@@ -146,6 +146,8 @@ class TestPredict:
              "polynomial has roots off the positive real axis: 1,1"),
             (("--alphas", "1/2"), "non-integer certificate polynomial 1,-1/2"),
             (("--series", "1;2,-1"), "certificate constant term must be 1: 2,-1"),
+            (("--series", "1;0"), "certificate constant term must be 1: 0"),
+            (("--series", "0;1"), "certificate constant term must be 1: 0"),
         ],
     )
     def test_certificate_errors_render_the_polynomial(self, capsys, argv, message):

@@ -39,7 +39,12 @@ from heckeseries.symfunc import (
     to_basis,
 )
 
-from oracles import count_mixed_matrices, count_row_col_matrices, invert_unitriangular
+from oracles import (
+    count_mixed_matrices,
+    count_row_col_matrices,
+    invert_unitriangular,
+    pair_sum_character,
+)
 
 
 def gen(basis, lam):
@@ -409,8 +414,12 @@ class TestSpecializeSuper:
             specialize_super(gen("s", (1,)), alpha_poly=[0, 1])
 
     def test_rejects_mixing_roots_and_poly(self):
-        with pytest.raises(ValueError):
-            specialize_super(gen("s", (1,)), alphas=(1,), alpha_poly=[1, -1])
+        for alphabets in (
+            {"alphas": (1,), "alpha_poly": [1, -1]},
+            {"betas": (5,), "beta_poly": [1, -1]},
+        ):
+            with pytest.raises(ValueError, match="not both"):
+                specialize_super(gen("s", (1,)), **alphabets)
 
 
 class TestTensorPowerCharacter:
@@ -425,6 +434,39 @@ class TestTensorPowerCharacter:
     def test_frozen_rank_two(self):
         u = tensor_power_character([1, -2, 1], [1], 2)
         assert u.coeffs == {(2,): 2, (1, 1): 1}
+
+    @pytest.mark.parametrize(
+        "f0, f1",
+        [
+            ([1, -2, 1], [1]),
+            ([1, -1], [1, -1]),
+            ([1, -3, 1], [1]),  # golden ratio
+            ([1], [1, -1]),
+            ([1, -5, 6], [1, -4, 3]),
+            ([1], [1]),  # rank zero
+            ([1, Fraction(-3, 2), Fraction(1, 2)], [1, Fraction(-1, 3)]),
+        ],
+    )
+    def test_equals_the_pair_sum(self, f0, f1):
+        for n in range(0, 9):
+            assert tensor_power_character(f0, f1, n) == pair_sum_character(f0, f1, n), n
+
+    @pytest.mark.parametrize("f0, f1", [([0], [1]), ([1], [0]), ([], [1]), ([2, -1], [1])])
+    def test_refuses_a_constant_term_other_than_1(self, f0, f1):
+        with pytest.raises(ValueError, match="constant term 1"):
+            tensor_power_character(f0, f1, 2)
+
+    def test_cold_at_the_degree_cap(self, monkeypatch):
+        # fresh transition tables and strip counts: every Kostka number of
+        # degree DEGREE_CAP is rebuilt inside the timed call
+        monkeypatch.setattr(symfunc, "_CACHE", TransitionCache())
+        _strip_counts.cache_clear()
+        start = time.perf_counter()
+        u = tensor_power_character([1, -3, 1], [1, -1], DEGREE_CAP)
+        elapsed = time.perf_counter() - start
+        ones = SymElement.generator("h", (1,) * DEGREE_CAP)
+        assert inner_product(u, ones) == 4**DEGREE_CAP
+        assert elapsed < 5.0
 
     def test_total_dimension_identity(self):
         # pairing the character with h_{(1,...,1)} recovers d^n
