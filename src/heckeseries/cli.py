@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks passed; 1 a check failed or a prediction
 was refused (inconclusive detection, failed certificate, rejected symmetry,
-two evaluation routes disagreeing); 2 usage or parse error; 3 resource cap
+an exact step leaving a remainder); 2 usage or parse error; 3 resource cap
 exceeded.
 """
 

@@ -19,7 +19,8 @@ scaling of a rational row to integers, both shared with the series kernels.
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
 both the tensor-power engine and the series expansions enforce.
 ``parse_rational``, the one parser of rational input, lives here too, so
-that reading a symmetry loads no ``series`` code.
+that reading a symmetry loads no ``series`` code; ``rational`` reads any
+number or string through it for the library constructors.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ def parse_rational(text: str) -> Fraction:
         if digits > limit:
             raise ValueError(f"rational literal expands past the limit of {limit} digits")
     return Fraction(text)
+
+
+def rational(x) -> Fraction:
+    """``Fraction(x)``, reading a string through ``parse_rational`` so that
+    its digit bound holds for library callers too."""
+    return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
 
 def primitive(row: list[int]) -> list[int]:

@@ -74,12 +74,6 @@ def _check_cap(d: int, n: int):
         raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
 
 
-def _rational(x) -> Fraction:
-    """``Fraction(x)``, reading a string through ``linalg.parse_rational`` so
-    that its digit bound holds for library callers too."""
-    return linalg.parse_rational(x) if isinstance(x, str) else Fraction(x)
-
-
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V,
     stored once as M/s for an integer d²×d² matrix M: ``cols[c]`` lists the
@@ -93,7 +87,7 @@ class HeckeSymmetry:
     __slots__ = ("d", "q", "s", "cols", "source", "_cache")
 
     def __init__(self, d: int, q, matrix, source: str = "user"):
-        q = _rational(q)
+        q = linalg.rational(q)
         if q == 0:
             raise ValueError("the parameter q must be nonzero")
         if d < 1:
@@ -107,7 +101,7 @@ class HeckeSymmetry:
         # int and Fraction zeros are dropped unconverted; any other entry,
         # a "0" string included, is converted in row order
         rows = [
-            [_rational(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
+            [linalg.rational(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
             for row in matrix
         ]
         cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
@@ -205,7 +199,7 @@ def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
     (0 even, 1 odd): even diagonal pairs scale by q and odd ones by -1,
     ordered pairs swap with the sign of odd-odd pairs, and the
     lower-triangular correction keeps the quadratic relation exact."""
-    q = _rational(q)
+    q = linalg.rational(q)
     d = len(parity)
     _check_cap(d, 3)  # before the d**4 matrix entries are built
     dd = d * d

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .linalg import ORDER_CAP
-from .partitions import Partition, enumerate_partitions
+from .partitions import enumerate_partitions
 
 
 class InconclusiveDetection(ValueError):
@@ -87,7 +87,7 @@ class RootLocationError(CertificateError):
 
 
 def poly_trim(p) -> list[Fraction]:
-    p = [Fraction(x) for x in p]
+    p = [linalg.rational(x) for x in p]
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -107,7 +107,7 @@ def poly_mul(p, q) -> list[Fraction]:
 
 def poly_negate_t(p) -> list[Fraction]:
     """p(t) -> p(-t)."""
-    return [Fraction(x) * (-1) ** i for i, x in enumerate(p)]
+    return [linalg.rational(x) * (-1) ** i for i, x in enumerate(p)]
 
 
 def render_poly(p) -> str:
@@ -119,7 +119,7 @@ def poly_from_roots(roots) -> list[Fraction]:
     """prod(1 - a t) over the given reciprocal roots a."""
     out = [Fraction(1)]
     for a in roots:
-        out = poly_mul(out, [Fraction(1), -Fraction(a)])
+        out = poly_mul(out, [Fraction(1), -linalg.rational(a)])
     return out
 
 
@@ -145,7 +145,7 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(linalg.rational(c) for c in coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least one coefficient")
         self.coeffs = cs
@@ -174,7 +174,7 @@ class TruncSeries:
 
     def scale_variable(self, a) -> "TruncSeries":
         """f(t) -> f(a t)."""
-        a = Fraction(a)
+        a = linalg.rational(a)
         return TruncSeries(
             [c * a**i for i, c in enumerate(self.coeffs)]
         )
@@ -207,11 +207,11 @@ class TruncSeries:
 def expand_ratio(num, den, order: int) -> TruncSeries:
     """Series of num(t)/den(t) to the given order; den(0) must be nonzero."""
     check_order(order)
-    den = [Fraction(x) for x in den]
+    den = [linalg.rational(x) for x in den]
     if not den or den[0] == 0:
         raise ValueError("denominator needs nonzero constant term")
     # den * out = num, solved degree by degree: a recurrence of den's length
-    num = [Fraction(x) for x in num[: order + 1]]
+    num = [linalg.rational(x) for x in num[: order + 1]]
     num += [Fraction(0)] * (order + 1 - len(num))
     tail = [(i, c) for i, c in enumerate(den[1 : order + 1], 1) if c]
     out = []
@@ -244,10 +244,10 @@ class RationalForm(_RationalFormFields):
     __slots__ = ()
 
     def __new__(cls, num, den):
-        den = tuple(Fraction(x) for x in den)
+        den = tuple(linalg.rational(x) for x in den)
         if not den or den[0] != 1:
             raise ValueError("denominator must have constant term 1")
-        return super().__new__(cls, tuple(Fraction(x) for x in num), den)
+        return super().__new__(cls, tuple(linalg.rational(x) for x in num), den)
 
     def expand(self, order: int) -> TruncSeries:
         return expand_ratio(self.num, self.den, order)
@@ -353,7 +353,7 @@ def hankel_minor(f: TruncSeries, i: int, k: int) -> Fraction:
         raise ValueError("window extends beyond the truncation order")
     if i < 0 < k:
         return Fraction(0)  # the first column a_{i-s} is all zero
-    return schur_minor(f, (i,) * k)
+    return schur_values(f)((i,) * k)
 
 
 class _SchurTable(dict):
@@ -387,7 +387,7 @@ def schur_values(f: TruncSeries):
     """The reader lam -> det(a_{lam_i - i + j}) of one memo table for f.
 
     The determinant is the series homomorphism on the Schur element s_lam
-    (Jacobi-Trudi); the basis-conversion route lives in symfunc.  The table
+    (Jacobi-Trudi) when a_0 = 1, the h_0 that symfunc reads.  The table
     runs on the integers D a_n, D the lcm of the denominators, and the
     determinant is homogeneous of degree len(lam), so a value is its entry
     over D**len(lam).  Trailing zero parts, as in the Hankel window (0,)*k,
@@ -407,14 +407,6 @@ def schur_values(f: TruncSeries):
         return Fraction(table[tuple(lam[:n])] * b0 ** (k - n), D**k)
 
     return value
-
-
-def schur_minor(f: TruncSeries, lam: Partition) -> Fraction:
-    """det(a_{lam_i - i + j}): a one-off read of ``schur_values``, for lam
-    weakly decreasing with no negative part (trailing zero parts allowed)."""
-    if any(x < 0 for x in lam) or any(x < y for x, y in zip(lam, lam[1:])):
-        raise ValueError(f"{tuple(lam)} is not a partition")
-    return schur_values(f)(lam)
 
 
 # ---------------------------------------------------------------------------

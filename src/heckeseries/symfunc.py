@@ -3,9 +3,11 @@
 The conversion engine is deliberately small: every change of basis routes
 through the Schur basis using the Kostka matrix and its integer inverse.
 Products concatenate h-labels, h_lam * h_mu = h_(lam u mu), and evaluations
-of a series homomorphism use the h-basis too, where it is defined.
-Tensor-power characters are Hall representatives of a series, read off the
-one Schur-value table of ``series.schur_values`` (super Cauchy identity).
+of a series homomorphism h_n -> a_n use the h-basis too, where it is
+defined.  Its values on Schur elements (Hall representatives, and through
+them tensor-power characters by the super Cauchy identity) are read off the
+one table of ``series.schur_values``, with the constant term read as the
+homomorphism's h_0 = 1 (Jacobi-Trudi, Macdonald I.3).
 
 With partitions indexed in descending lexicographic order (the order
 enumerate_partitions emits), dominance refines the index order, so both
@@ -22,6 +24,7 @@ the e-basis is the h-basis composed with conjugation of Schur labels.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .partitions import (
@@ -68,7 +71,7 @@ class SymElement:
         clean: dict[Partition, Fraction] = {}
         for lam, c in dict(coeffs).items():
             lam = as_partition(lam)
-            c = Fraction(c)
+            c = linalg.rational(c)
             if weight(lam) != degree:
                 raise ValueError(
                     f"partition {lam} has weight {weight(lam)}, expected {degree}"
@@ -86,7 +89,7 @@ class SymElement:
         return not self.coeffs
 
     def scaled(self, c) -> "SymElement":
-        c = Fraction(c)
+        c = linalg.rational(c)
         return SymElement(
             self.degree, self.basis, {lam: v * c for lam, v in self.coeffs.items()}
         )
@@ -134,34 +137,23 @@ class SymElement:
         return cls(weight(lam), basis, {lam: Fraction(1)})
 
 
-class TransitionCache:
-    """Write-once-per-degree store of the Kostka matrix and its inverse, the
-    right half of the reduced rows [K | I]: K is unitriangular, so their
-    common pivot value is 1."""
-
-    def __init__(self):
-        self._by_degree: dict[int, tuple] = {}
-
-    def degree_data(self, n: int):
-        _check_degree(n)
-        cached = self._by_degree.get(n)
-        if cached is None:
-            parts = enumerate_partitions(n)
-            index = {lam: i for i, lam in enumerate(parts)}
-            k_matrix = [[kostka(lam, mu) for mu in parts] for lam in parts]
-            size = len(parts)
-            ech = linalg.Echelon(2 * size)
-            for i, row in enumerate(k_matrix):
-                ech.add(row + [int(i == j) for j in range(size)])
-            D, reduced = ech.reduced()
-            if D != 1:
-                raise ConsistencyError(f"degree-{n} Kostka matrix is not unitriangular")
-            k_inverse = [row[size:] for row in reduced]
-            cached = self._by_degree[n] = (parts, index, k_matrix, k_inverse)
-        return cached
-
-
-_CACHE = TransitionCache()
+@lru_cache(maxsize=None)
+def _degree_data(n: int):
+    """The degree-n partitions, their index, the Kostka matrix and its
+    inverse, the right half of the reduced rows [K | I]: K is unitriangular,
+    so their common pivot value is 1."""
+    _check_degree(n)
+    parts = enumerate_partitions(n)
+    index = {lam: i for i, lam in enumerate(parts)}
+    k_matrix = [[kostka(lam, mu) for mu in parts] for lam in parts]
+    size = len(parts)
+    ech = linalg.Echelon(2 * size)
+    for i, row in enumerate(k_matrix):
+        ech.add(row + [int(i == j) for j in range(size)])
+    D, reduced = ech.reduced()
+    if D != 1:
+        raise ConsistencyError(f"degree-{n} Kostka matrix is not unitriangular")
+    return parts, index, k_matrix, [row[size:] for row in reduced]
 
 
 def _coeff_vector(u: SymElement, parts, index):
@@ -185,7 +177,7 @@ def _conjugate_labels(vec, parts, index):
 def _to_schur(u: SymElement) -> SymElement:
     if u.basis == "s":
         return u
-    parts, index, k_matrix, k_inverse = _CACHE.degree_data(u.degree)
+    parts, index, k_matrix, k_inverse = _degree_data(u.degree)
     vec = _coeff_vector(u, parts, index)
     if u.basis == "m":
         out = _product(k_inverse, vec, transpose=True)
@@ -199,7 +191,7 @@ def _to_schur(u: SymElement) -> SymElement:
 def _from_schur(u: SymElement, target: str) -> SymElement:
     if target == "s":
         return u
-    parts, index, k_matrix, k_inverse = _CACHE.degree_data(u.degree)
+    parts, index, k_matrix, k_inverse = _degree_data(u.degree)
     vec = _coeff_vector(u, parts, index)
     if target == "m":
         out = _product(k_matrix, vec, transpose=True)
@@ -285,13 +277,20 @@ def hom_eval(f: TruncSeries, u: SymElement) -> Fraction:
     return total
 
 
+def _values(f: TruncSeries):
+    """The reader lam -> value of the series homomorphism on s_lam:
+    ``series.schur_values`` of f with its constant term read as h_0 = 1."""
+    return schur_values(TruncSeries((1,) + f.coeffs[1:]))
+
+
 def hall_rep(f: TruncSeries, n: int) -> SymElement:
     """The degree-n element representing the series homomorphism under the
-    Hall pairing: sum over weight-n partitions of (value on s_lam) * s_lam."""
+    Hall pairing: sum over weight-n partitions of (value on s_lam) * s_lam,
+    the values taken with h_0 = 1 whatever f's constant term."""
     if n > f.order:
         raise ValueError(f"degree {n} exceeds truncation order {f.order}")
     _check_degree(n)
-    value = schur_values(f)
+    value = _values(f)
     coeffs = {}
     for lam in enumerate_partitions(n):
         val = value(lam)
@@ -307,7 +306,7 @@ def _alphabet_poly(roots, poly) -> list[Fraction]:
         raise ValueError("give either explicit roots or a polynomial, not both")
     if poly is None:
         return poly_from_roots(roots)
-    p = [Fraction(c) for c in poly]
+    p = [linalg.rational(c) for c in poly]
     if not p or p[0] == 0:
         raise ValueError("alphabet polynomial needs a nonzero constant term")
     return p
@@ -351,15 +350,11 @@ def tensor_power_character(f0, f1, n: int) -> SymElement:
 
 
 def schur_value(f: TruncSeries, lam) -> Fraction:
-    """Value of the series homomorphism on a Schur generator, computed both
-    by basis conversion and by the Jacobi-Trudi table of
-    ``series.schur_values``; the two routes must agree."""
+    """Value of the series homomorphism on the Schur generator s_lam, read
+    off the Jacobi-Trudi table with h_0 = 1 whatever f's constant term."""
     lam = as_partition(lam)
-    via_basis = hom_eval(f, SymElement.generator("s", lam))
-    via_minor = schur_values(f)(lam)
-    if via_basis != via_minor:
-        raise ConsistencyError(
-            f"Schur evaluation routes disagree at {lam}: "
-            f"{via_basis} vs {via_minor}"
-        )
-    return via_minor
+    w = weight(lam)
+    if w > f.order:
+        raise ValueError(f"element degree {w} exceeds truncation order {f.order}")
+    _check_degree(w)
+    return _values(f)(lam)

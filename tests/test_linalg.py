@@ -367,7 +367,7 @@ def test_parse_rational_refuses_exponents_past_the_digit_limit():
 
 def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
     from heckeseries.rmatrix import build_standard, symmetric_dims
-    from heckeseries.symfunc import TransitionCache
+    from heckeseries import symfunc
 
     built = []
 
@@ -382,8 +382,9 @@ def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
         "row_basis": lambda: linalg.row_basis([[1, 2], [2, 4]], 2),
         "nullspace": lambda: linalg.nullspace([[1, 2]], 2),
         "symmetric_dims": lambda: symmetric_dims(build_standard(2, 3), 3),
-        "inverse Kostka matrix": lambda: TransitionCache().degree_data(4),
+        "inverse Kostka matrix": lambda: symfunc._degree_data(4),
     }
+    symfunc._degree_data.cache_clear()
     for name, call in calls.items():
         before = len(built)
         call()

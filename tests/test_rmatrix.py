@@ -270,15 +270,30 @@ class TestStoredForm:
             load_and_validate(2, 2, rows)
 
     def test_strings_past_the_digit_limit_are_refused_at_once(self):
-        # Fraction("1e-200000") alone takes over a second; parse_rational
-        # refuses it before expanding the exponent
+        # Fraction("1e-3000000") alone takes over a second; every library
+        # constructor reads strings through linalg.rational, so
+        # parse_rational refuses it before expanding the exponent
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        huge = "1e-200000"
+        huge = "1e-3000000"
         calls = {
             "build_standard q": lambda: build_standard(2, huge),
             "build_super q": lambda: build_super(1, 1, huge),
             "load_and_validate q": lambda: load_and_validate(1, huge, [[-1]]),
             "load_and_validate entry": lambda: load_and_validate(1, 2, [[huge]]),
+            "TruncSeries": lambda: series.TruncSeries([1, huge]),
+            "TruncSeries.scale_variable": lambda: series.TruncSeries([1]).scale_variable(huge),
+            "RationalForm num": lambda: series.RationalForm([huge], [1]),
+            "RationalForm den": lambda: series.RationalForm([1], [1, huge]),
+            "poly_from_roots": lambda: series.poly_from_roots([huge]),
+            "poly_trim": lambda: series.poly_trim([1, huge]),
+            "poly_negate_t": lambda: series.poly_negate_t([1, huge]),
+            "expand_ratio num": lambda: series.expand_ratio([huge], [1], 2),
+            "expand_ratio den": lambda: series.expand_ratio([1], [1, huge], 2),
+            "SymElement": lambda: symfunc.SymElement(1, "s", {(1,): huge}),
+            "SymElement.scaled": lambda: symfunc.SymElement.unit().scaled(huge),
+            "specialize_super alpha_poly": lambda: symfunc.specialize_super(
+                symfunc.SymElement.unit(), alpha_poly=[1, huge]
+            ),
         }
         for name, call in calls.items():
             start = time.perf_counter()

@@ -21,7 +21,7 @@ from heckeseries.partitions import (
     standard_tableaux_count,
     weight,
 )
-from heckeseries.series import TruncSeries, expand_ratio, schur_minor
+from heckeseries.series import TruncSeries, expand_ratio
 from heckeseries.symfunc import (
     BASES,
     DEGREE_CAP,
@@ -35,7 +35,6 @@ from heckeseries.symfunc import (
     schur_value,
     specialize_super,
     tensor_power_character,
-    TransitionCache,
     to_basis,
 )
 
@@ -320,15 +319,15 @@ class TestHallRep:
         assert u.coeffs == {(2,): 1}
 
     def test_adjoint_to_hom_eval(self):
+        # the homomorphism sends h_0 to 1 whatever the series' constant term
         rng = random.Random(47)
-        f = TruncSeries(
-            [Fraction(1)] + [Fraction(rng.randint(-2, 3)) for _ in range(6)]
-        )
-        for degree in range(0, 5):
-            u = random_element(rng, degree, rng.choice(BASES))
-            assert inner_product(hall_rep(f, degree), to_basis(u, "s")) == hom_eval(
-                f, u
-            )
+        for a0 in (1, 2, 0, Fraction(-1, 3)):
+            f = TruncSeries([a0] + [Fraction(rng.randint(-2, 3)) for _ in range(6)])
+            for degree in range(0, 5):
+                u = random_element(rng, degree, rng.choice(BASES))
+                assert inner_product(hall_rep(f, degree), to_basis(u, "s")) == hom_eval(
+                    f, u
+                ), (f, u)
 
     def test_product_formula(self):
         # degree-n component of a product splits over the two factors
@@ -456,10 +455,10 @@ class TestTensorPowerCharacter:
         with pytest.raises(ValueError, match="constant term 1"):
             tensor_power_character(f0, f1, 2)
 
-    def test_cold_at_the_degree_cap(self, monkeypatch):
+    def test_cold_at_the_degree_cap(self):
         # fresh transition tables and strip counts: every Kostka number of
         # degree DEGREE_CAP is rebuilt inside the timed call
-        monkeypatch.setattr(symfunc, "_CACHE", TransitionCache())
+        symfunc._degree_data.cache_clear()
         _strip_counts.cache_clear()
         start = time.perf_counter()
         u = tensor_power_character([1, -3, 1], [1, -1], DEGREE_CAP)
@@ -512,14 +511,22 @@ def _pairs(n):
 
 class TestSchurValue:
     def test_dual_routes_agree_on_randoms(self):
+        # the Schur table against the Kostka route through the h-basis;
+        # both read h_0 as 1 whatever the series' constant term
         rng = random.Random(61)
-        for _ in range(15):
+        for trial in range(40):
+            a0 = [1, 2, 0, Fraction(-1, 3)][trial % 4]
             f = TruncSeries(
-                [Fraction(1)]
-                + [Fraction(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(7)]
+                [a0] + [Fraction(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(7)]
             )
             lam = rng.choice(enumerate_partitions(rng.randint(0, 5)))
-            assert schur_value(f, lam) == schur_minor(f, lam)
+            assert schur_value(f, lam) == hom_eval(f, gen("s", lam)), (f, lam)
+
+    def test_refuses_weights_beyond_the_window(self):
+        # the table alone would answer (2, 2) from a_0 ... a_3
+        f = TruncSeries([1, 2, 3, 4])
+        with pytest.raises(ValueError, match="^element degree 4 exceeds truncation order 3$"):
+            schur_value(f, (2, 2))
 
     def test_frozen(self):
         f = expand_ratio([1], [1, -1], 6)
@@ -535,8 +542,9 @@ def test_degree_cap_enforced():
 def test_cold_transition_build_at_the_degree_cap():
     # clear the shared strip tables too, so every Kostka number is rebuilt
     _strip_counts.cache_clear()
+    symfunc._degree_data.cache_clear()
     start = time.perf_counter()
-    parts, index, k_matrix, k_inverse = TransitionCache().degree_data(DEGREE_CAP)
+    parts, index, k_matrix, k_inverse = symfunc._degree_data(DEGREE_CAP)
     elapsed = time.perf_counter() - start
     assert len(parts) == 135 and index[parts[-1]] == 134
     # h_{1^14} = sum f^lam s_lam: the last column of K holds the SYT counts
@@ -556,9 +564,9 @@ def test_cold_transition_build_at_the_degree_cap():
 
 
 def test_inverse_kostka_matches_back_substitution():
-    cache = TransitionCache()
+    symfunc._degree_data.cache_clear()
     for n in range(0, DEGREE_CAP + 1):
-        _, _, k_matrix, k_inverse = cache.degree_data(n)
+        _, _, k_matrix, k_inverse = symfunc._degree_data(n)
         assert k_inverse == invert_unitriangular(k_matrix), n
 
 
@@ -566,5 +574,6 @@ def test_inverse_kostka_needs_unit_pivots(monkeypatch):
     # a table with diagonal 2 has no integer inverse: its reduced rows
     # [K | I] share the pivot value 2, which must be refused, not read
     monkeypatch.setattr(symfunc, "kostka", lambda lam, mu: 2 * kostka(lam, mu))
+    symfunc._degree_data.cache_clear()
     with pytest.raises(ConsistencyError):
-        TransitionCache().degree_data(3)
+        symfunc._degree_data(3)
