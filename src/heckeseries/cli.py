@@ -220,7 +220,6 @@ def cmd_series(args) -> int:
         lam, value = hit
         print(f"violation at {format_partition(lam)}: {value}")
         return 1
-    raise UsageError(f"unknown series action {args.action!r}")
 
 
 def _require(value, flag: str):

@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals, on one elimination kernel.
 
-``Echelon`` is the only Gaussian elimination in the package.  It runs
-fraction-free on integer rows kept gcd-reduced, so every intermediate value
-is an exact integer, and converts no rationals: ``rank``, ``row_basis`` and
-``nullspace`` clear each row of a rational matrix once.  ``Echelon.reduced``
-gives reduced echelon form with one common integer pivot value (``symfunc``'s
-inverse Kostka matrix is the right half of the reduced rows [K | I]), and
-``Echelon.annihilator`` one primitive vector per free column orthogonal to
-every row: coordinates on the quotient, for ``nullspace`` and ``rmatrix``'s
-graded-quotient engine.  Matrices are lists of rows.  Determinants and
-square solves are not among the readers: Schur values come from the
-memoised expansion in ``series.schur_values``, and recurrence detection
-solves its nested systems in one Berlekamp-Massey pass.
+``Echelon`` is the only Gaussian elimination in the package and its one
+entry point: every caller adds integer rows to it directly.  It runs
+fraction-free on rows kept gcd-reduced, so every intermediate value is an
+exact integer, and converts no rationals.  Its rows are a basis of the
+span, ``Echelon.reduced`` gives reduced echelon form with one common
+integer pivot value (``symfunc``'s inverse Kostka matrix is the right half
+of the reduced rows [K | I]), and ``Echelon.annihilator`` one primitive
+vector per free column orthogonal to every row: the kernel bases of
+``rmatrix._relations`` and the quotient coordinates of its graded-quotient
+engine.  Matrices are lists of rows.  Rank, row-basis and nullspace
+readers of rational matrices are test oracles, not library code, and so
+are determinants and square solves: Schur values come from the memoised
+expansion in ``series.schur_values``, and recurrence detection solves its
+nested systems in one Berlekamp-Massey pass.
 ``primitive`` is the one gcd reduction and ``scale_to_integers`` the one
-scaling of a rational row to integers, both shared with the series kernels.
+scaling of a rational row to integers, both shared with the series kernels;
+``clear_denominators`` chains them for the Sturm sequence.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so does ``ORDER_CAP``, the one degree cap that
@@ -112,10 +115,6 @@ class Echelon:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def reduce(self, row) -> list[int]:
         """Reduce an integer row against the basis, gcd-normalized."""
         row = primitive(list(row))
@@ -136,9 +135,6 @@ class Echelon:
                 self.pivots.insert(pos, j)
                 return True
         return False
-
-    def contains(self, row) -> bool:
-        return not any(self.reduce(row))
 
     def reduced(self) -> tuple[int, list[list[int]]]:
         """Reduced echelon form ``(D, rows)``: integer rows aligned with
@@ -170,27 +166,3 @@ class Echelon:
                 x[p] = -row[f]
             basis.append(primitive(x))
         return basis
-
-
-def _echelon(rows, ncols: int) -> Echelon:
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.add(clear_denominators(r))
-    return ech
-
-
-def rank(rows, ncols: int | None = None) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    return _echelon(rows, len(rows[0]) if ncols is None else ncols).rank
-
-
-def row_basis(rows, ncols: int) -> list[list[int]]:
-    """Echelon basis (integer rows) of the span of `rows`."""
-    return _echelon(rows, ncols).rows
-
-
-def nullspace(rows, ncols: int) -> list[list[int]]:
-    """Basis of {x : M x = 0}, one integer vector per free column."""
-    return _echelon(rows, ncols).annihilator()

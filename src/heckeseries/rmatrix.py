@@ -338,7 +338,7 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
                         row[k * d + b] += x * c
                 if any(row):
                     ech.add(row)
-        dims.append(ncols - ech.rank)
+        dims.append(ncols - len(ech.rows))
         if n == n_max:
             break
         ann = ech.annihilator()
@@ -352,9 +352,9 @@ def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = Non
     integer rows.  X is b·M - a·s = b·s·(R - q) on V⊗V for "sym" and "ext"
     (q = a/b, R = M/s), and for "A" and "E" the transpose of (conjugation -
     identity) on the square of Hom(V, V'), V' the target's space.  Im X is
-    the row space of the transpose, and the nonzero rows reach ``linalg`` in
-    index order, so every basis is that of the dense matrix: a zero row is a
-    no-op in ``linalg.Echelon``."""
+    the row space of the transpose, and the nonzero rows reach one
+    ``linalg.Echelon`` in index order, so every basis is that of the dense
+    matrix: a zero row is a no-op there."""
     key = ("relations", kind, target)
     if key not in sym._cache:
         if target is None:
@@ -368,9 +368,10 @@ def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = Non
         for r, c, x in entries:
             i, j = (r, c) if kernel else (c, r)
             rows.setdefault(i, [0] * size)[j] = x
-        rows = [rows[i] for i in sorted(rows)]
-        basis = (linalg.nullspace if kernel else linalg.row_basis)(rows, size)
-        sym._cache[key] = tuple(map(tuple, basis))
+        ech = linalg.Echelon(size)
+        for i in sorted(rows):
+            ech.add(rows[i])
+        sym._cache[key] = tuple(map(tuple, ech.annihilator() if kernel else ech.rows))
     return sym._cache[key]
 
 
@@ -453,6 +454,8 @@ def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
 def hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n_max: int):
     """Dimensions for n = 0..n_max of hom family ``kind``: "A" as in
     ``dim_intertwiner``, "E" as in ``dim_e_component``."""
+    if kind not in ("A", "E"):
+        raise ValueError(f"hom family must be 'A' or 'E', got {kind!r}")
     require_same_q(sym_target, sym_source)
     return _dims(sym_source, kind, n_max, sym_target)
 

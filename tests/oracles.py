@@ -7,6 +7,13 @@ vector, and the dual component is an iterated intersection of subspaces.
 They share nothing with the engine beyond the pair bases, and cost d**n
 columns, so use them only at small n.
 
+``rank``, ``row_basis`` and ``nullspace`` are the rational readers that
+these routes eliminate with: each clears every row of a rational matrix of
+its denominators once and adds it to one ``linalg.Echelon``, the library's
+kernel, which itself takes integer rows only; ``contains`` tests membership
+in an ``Echelon``'s span.  The library has no such reader: it adds integer
+rows to ``linalg.Echelon`` directly.
+
 ``validate_dense`` and ``pair_conjugation_matrix`` read R as a dense
 ``Fraction`` matrix, where the library reads its sparse integer columns:
 the first applies R to dense vectors on V⊗3 (``apply_block``) and raises
@@ -14,7 +21,8 @@ what the library's validator raises, the second builds the conjugation on
 the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 ``dense_pair_bases`` and ``dense_hom_relations`` are the dense route to the
 relation bases that the library builds from sparse nonzero entries: every
-row of the full matrix, zero or not, goes through ``linalg`` in index order.
+row of the full matrix, zero or not, goes through ``row_basis`` or
+``nullspace`` in index order.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
@@ -77,6 +85,35 @@ from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 from heckeseries.symfunc import SymElement, _h_product, specialize_super, to_basis
 
 
+def _echelon(rows, ncols: int) -> linalg.Echelon:
+    ech = linalg.Echelon(ncols)
+    for r in rows:
+        ech.add(linalg.clear_denominators(r))
+    return ech
+
+
+def rank(rows, ncols: int | None = None) -> int:
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(_echelon(rows, len(rows[0]) if ncols is None else ncols).rows)
+
+
+def row_basis(rows, ncols: int) -> list[list[int]]:
+    """Echelon basis (integer rows) of the span of `rows`."""
+    return _echelon(rows, ncols).rows
+
+
+def nullspace(rows, ncols: int) -> list[list[int]]:
+    """Basis of {x : M x = 0}, one integer vector per free column."""
+    return _echelon(rows, ncols).annihilator()
+
+
+def contains(ech: linalg.Echelon, row) -> bool:
+    """Whether an integer row lies in the span of ``ech``."""
+    return not any(ech.reduce(row))
+
+
 def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
     """Echelon basis of span(basis_a) ∩ span(basis_b) inside k^dim."""
     if not basis_a or not basis_b:
@@ -86,7 +123,7 @@ def intersect_bases(basis_a, basis_b, dim: int) -> list[list[int]]:
     for r in range(dim):
         rows.append([av[r] for av in basis_a] + [-bv[r] for bv in basis_b])
     ech = linalg.Echelon(dim)
-    for combo in linalg.nullspace(rows, pa + len(basis_b)):
+    for combo in nullspace(rows, pa + len(basis_b)):
         vec = [
             sum(combo[i] * basis_a[i][r] for i in range(pa)) for r in range(dim)
         ]
@@ -118,7 +155,7 @@ def spanning_quotient_dim(d: int, bases, n: int) -> int:
     spanning = []
     for pos, basis in bases.items():
         spanning.extend(embedded_pair_vectors(basis, d, n, pos))
-    return d**n - linalg.rank(spanning, d**n)
+    return d**n - rank(spanning, d**n)
 
 
 def block_positions(lam, offset: int = 0) -> list[int]:
@@ -241,7 +278,7 @@ def dense_pair_bases(sym):
         [b * int(x * s) - a * s * (r == c) for c, x in enumerate(row)]
         for r, row in enumerate(sym.matrix)
     ]
-    return linalg.row_basis(zip(*rows), dd), linalg.nullspace(rows, dd)
+    return row_basis(zip(*rows), dd), nullspace(rows, dd)
 
 
 def dense_hom_relations(sym_target, sym_source):
@@ -249,7 +286,7 @@ def dense_hom_relations(sym_target, sym_source):
     its row space, and the null space of its transpose."""
     rows = conj_minus_one(sym_target, sym_source)
     size = len(rows)
-    return linalg.row_basis(rows, size), linalg.nullspace(zip(*rows), size)
+    return row_basis(rows, size), nullspace(zip(*rows), size)
 
 
 def intertwiner_dim(sym_target, sym_source, n: int) -> int:
@@ -259,7 +296,7 @@ def intertwiner_dim(sym_target, sym_source, n: int) -> int:
     if n <= 1:
         return big**n
     rows = conj_minus_one(sym_target, sym_source)
-    basis = linalg.row_basis(rows, len(rows))
+    basis = row_basis(rows, len(rows))
     return spanning_quotient_dim(big, {p: basis for p in range(1, n)}, n)
 
 
@@ -270,13 +307,13 @@ def e_component_dim(sym_target, sym_source, n: int) -> int:
     if n <= 1:
         return big**n
     rows = conj_minus_one(sym_target, sym_source)
-    image_basis = linalg.row_basis(zip(*rows), len(rows))
+    image_basis = row_basis(zip(*rows), len(rows))
     ambient = big**n
     current = None
     for pos in range(1, n):
         embedded = embedded_pair_vectors(image_basis, big, n, pos)
         if current is None:
-            current = linalg.row_basis(embedded, ambient)
+            current = row_basis(embedded, ambient)
         else:
             current = intersect_bases(current, embedded, ambient)
         if not current:

@@ -19,7 +19,6 @@ import pytest
 
 from heckeseries import linalg, rmatrix, verify
 from heckeseries.cli import main
-from heckeseries.linalg import nullspace, row_basis
 from heckeseries.partitions import partition_pairs
 from heckeseries.rmatrix import (
     SymmetryError,
@@ -183,8 +182,8 @@ def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
             x / y for row, wrow in zip(rows, want) for x, y in zip(row, wrow) if y
         )
         assert factor and rows == [[factor * y for y in wrow] for wrow in want]
-        assert row_basis(rows, size) == row_basis(want, size)
-        assert nullspace(zip(*rows), size) == nullspace(zip(*want), size)
+        assert oracles.row_basis(rows, size) == oracles.row_basis(want, size)
+        assert oracles.nullspace(zip(*rows), size) == oracles.nullspace(zip(*want), size)
 
 
 def test_relation_bases_equal_the_dense_route():
@@ -208,10 +207,10 @@ def test_relation_bases_equal_the_dense_route():
 
 
 def test_engine_hands_echelon_integer_rows_only(monkeypatch):
-    """Past the relation bases, no row is cleared of denominators: with
-    ``linalg.clear_denominators`` made to raise once those bases are built
-    (through the rational readers), the dims of dense fractional conjugates
-    still equal the dense oracles."""
+    """No relation or quotient row is scaled to integers: on fresh copies of
+    dense fractional conjugates, with ``linalg.scale_to_integers`` (and so
+    ``clear_denominators``) made to raise before the first library call,
+    the relation bases and dims still equal the dense oracles."""
     rng = random.Random("integer rows")
     sym = dense_conjugate(build_super(2, 1, 2), rng)
     a, b = dense_conjugate(build_standard(2, 2), rng), dense_conjugate(build_super(1, 1, 2), rng)
@@ -223,14 +222,13 @@ def test_engine_hands_echelon_integer_rows_only(monkeypatch):
         "A": [oracles.intertwiner_dim(a, b, k) for k in range(4)],
         "E": [oracles.e_component_dim(a, b, k) for k in range(4)],
     }
-    # oracles.quotient_dim has built the sym and ext bases; A and E next
-    for kind in "AE":
-        rmatrix._relations(b, kind, a)
+    # the oracles have filled the caches of sym, a and b; fresh copies start empty
+    sym, a, b = (load_and_validate(s.d, s.q, s.matrix) for s in (sym, a, b))
 
     def refuse(row):
-        raise AssertionError("a row reached clear_denominators")
+        raise AssertionError("a row reached scale_to_integers")
 
-    monkeypatch.setattr(linalg, "clear_denominators", refuse)
+    monkeypatch.setattr(linalg, "scale_to_integers", refuse)
     got = {
         "sym": symmetric_dims(sym, 4),
         "ext": exterior_dims(sym, 4),
@@ -264,31 +262,30 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
     assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
     assert calls == {"chains": 1, "conj": 1}
-    # each relation family is eliminated once per symmetry and target,
-    # whichever reader asks first: sym and ext take the image and the
-    # kernel of R - q, A and E those of the conjugation
-    built = []
-    for name in ("row_basis", "nullspace"):
-        def counting(rows, ncols, fn=getattr(linalg, name), name=name):
-            built.append(name)
-            return fn(rows, ncols)
+    # each relation family is built once per symmetry and target, whichever
+    # reader asks first: sym and ext from the entries of R - q, A and E from
+    # the conjugation entries, which read the entries of both symmetries
+    entries = rmatrix._entries
 
-        monkeypatch.setattr(linalg, name, counting)
+    def counting_entries(*args):
+        calls["entries"] += 1
+        return entries(*args)
+
+    monkeypatch.setattr(rmatrix, "_entries", counting_entries)
+    calls.update(conj=0, entries=0)
     sym = build_standard(2, 2)
     assert symmetric_dims(sym, 4) == [1, 2, 3, 4, 5]
     assert exterior_dims(sym, 4) == [1, 2, 1, 0, 0]
     assert dim_quotient(sym, (2, 1), (2,)) == 6
     assert dim_quotient(sym, (3,), (2, 2)) == 4
-    assert built == ["row_basis", "nullspace"]
-    built.clear()
-    calls.update(conj=0)
+    assert calls["entries"] == 2
+    calls.update(conj=0, entries=0)
     target, source = build_standard(2, 2), build_super(1, 1, 2)
     assert rmatrix.hom_dims(target, source, "A", 3) == [1, 4, 8, 12]
     assert rmatrix.hom_dims(target, source, "E", 3) == [1, 4, 8, 12]
     assert dim_intertwiner(target, source, 4) == 16
     assert dim_e_component(target, source, 4) == 16
-    assert built == ["row_basis", "nullspace"]
-    assert calls["conj"] == 2
+    assert calls["conj"] == 2 and calls["entries"] == 4
 
 
 # (name, builtin specifier, constructor) for the file-path tests

@@ -493,6 +493,18 @@ class TestHomSpaces:
         # dual of 1/(1-t)^2 is (1+t)^2
         assert [dim_e_component(a, b, n) for n in range(4)] == [1, 2, 1, 0]
 
+    def test_hom_dims_refuses_other_family_names(self):
+        a = build_standard(2, 2)
+        assert rmatrix.hom_dims(a, a, "A", 3) == [1, 4, 10, 20]
+        assert rmatrix.hom_dims(a, a, "E", 3) == [1, 4, 6, 4]
+        for kind in ("e", "a", "sym", "ext", ""):
+            with pytest.raises(ValueError, match=f"^hom family must be 'A' or 'E', got {kind!r}$"):
+                rmatrix.hom_dims(a, a, kind, 3)
+        # checked before the q of the pair, and nothing is cached
+        with pytest.raises(ValueError, match="^hom family must be 'A' or 'E'"):
+            rmatrix.hom_dims(a, build_standard(2, 3), "sym", 3)
+        assert sorted(key[1] for key in a._cache) == ["A", "A", "E", "E"]
+
 
 class TestCaps:
     def test_symmetric_dims_cap(self):
