@@ -30,6 +30,11 @@ DIMENSION_CAP = 4096
 # before the first step.
 VALIDATION_CAP = 10**7
 
+# Validation multiplies the integers of M, s and q, so its time grows with
+# their size: std16 at 14281 bits took 4.6 s.  Symmetries with an integer
+# longer than this many bits are refused before validation starts.
+BIT_LENGTH_CAP = 1024
+
 
 class SymmetryError(ValueError):
     """Base class for validation failures of a candidate symmetry."""
@@ -74,6 +79,12 @@ def _check_cap(d: int, n: int):
         raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
 
 
+def _check_bits(x: int) -> int:
+    if x.bit_length() > BIT_LENGTH_CAP:
+        raise CapExceeded(f"symmetry bit length {x.bit_length()} exceeds cap {BIT_LENGTH_CAP}")
+    return x
+
+
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V,
     stored once as M/s for an integer d²×d² matrix M: ``cols[c]`` lists the
@@ -105,8 +116,16 @@ class HeckeSymmetry:
             for row in matrix
         ]
         cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
-        self.s = s = lcm(*(x.denominator for col in cols for _, x in col))
+        # s is checked as it grows: the lcm of many distinct denominators
+        # costs time quadratic in their number
+        s = 1
+        for col in cols:
+            for _, x in col:
+                s = _check_bits(lcm(s, x.denominator))
+        self.s = s
         self.cols = tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
+        entries = (abs(m) for col in self.cols for _, m in col)
+        _check_bits(max(abs(q.numerator), q.denominator, *entries))
         self.source = source
         self._cache = {}
         _validate(self)
@@ -133,29 +152,26 @@ def _entries(sym: HeckeSymmetry, u: int, v: int):
     return out
 
 
-def _apply(cols, d: int, n: int, pos: int, vec):
-    """M at slots (pos, pos+1) of V⊗n applied to a sparse ``{index: int}``
-    vector; the result has no zero entries."""
-    stride = d ** (n - pos - 1)
-    block = stride * d * d
+def _times(op, vec):
+    """The column operator ``op`` applied to a sparse ``{index: int}``
+    vector: ``op[k]`` lists the nonzero ``(row, x)`` of column k.  The
+    result has no zero entries."""
     out = {}
-    for x, val in vec.items():
-        hi, rest = divmod(x, block)
-        pair, lo = divmod(rest, stride)
-        base = hi * block + lo
-        for row, m in cols[pair]:
-            k = base + row * stride
-            out[k] = out.get(k, 0) + m * val
-    return {k: v for k, v in out.items() if v}
+    for k, v in vec.items():
+        for r, x in op[k]:
+            out[r] = out.get(r, 0) + x * v
+    return {r: x for r, x in out.items() if x}
 
 
 def _validation_steps(d: int, cols) -> int:
-    """An upper bound on the inner-loop steps of ``_validate``'s ``_apply``
+    """An upper bound on the inner-loop steps of ``_validate``'s ``_times``
     calls.  With at most m nonzeros per column, M applied to a vector of k
     entries takes at most k·m steps and leaves at most k·m entries, and at
     most d**3 on V⊗3: two applies per column of V⊗2, to a basis vector and
     to a vector of at most m + 1 entries, and three applies per side of the
-    braid identity on each of the d**3 basis vectors of V⊗3."""
+    braid identity on each of the d**3 basis vectors of V⊗3, the first of
+    them a column of a slot operator.  The two slot operators hold at most
+    2·d**3·m pairs, which the first braid term already counts."""
     m = max(map(len, cols))
     steps, k = d * d * (m + (m + 1) * m), 1
     for _ in range(3):
@@ -177,20 +193,17 @@ def _validate(sym: HeckeSymmetry):
     # quadratic relation (R - q)(R + 1) = 0, column by column, as
     # (b·M - a·s)(M + s) = 0
     for c in range(dd):
-        w = _apply(cols, d, 2, 1, {c: 1})
+        w = _times(cols, {c: 1})
         w[c] = w.get(c, 0) + s
-        lhs = {k: b * v for k, v in _apply(cols, d, 2, 1, w).items()}
+        lhs = {k: b * v for k, v in _times(cols, w).items()}
         if lhs != {k: a * s * v for k, v in w.items() if v}:
             raise HeckeViolation((c // d + 1, c % d + 1))
     # braid identity M12 M23 M12 = M23 M12 M23 on V⊗3, basis vector by
-    # basis vector
+    # basis vector, with M at slots (1, 2) and (2, 3) as column operators
+    m12 = [[(r * d + x % d, m) for r, m in cols[x // d]] for x in range(d**3)]
+    m23 = [[(x - x % dd + r, m) for r, m in cols[x % dd]] for x in range(d**3)]
     for x in range(d**3):
-        lhs = rhs = {x: 1}
-        for pos in (1, 2, 1):
-            lhs = _apply(cols, d, 3, pos, lhs)
-        for pos in (2, 1, 2):
-            rhs = _apply(cols, d, 3, pos, rhs)
-        if lhs != rhs:
+        if _times(m12, _times(m23, dict(m12[x]))) != _times(m23, _times(m12, dict(m23[x]))):
             raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
 
 
@@ -260,24 +273,20 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
     if len(lines) < 3:
         raise FileFormatError(len(lines), "missing d / q lines")
 
-    def keyed(line_no: int, key: str) -> str:
-        raw = lines[line_no - 1]
-        head, _, val = raw.partition("=")
+    def keyed(line_no: int, key: str, read, what: str):
+        head, _, val = lines[line_no - 1].partition("=")
         if head.strip() != key:
             raise FileFormatError(line_no, f"expected '{key} = ...'")
-        return val.strip()
+        try:
+            return read(val.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FileFormatError(line_no, f"bad {what}: {exc}") from None
 
-    try:
-        d = int(keyed(2, "d"))
-    except ValueError as exc:
-        raise FileFormatError(2, f"bad dimension: {exc}") from None
+    d = keyed(2, "d", int, "dimension")
     if d < 1:
         raise FileFormatError(2, "dimension must be at least 1")
     _check_cap(d, 3)  # before any of the d**4 entries is read
-    try:
-        q = linalg.parse_rational(keyed(3, "q"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FileFormatError(3, f"bad q: {exc}") from None
+    q = keyed(3, "q", linalg.parse_rational, "q")
     if q == 0:
         raise FileFormatError(3, "the parameter q must be nonzero")
     dd = d * d

@@ -13,9 +13,14 @@ from pathlib import Path
 import pytest
 
 import heckeseries
-from heckeseries import series, verify
+from heckeseries import rmatrix, series, verify
 from heckeseries.cli import main
-from heckeseries.rmatrix import VALIDATION_CAP, build_standard, serialize_symmetry
+from heckeseries.rmatrix import (
+    BIT_LENGTH_CAP,
+    VALIDATION_CAP,
+    build_standard,
+    serialize_symmetry,
+)
 from heckeseries.series import (
     CERTIFICATE_CAP,
     DETECTION_CAP,
@@ -368,6 +373,20 @@ class TestCompute:
             capsys, "compute", "--symmetry", "std:r=two,q=2", "--what", "sym"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "symmetry, what, message",
+        [
+            ("2", "sym", "symmetry specifier '2' needs a 'std:', 'super:' or 'file:' prefix"),
+            ("foo:1", "sym", "unknown symmetry kind 'foo'"),
+            ("std:r=2,q=2", "quotient:[2,1]",
+             "quotient wants 'quotient:[parts];[parts]', got '[2,1]'"),
+            ("std:r=2,q=2", "quotient:[2,x];[]", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_malformed_specifiers_are_usage_errors(self, capsys, symmetry, what, message):
+        code, out, err = run(capsys, "compute", "--symmetry", symmetry, "--what", what)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_std_specifier_takes_exactly_r_and_q(self, capsys):
         for spec in ("std:r=2,q=2,x=1", "std:r=2,r=3,q=2", "std:r=2", "std:r=2,q"):
@@ -962,6 +981,38 @@ class TestTypedFailures:
         assert err == (
             f"error: validation work bound 38084608 exceeds cap {VALIDATION_CAP}\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec, bits, out",
+        [
+            # validating std16 with 14281-bit integers took 5.4 s (one
+            # shared 2-CPU machine, Python 3.11); from the file written by
+            # serialize_symmetry too
+            ("std:r=16,q=1e-4299", 14281, ""),
+            ("file:big16.hs", 14281, ""),
+            ("std:r=2,q=1/" + str(2**BIT_LENGTH_CAP), BIT_LENGTH_CAP + 1, ""),
+            # at the cap itself, and far below it, symmetries run as before
+            ("std:r=2,q=1/" + str(2 ** (BIT_LENGTH_CAP - 1)), None, "1, 2, 3\n"),
+            ("std:r=16,q=2", None, "1, 16, 136\n"),
+        ],
+    )
+    def test_symmetries_past_the_bit_length_cap_exit_3_at_once(
+        self, capsys, tmp_path, monkeypatch, spec, bits, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        if spec.startswith("file:"):
+            with monkeypatch.context() as m:
+                m.setattr(rmatrix, "BIT_LENGTH_CAP", 10**5)
+                m.setattr(rmatrix, "_validate", lambda sym: None)
+                text = serialize_symmetry(build_standard(16, "1e-4299"))
+            (tmp_path / "big16.hs").write_text(text)
+        start = time.perf_counter()
+        code, stdout, err = run(
+            capsys, "compute", "--symmetry", spec, "--what", "sym", "--degree", "2"
+        )
+        assert time.perf_counter() - start < 1.0
+        refusal = f"error: symmetry bit length {bits} exceeds cap {BIT_LENGTH_CAP}\n"
+        assert (code, stdout, err) == ((0, out, "") if bits is None else (3, "", refusal))
 
     @pytest.mark.parametrize(
         "argv, degree",

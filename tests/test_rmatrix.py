@@ -14,6 +14,7 @@ import heckeseries
 from heckeseries import linalg, rmatrix, series, symfunc
 from heckeseries.partitions import conjugate, partition_pairs, weight
 from heckeseries.rmatrix import (
+    BIT_LENGTH_CAP,
     DIMENSION_CAP,
     VALIDATION_CAP,
     BraidViolation,
@@ -22,7 +23,7 @@ from heckeseries.rmatrix import (
     HeckeSymmetry,
     HeckeViolation,
     SymmetryError,
-    _apply,
+    _times,
     _validation_steps,
     build_standard,
     build_super,
@@ -201,8 +202,14 @@ class TestValidation:
 
 def braid_generator(sym, n, pos, vec):
     """The braid generator at slots (pos, pos+1) of the n-th tensor power,
-    through the sparse integer apply: R = M/s."""
-    out = _apply(sym.cols, sym.d, n, pos, {x: int(v) for x, v in enumerate(vec) if v})
+    as a column operator through the sparse integer apply: R = M/s."""
+    stride = sym.d ** (n - pos - 1)
+    block = stride * sym.d**2
+    op = [
+        [(x - x % block + x % stride + r * stride, m) for r, m in sym.cols[x % block // stride]]
+        for x in range(sym.d**n)
+    ]
+    out = _times(op, {x: int(v) for x, v in enumerate(vec) if v})
     return [Fraction(out.get(x, 0), sym.s) for x in range(len(vec))]
 
 
@@ -310,12 +317,11 @@ class TestValidationBound:
         rows = seeded_conjugate(sym, name) if dense else sym.matrix
         steps = []
 
-        def counting_apply(cols, d, n, pos, vec):
-            stride = d ** (n - pos - 1)
-            steps.append(sum(len(cols[x % (stride * d * d) // stride]) for x in vec))
-            return _apply(cols, d, n, pos, vec)
+        def counting_times(op, vec):
+            steps.append(sum(len(op[k]) for k in vec))
+            return _times(op, vec)
 
-        monkeypatch.setattr(rmatrix, "_apply", counting_apply)
+        monkeypatch.setattr(rmatrix, "_times", counting_times)
         built = load_and_validate(sym.d, sym.q, rows)
         assert 0 < sum(steps) <= _validation_steps(built.d, built.cols)
 
@@ -331,14 +337,35 @@ class TestValidationBound:
             raise AssertionError("validation started over the cap")
 
         monkeypatch.setattr(rmatrix, "VALIDATION_CAP", bound - 1)
-        monkeypatch.setattr(rmatrix, "_apply", refuse)
+        monkeypatch.setattr(rmatrix, "_times", refuse)
         with pytest.raises(
             CapExceeded, match=f"^validation work bound {bound} exceeds cap {bound - 1}$"
         ):
             load_and_validate(sym.d, sym.q, sym.matrix)
-        monkeypatch.setattr(rmatrix, "_apply", _apply)
+        monkeypatch.setattr(rmatrix, "_times", _times)
         monkeypatch.setattr(rmatrix, "VALIDATION_CAP", bound)
         assert load_and_validate(sym.d, sym.q, sym.matrix).cols == sym.cols
+
+
+class TestBitLengthCap:
+    def test_refused_before_validation(self, monkeypatch):
+        def no_validation(sym):
+            raise AssertionError("validation started before the bit check")
+
+        monkeypatch.setattr(rmatrix, "_validate", no_validation)
+        message = f"^symmetry bit length {{}} exceeds cap {BIT_LENGTH_CAP}$"
+        big = Fraction(1, 2**BIT_LENGTH_CAP)
+        # q, an entry, and s
+        for q, matrix in ((big, [[-1]]), (2, [[1 / big]]), (2, [[big]])):
+            with pytest.raises(CapExceeded, match=message.format(BIT_LENGTH_CAP + 1)):
+                load_and_validate(1, q, matrix)
+        # s is checked while the lcm grows: over these 65536 distinct
+        # denominators the lcm alone ran past 30 s
+        rows = [[Fraction(1, 2**100 + 2 * (i * 256 + j) + 1) for j in range(256)] for i in range(256)]
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=message.format(r"\d+")):
+            load_and_validate(16, 2, rows)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTensorOperator:
@@ -580,8 +607,12 @@ class TestCaps:
             lambda: symfunc.to_basis(symfunc.SymElement.generator("h", (15,)), "s"),
             "degree 15 exceeds cap 14",
         ),
+        (
+            lambda: build_standard(2, Fraction(1, 2**1024)),
+            "symmetry bit length 1025 exceeds cap 1024",
+        ),
     ],
-    ids=["dimension", "weight", "order", "degree"],
+    ids=["dimension", "weight", "order", "degree", "bits"],
 )
 def test_every_cap_raises_the_one_cap_error(overrun, message):
     assert rmatrix.CapExceeded is linalg.CapExceeded
@@ -619,6 +650,27 @@ class TestSerialization:
             parse_symmetry_text("hecke-symmetry v1\nd = 1\nq = 0\n1\n")
         assert info.value.line == 3
         assert str(info.value) == "line 3: the parameter q must be nonzero"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("hecke-symmetry v1\n", 1, "missing d / q lines"),
+            ("hecke-symmetry v1\nd = 1\n", 2, "missing d / q lines"),
+            ("hecke-symmetry v1\nq = 1\nd = 1\n1\n", 2, "expected 'd = ...'"),
+            ("hecke-symmetry v1\nd = 1\nr = 1\n1\n", 3, "expected 'q = ...'"),
+            (
+                "hecke-symmetry v1\nd = 2\nq = 2\n2 0 0 0\n0 0 1\n0 1 0 1\n0 0 0 2\n",
+                5,
+                "expected 4 entries, got 3",
+            ),
+        ],
+        ids=["header-only", "no-q-line", "d-key", "q-key", "short-row"],
+    )
+    def test_format_errors_name_their_line(self, text, line, message):
+        with pytest.raises(FileFormatError) as info:
+            parse_symmetry_text(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
 
     def test_entry_errors_carry_line_numbers(self):
         good = serialize_symmetry(build_standard(2, 2))
