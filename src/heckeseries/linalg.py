@@ -19,8 +19,9 @@ scaling of a rational row to integers, both shared with the series kernels;
 ``clear_denominators`` chains them for the Sturm sequence.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
-already imports this one, and so does ``ORDER_CAP``, the one degree cap that
-both the tensor-power engine and the series expansions enforce.
+already imports this one, and so do ``check_cap``, which raises and words
+every cap refusal but the dimension cap's, and ``ORDER_CAP``, the one degree
+cap that both the tensor-power engine and the series expansions enforce.
 ``parse_rational``, the one parser of rational input, lives here too, so
 that reading a symmetry loads no ``series`` code; ``rational`` reads any
 number or string through it for the library constructors.
@@ -38,6 +39,12 @@ class CapExceeded(ValueError):
     """Requested work exceeds a size cap: a tensor-power dimension, a
     Schur-minor weight, a series order or a symmetric-function degree.
     Every cap is checked before any of the work it bounds."""
+
+
+def check_cap(what: str, value: int, cap: int):
+    """Refuse ``value`` above ``cap`` with the one cap message."""
+    if value > cap:
+        raise CapExceeded(f"{what} {value} exceeds cap {cap}")
 
 
 # The highest degree of a graded dimension and the highest order of a series

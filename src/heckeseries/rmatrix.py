@@ -12,6 +12,7 @@ and ``_dims`` the one cache of its graded dimensions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from . import linalg
@@ -75,13 +76,11 @@ def _check_cap(d: int, n: int):
         raise CapExceeded(
             f"tensor power dimension {d}**{n} exceeds cap {DIMENSION_CAP}"
         )
-    if n > ORDER_CAP:
-        raise CapExceeded(f"tensor degree {n} exceeds cap {ORDER_CAP}")
+    linalg.check_cap("tensor degree", n, ORDER_CAP)
 
 
 def _check_bits(x: int) -> int:
-    if x.bit_length() > BIT_LENGTH_CAP:
-        raise CapExceeded(f"symmetry bit length {x.bit_length()} exceeds cap {BIT_LENGTH_CAP}")
+    linalg.check_cap("symmetry bit length", x.bit_length(), BIT_LENGTH_CAP)
     return x
 
 
@@ -185,11 +184,7 @@ def _validate(sym: HeckeSymmetry):
     dd = d * d
     a, b = sym.q.numerator, sym.q.denominator
     s, cols = sym.s, sym.cols
-    steps = _validation_steps(d, cols)
-    if steps > VALIDATION_CAP:
-        raise CapExceeded(
-            f"validation work bound {steps} exceeds cap {VALIDATION_CAP}"
-        )
+    linalg.check_cap("validation work bound", _validation_steps(d, cols), VALIDATION_CAP)
     # quadratic relation (R - q)(R + 1) = 0, column by column, as
     # (b·M - a·s)(M + s) = 0
     for c in range(dd):
@@ -286,7 +281,9 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
     if d < 1:
         raise FileFormatError(2, "dimension must be at least 1")
     _check_cap(d, 3)  # before any of the d**4 entries is read
-    q = keyed(3, "q", linalg.parse_rational, "q")
+    # one parse per distinct token: a d = 16 file holds 65536, mostly "0"
+    read = cache(linalg.parse_rational)
+    q = keyed(3, "q", read, "q")
     if q == 0:
         raise FileFormatError(3, "the parameter q must be nonzero")
     dd = d * d
@@ -299,7 +296,7 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
         if len(toks) != dd:
             raise FileFormatError(line_no, f"expected {dd} entries, got {len(toks)}")
         try:
-            matrix.append([linalg.parse_rational(t) for t in toks])
+            matrix.append([read(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(line_no, f"bad entry: {exc}") from None
     tail = [ln for ln in body[dd:] if ln.strip()]

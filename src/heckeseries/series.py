@@ -58,20 +58,15 @@ DETECTION_CAP = 24
 
 
 def check_weight(w: int):
-    if w > WEIGHT_CAP:
-        raise linalg.CapExceeded(f"weight {w} exceeds cap {WEIGHT_CAP}")
+    linalg.check_cap("weight", w, WEIGHT_CAP)
 
 
 def check_order(n: int):
-    if n > ORDER_CAP:
-        raise linalg.CapExceeded(f"series order {n} exceeds cap {ORDER_CAP}")
+    linalg.check_cap("series order", n, ORDER_CAP)
 
 
 def check_certificate_degree(n: int):
-    if n > CERTIFICATE_CAP:
-        raise linalg.CapExceeded(
-            f"certificate degree {n} exceeds cap {CERTIFICATE_CAP}"
-        )
+    linalg.check_cap("certificate degree", n, CERTIFICATE_CAP)
 
 
 class RootLocationError(CertificateError):
@@ -349,8 +344,10 @@ def hankel_minor(f: TruncSeries, i: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("window size must be nonnegative")
-    if k and i + k - 1 > f.order:
-        raise ValueError("window extends beyond the truncation order")
+    if k:
+        if i + k - 1 > f.order:
+            raise ValueError("window extends beyond the truncation order")
+        check_order(i + k - 1)
     if i < 0 < k:
         return Fraction(0)  # the first column a_{i-s} is all zero
     return schur_values(f)((i,) * k)
@@ -434,10 +431,7 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if r_max > DETECTION_CAP:
-        raise linalg.CapExceeded(
-            f"recurrence order {r_max} exceeds cap {DETECTION_CAP}"
-        )
+    linalg.check_cap("recurrence order", r_max, DETECTION_CAP)
     n = f.order
     check_order(n)
     D, a = linalg.scale_to_integers(f.coeffs)

@@ -54,8 +54,7 @@ DEGREE_CAP = 14
 
 
 def _check_degree(n: int):
-    if n > DEGREE_CAP:
-        raise linalg.CapExceeded(f"degree {n} exceeds cap {DEGREE_CAP}")
+    linalg.check_cap("degree", n, DEGREE_CAP)
 
 
 class SymElement:

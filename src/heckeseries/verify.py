@@ -168,6 +168,7 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     """Quotient dimensions against products of series coefficients, and the
     global tensor-power dimension identity driven by the certificate: the
     series homomorphism of p_1^n, the character of V^{⊗n}, is d^n."""
+    check_weight(n_max)
     report = VerificationReport("character", conjectural=_is_conjectural(sym))
     fs = TruncSeries(symmetric_dims(sym, series_horizon(sym.d, n_max)))
     for n in range(1, n_max + 1):

@@ -364,6 +364,13 @@ def test_parse_rational_refuses_exponents_past_the_digit_limit():
         parse_rational("1e" + "9" * (limit + 1))
 
 
+def test_check_cap_passes_at_the_cap_and_refuses_one_above():
+    assert linalg.check_cap("tensor degree", 1000, 1000) is None
+    with pytest.raises(linalg.CapExceeded) as caught:
+        linalg.check_cap("tensor degree", 1001, 1000)
+    assert str(caught.value) == "tensor degree 1001 exceeds cap 1000"
+
+
 def test_every_entry_point_runs_on_the_one_kernel(monkeypatch):
     from heckeseries.rmatrix import build_standard, hom_dims, symmetric_dims
     from heckeseries import symfunc

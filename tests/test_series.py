@@ -177,6 +177,15 @@ class TestHankelMinor:
         with pytest.raises(ValueError):
             hankel_minor(TruncSeries([1, 1]), 1, 2)
 
+    def test_window_past_the_order_cap_is_refused_at_once(self, monkeypatch):
+        # the 2000 x 2000 window of a series of order 2000 took 14 s
+        def refuse(b):
+            raise AssertionError("a Schur table was built")
+
+        monkeypatch.setattr(series_module, "_SchurTable", refuse)
+        with pytest.raises(CapExceeded, match=f"^series order 2000 exceeds cap {ORDER_CAP}$"):
+            hankel_minor(TruncSeries([1] * 2001), 1, 2000)
+
     def test_matches_schur_minor_on_rectangles(self):
         f = expand_ratio([1, 1], [1, -1], 10)
         for i in range(0, 4):

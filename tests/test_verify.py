@@ -251,6 +251,17 @@ def test_character_weight_is_checked_before_any_suite_runs(suite, monkeypatch):
         verify.run_suites(suite, sym, sym, WEIGHT_CAP + 1, 3)
 
 
+def test_character_suite_checks_its_own_weight(monkeypatch):
+    # at weight 25 it ran 9321 checks in 1.7 s instead of refusing
+    def refuse(*args):
+        raise AssertionError("an engine ran before the weight check")
+
+    monkeypatch.setattr(verify, "dim_quotient", refuse)
+    monkeypatch.setattr(verify, "symmetric_dims", refuse)
+    with pytest.raises(CapExceeded, match=f"^weight {WEIGHT_CAP + 1} exceeds cap {WEIGHT_CAP}$"):
+        suite_character(build_standard(1, 2), WEIGHT_CAP + 1)
+
+
 # Exact output of `verify --suite all --nmax 3 --max-weight 5` on std:r=2,q=2
 # when detection finds nothing: every check that needs the certificate shows
 # the detection error in place of its value.
