@@ -1,19 +1,19 @@
 """Concrete Hecke symmetries and exact linear algebra on tensor powers.
 
-Every graded dimension -- the two quadratic quotients, the mixed quotients
-and the two hom-algebra families -- comes from one engine: a quadratic
-quotient of a tensor algebra, computed degree by degree by fraction-free
-integer elimination on the previous quotient tensored with one more slot,
-so the full tensor-power matrices are never materialized.  ``_relations``
-is the one builder of a family's pair relations ("sym", "ext", "A", "E")
-and ``_dims`` the one cache of its graded dimensions.
+The two quadratic quotients and the two hom-algebra families come from one
+engine: a quadratic quotient of a tensor algebra by one set of pair
+relations, computed degree by degree by fraction-free integer elimination
+on the previous quotient tensored with one more slot, so the full
+tensor-power matrices are never materialized.  ``_relations`` is the one
+builder of a family's pair relations ("sym", "ext", "A", "E") and ``_dims``
+the one cache of its graded dimensions; a mixed quotient multiplies them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
 from . import linalg
 from .linalg import ORDER_CAP, CapExceeded
@@ -316,18 +316,18 @@ def load_symmetry_file(path: str) -> HeckeSymmetry:
 
 def _graded_quotient_dims(d: int, relations, n_max: int):
     """Dimensions, per degree up to n_max, of the quotient of the tensor
-    algebra on V = k^d by the ideal generated by ``relations(p)``, a basis
-    (possibly empty) of the relations inserted at tensor slots (p, p+1).
+    algebra on V = k^d by the ideal generated by ``relations``, a basis
+    (possibly empty) of the relations placed at every pair of adjacent slots.
 
-    The degree-n relation space is W_{n-1}⊗V + V^{⊗(n-2)}⊗R_{n-1}, and
+    The degree-n relation space is W_{n-1}⊗V + V^{⊗(n-2)}⊗R, and
     W_{n-2}⊗V⊗V already lies in W_{n-1}⊗V, so Q_n is Q_{n-1}⊗V modulo the
-    rows z⊗u for z in a basis of Q_{n-2} and u in R_{n-1}, pushed through
-    the previous extension map Q_{n-2}⊗V → Q_{n-1}.  Every elimination has
-    the size of the quotient, never of the tensor power.  ``relations`` is
-    called only after the cap check.
+    rows z⊗u for z in a basis of Q_{n-2} and u in R, pushed through the
+    previous extension map Q_{n-2}⊗V → Q_{n-1}.  Every elimination has the
+    size of the quotient, never of the tensor power.
     """
-    _check_cap(d, n_max)
     dims = [1, d] if n_max else [1]
+    # each relation as (a, b, x): coefficient x on e_a⊗e_b
+    supports = [[(*divmod(k, d), x) for k, x in enumerate(u) if x] for u in relations]
     # ext[j*d + a]: the class of (basis vector j of Q_{n-2})⊗e_a in Q_{n-1},
     # as (basis index, integer coefficient) pairs: its pairings with the
     # annihilator of the degree-(n-1) relations, one coordinate per vector
@@ -335,8 +335,7 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     for n in range(2, n_max + 1):
         ncols = dims[n - 1] * d
         ech = linalg.Echelon(ncols)
-        for u in relations(n - 1):
-            support = [(*divmod(k, d), x) for k, x in enumerate(u) if x]
+        for support in supports:
             for j in range(dims[n - 2]):
                 row = [0] * ncols
                 for a, b, x in support:
@@ -384,12 +383,15 @@ def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = Non
 def _dims(sym: HeckeSymmetry, kind: str, n_max: int, target: HeckeSymmetry | None = None):
     """Dimensions for n = 0..n_max of the quotient by the ``kind`` relations
     at every pair of adjacent slots, cached per symmetry and target; a
-    longer cached list serves any shorter request."""
+    longer cached list serves any shorter request.  The relations are built
+    after the cap check, and only for degree 2 and up, which read them."""
     key = ("dims", kind, target)
     dims = sym._cache.get(key)
     if dims is None or len(dims) <= n_max:
         d = sym.d if target is None else sym.d * target.d
-        dims = _graded_quotient_dims(d, lambda p: _relations(sym, kind, target), n_max)
+        _check_cap(d, n_max)
+        relations = _relations(sym, kind, target) if n_max > 1 else ()
+        dims = _graded_quotient_dims(d, relations, n_max)
         sym._cache[key] = dims
     return dims[: n_max + 1]
 
@@ -409,18 +411,14 @@ def exterior_dims(sym: HeckeSymmetry, n_max: int):
 def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
     """Dimension of the tensor power modulo image relations inside the
     blocks of lam and kernel relations inside the blocks of mu (mu laid out
-    after lam); no relation crosses a block boundary."""
+    after lam).  No relation crosses a block boundary, so the quotient is
+    the tensor product of one chain quotient per block, and its dimension
+    the product of the cached "sym" and "ext" dimensions."""
     lam, mu = as_partition(lam), as_partition(mu)
-    n = weight(lam) + weight(mu)
-    _check_cap(sym.d, n)  # before the n slots are listed
-    # per adjacent pair of slots: the relation family, or None at a boundary
-    slots = []
-    for parts, kind in ((lam, "sym"), (mu, "ext")):
-        for part in parts:
-            slots += [kind] * (part - 1) + [None]
-    return _graded_quotient_dims(
-        sym.d, lambda p: _relations(sym, slots[p - 1]) if slots[p - 1] else (), n
-    )[n]
+    _check_cap(sym.d, weight(lam) + weight(mu))
+    sdims = _dims(sym, "sym", max(lam, default=0))
+    edims = _dims(sym, "ext", max(mu, default=0))
+    return prod(sdims[p] for p in lam) * prod(edims[p] for p in mu)
 
 
 # ---------------------------------------------------------------------------

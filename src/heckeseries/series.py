@@ -159,8 +159,9 @@ class TruncSeries:
         return self.coeffs[n]
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order) + 1
-        return TruncSeries(poly_mul(self.coeffs[:n], other.coeffs[:n])[:n])
+        check_order(n := min(self.order, other.order))
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1))
 
     __mul__ = mul
 

@@ -165,9 +165,9 @@ def suite_hilbert(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
 
 
 def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
-    """Quotient dimensions against products of series coefficients, and the
-    global tensor-power dimension identity driven by the certificate: the
-    series homomorphism of p_1^n, the character of V^{⊗n}, is d^n."""
+    """Consistency rows: ``dim_quotient(ν, ())``, a product of symmetric_dims,
+    against the same series' coefficients multiplied; and the certificate's
+    tensor-power identity: the homomorphism sends p_1^n, V^{⊗n}'s character, to d^n."""
     check_weight(n_max)
     report = VerificationReport("character", conjectural=_is_conjectural(sym))
     fs = TruncSeries(symmetric_dims(sym, series_horizon(sym.d, n_max)))

@@ -412,6 +412,20 @@ class TestCompute:
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (0, "1, 16\n")
 
+    def test_std16_reads_degree_one_and_caps_a_mixed_quotient(self, capsys):
+        # the cap is on the tensor power of the whole quotient, though its
+        # blocks need only the degree-1 dimensions
+        spec = "std:r=16,q=2"
+        code, out, _ = run(
+            capsys, "compute", "--symmetry", spec, "--what", f"A:{spec}", "--degree", "1"
+        )
+        assert (code, out) == (0, "1, 256\n")
+        code, out, err = run(
+            capsys, "compute", "--symmetry", spec, "--what", "quotient:[1,1,1];[1]"
+        )
+        message = "error: tensor power dimension 16**4 exceeds cap 4096\n"
+        assert (code, out, err) == (3, "", message)
+
 
 class TestVerify:
     def test_all_suites_pass_for_standard(self, capsys):

@@ -73,8 +73,8 @@ def dense_conjugate(sym, rng):
 
 
 def test_free_algebra_without_relations():
-    assert rmatrix._graded_quotient_dims(3, lambda p: (), 5) == [1, 3, 9, 27, 81, 243]
-    assert rmatrix._graded_quotient_dims(3, lambda p: (), 0) == [1]
+    assert rmatrix._graded_quotient_dims(3, (), 5) == [1, 3, 9, 27, 81, 243]
+    assert rmatrix._graded_quotient_dims(3, (), 0) == [1]
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["builtin", "dense"])
@@ -286,6 +286,50 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     assert dim_intertwiner(target, source, 4) == 16
     assert dim_e_component(target, source, 4) == 16
     assert calls["conj"] == 2 and calls["entries"] == 4
+
+
+def test_mixed_quotients_run_no_chain_of_their_own(monkeypatch):
+    chains = []
+    engine = rmatrix._graded_quotient_dims
+
+    def counting_engine(*args):
+        chains.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
+    # a mixed quotient is a product of the cached sym and ext dimensions
+    sym = build_standard(2, 2)
+    symmetric_dims(sym, 4)
+    exterior_dims(sym, 4)
+    chains.clear()
+    pairs = [
+        (lam, mu)
+        for n in range(9)
+        for lam, mu in partition_pairs(n)
+        if max(lam + mu, default=0) <= 4
+    ]
+    assert len(pairs) > 100
+    for lam, mu in pairs:
+        dim_quotient(sym, lam, mu)
+    assert chains == []
+    # cold, it builds the sym chain to degree 3 and the ext chain to degree 2
+    assert dim_quotient(build_standard(2, 2), (3,), (2, 2)) == 4
+    assert [args[2] for args in chains] == [3, 2]
+
+
+def test_degree_one_builds_no_relations(monkeypatch):
+    """Below degree 2 no elimination reads the relations, so none are built:
+    on std16 the hom relations would span a 65536-column family."""
+    sym = build_standard(16, 2)
+
+    def refuse(*args):
+        raise AssertionError("relations were built for a degree-1 request")
+
+    monkeypatch.setattr(rmatrix, "_relations", refuse)
+    assert symmetric_dims(sym, 1) == exterior_dims(sym, 1) == [1, 16]
+    for kind in "AE":
+        assert rmatrix.hom_dims(sym, sym, kind, 1) == [1, 256]
+    assert dim_quotient(sym, (1, 1), (1,)) == 4096
 
 
 # (name, builtin specifier, constructor) for the file-path tests

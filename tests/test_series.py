@@ -68,6 +68,24 @@ class TestTruncSeries:
         assert h.order == 1
         assert [h.coeff(0), h.coeff(1)] == [1, 0]
 
+    def test_mul_keeps_the_truncated_product_and_caps_the_order(self):
+        rng = random.Random(60)
+
+        def seeded(order):
+            return TruncSeries(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)
+            )
+
+        f, g = seeded(60), seeded(75)
+        for h in (f.mul(g), g.mul(f)):
+            assert h.coeffs == tuple(poly_mul(f.coeffs, g.coeffs)[:61])
+        long = TruncSeries([1] * (ORDER_CAP + 2))
+        start = time.perf_counter()
+        message = f"series order {ORDER_CAP + 1} exceeds cap {ORDER_CAP}"
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            long.mul(long)
+        assert time.perf_counter() - start < 0.5
+
     def test_inverse(self):
         f = TruncSeries([1, -1, 0, 0, 0])
         inv = f.inverse()
