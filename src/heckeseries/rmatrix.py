@@ -7,13 +7,15 @@ on the previous quotient tensored with one more slot, so the full
 tensor-power matrices are never materialized.  ``_relations`` is the one
 builder of a family's pair relations ("sym", "ext", "A", "E") and ``_dims``
 the one cache of its graded dimensions; a mixed quotient multiplies them.
+Every family reads a user symmetry's sparse normal form (``_normal_form``)
+where one is found: all four are invariant under conjugation by g⊗g.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import linalg
 from .linalg import ORDER_CAP, CapExceeded
@@ -91,10 +93,13 @@ class HeckeSymmetry:
     of the entries' denominators.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j),
     row (k-1)·d + (l-1) its e_k⊗e_l component.  ``matrix`` is a derived
     read.  Instances are immutable after construction; ``_cache`` holds
-    only what ``_relations`` and ``_dims`` derive from them.
+    only what ``_relations`` and ``_dims`` derive from them.  ``_twin`` is
+    the matrix every relation family reads: a user symmetry's sparse
+    normal form (``_normal_form``) when it has one, else the symmetry
+    itself.
     """
 
-    __slots__ = ("d", "q", "s", "cols", "source", "_cache")
+    __slots__ = ("d", "q", "s", "cols", "source", "_twin", "_cache")
 
     def __init__(self, d: int, q, matrix, source: str = "user"):
         q = linalg.rational(q)
@@ -127,7 +132,18 @@ class HeckeSymmetry:
         _check_bits(max(abs(q.numerator), q.denominator, *entries))
         self.source = source
         self._cache = {}
-        _validate(self)
+        steps = _validation_steps(d, self.cols)
+        linalg.check_cap("validation work bound", steps, VALIDATION_CAP)
+        self._twin = (source == "user" and _normal_form(self, steps)) or self
+        # both relations survive conjugation, so the twin validates R; a
+        # failure is raised again from R, with its witness in R's coordinates
+        try:
+            _validate(self._twin)
+        except SymmetryError:
+            if self._twin is self:
+                raise
+            _validate(self)
+            raise
 
     @property
     def matrix(self):
@@ -184,7 +200,6 @@ def _validate(sym: HeckeSymmetry):
     dd = d * d
     a, b = sym.q.numerator, sym.q.denominator
     s, cols = sym.s, sym.cols
-    linalg.check_cap("validation work bound", _validation_steps(d, cols), VALIDATION_CAP)
     # quadratic relation (R - q)(R + 1) = 0, column by column, as
     # (b·M - a·s)(M + s) = 0
     for c in range(dd):
@@ -200,6 +215,77 @@ def _validate(sym: HeckeSymmetry):
     for x in range(d**3):
         if _times(m12, _times(m23, dict(m12[x]))) != _times(m23, _times(m12, dict(m23[x]))):
             raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
+
+
+def _normal_form(sym: HeckeSymmetry, steps: int) -> HeckeSymmetry | None:
+    """The sparse twin R' = (g⊗g)^-1·R·(g⊗g) of an unvalidated user
+    symmetry, or None; nothing here raises.
+
+    X = Tr₂R - Tr₁R, with Tr₂R[i][k] = Σ_j R[(i,j),(k,j)] and Tr₁R[j][l] =
+    Σ_i R[(i,j),(i,l)], is conjugated by g when R is by g⊗g (Gurevich 1991),
+    and for every deformed swap it is (q-1)·diag(2i - d + 1).  When each of
+    those d distinct eigenvalues has a one-dimensional kernel, its integer
+    vectors are the columns of g; on a conjugate of a deformed swap B they
+    are h·e_i up to scale, and conjugating by a diagonal matrix keeps B's
+    entries, so R' = B exactly.  Only q ≠ 1, d ≥ 2 and more nonzeros than a
+    deformed swap's are tried, and the twin is kept only with fewer
+    nonzeros than R and integers within the bit-length cap."""
+    d, s, cols = sym.d, sym.s, sym.cols
+    a, b = sym.q.numerator, sym.q.denominator
+    nnz = sum(map(len, cols))
+    if d < 2 or a == b or nnz <= d + 3 * d * (d - 1) // 2:
+        return None
+    trace = [[0] * d for _ in range(d)]  # b·s·X
+    for c, col in enumerate(cols):
+        k, l = divmod(c, d)
+        for r, m in col:
+            i, j = divmod(r, d)
+            if j == l:
+                trace[i][k] += b * m
+            if i == k:
+                trace[j][l] -= b * m
+    vecs = []  # the columns of g
+    for i in range(d):
+        ech = linalg.Echelon(d)
+        shift = s * (a - b) * (2 * i - d + 1)
+        for r, row in enumerate(trace):
+            ech.add([v - shift * (r == c) for c, v in enumerate(row)])
+        kernel = ech.annihilator()
+        if len(kernel) != 1:
+            return None
+        vecs += kernel
+    # eigenvectors of distinct eigenvalues are independent, so the reduced
+    # rows of [g | 1] are [D·1 | D·g^-1]
+    inv = linalg.Echelon(2 * d)
+    for r in range(d):
+        inv.add([v[r] for v in vecs] + [int(r == c) for c in range(d)])
+    D, rows = inv.reduced()
+    g = [[(k, v) for k, v in enumerate(vec) if v] for vec in vecs]
+    ginv = [[(i, row[d + k]) for i, row in enumerate(rows) if row[d + k]] for k in range(d)]
+    # the products loop over nonzeros only: nnz(g)²·m + (d² + 1)·nnz(g^-1)²
+    # steps for m nonzeros per column of M, at most d²(d²·m + d⁴) + d⁴.
+    # Within validation's own bound, which the cap has checked, a sparse
+    # file pays for its nonzeros; past it no twin is tried.
+    nnz_g, nnz_inv = sum(map(len, g)), sum(map(len, ginv))
+    if nnz_g**2 * max(map(len, cols)) + (d * d + 1) * nnz_inv**2 > steps:
+        return None
+    # D²·s·R' = (D·g^-1 ⊗ D·g^-1)·M·(g⊗g), column by column
+    left = [[(i * d + j, u * v) for i, u in ginv[k] for j, v in ginv[l]]
+            for k in range(d) for l in range(d)]
+    out = [
+        _times(left, _times(cols, {k * d + l: u * v for k, u in g[i] for l, v in g[j]}))
+        for i in range(d)
+        for j in range(d)
+    ]
+    content = gcd(D * D * s, *(v for col in out for v in col.values()))
+    twin = object.__new__(HeckeSymmetry)
+    twin.d, twin.q, twin.s, twin.source = d, sym.q, D * D * s // content, sym.source
+    twin.cols = tuple(tuple(sorted((r, v // content) for r, v in col.items())) for col in out)
+    twin._twin, twin._cache = twin, {}
+    entries = (abs(m) for col in twin.cols for _, m in col)
+    if sum(map(len, twin.cols)) >= nnz or max(twin.s, *entries).bit_length() > BIT_LENGTH_CAP:
+        return None
+    return twin
 
 
 def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
@@ -299,9 +385,9 @@ def parse_symmetry_text(text: str) -> HeckeSymmetry:
             matrix.append([read(t) for t in toks])
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(line_no, f"bad entry: {exc}") from None
-    tail = [ln for ln in body[dd:] if ln.strip()]
-    if tail:
-        raise FileFormatError(4 + dd, "unexpected trailing content")
+    for line_no, line in enumerate(body[dd:], 4 + dd):
+        if line.strip():
+            raise FileFormatError(line_no, "unexpected trailing content")
     return load_and_validate(d, q, matrix)
 
 
@@ -364,10 +450,10 @@ def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = Non
     if key not in sym._cache:
         if target is None:
             size = sym.d**2
-            entries = _entries(sym, sym.q.denominator, -sym.q.numerator)
+            entries = _entries(sym._twin, sym.q.denominator, -sym.q.numerator)
         else:
             size = (sym.d * target.d) ** 2
-            entries = _conjugation_entries(target, sym)
+            entries = _conjugation_entries(target._twin, sym._twin)
         kernel = kind in ("ext", "E")
         rows = {}
         for r, c, x in entries:

@@ -4,8 +4,9 @@ The library computes every graded dimension with one degree-by-degree
 quotient engine.  The routes here work on the whole tensor power instead:
 the quotient dimension is d**n minus the rank of every embedded relation
 vector, and the dual component is an iterated intersection of subspaces.
-They share nothing with the engine beyond the pair bases, and cost d**n
-columns, so use them only at small n.
+They share nothing with the engine: their pair bases come from the dense
+route on the matrix as given, never from a user symmetry's sparse twin.
+They cost d**n columns, so use them only at small n.
 
 ``rank``, ``row_basis`` and ``nullspace`` are the rational readers that
 these routes eliminate with: each clears every row of a rational matrix of
@@ -80,7 +81,7 @@ from heckeseries.partitions import (
     partition_pairs,
     weight,
 )
-from heckeseries.rmatrix import BraidViolation, HeckeViolation, _relations
+from heckeseries.rmatrix import BraidViolation, HeckeViolation
 from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 from heckeseries.symfunc import SymElement, _h_product, specialize_super, to_basis
 
@@ -175,9 +176,10 @@ def quotient_dim(sym, lam, mu) -> int:
     n = weight(lam) + weight(mu)
     if n <= 1:
         return sym.d**n
-    bases = {p: _relations(sym, "sym") for p in block_positions(lam)}
+    image, kernel = dense_pair_bases(sym)
+    bases = {p: image for p in block_positions(lam)}
     for p in block_positions(mu, weight(lam)):
-        bases[p] = _relations(sym, "ext")
+        bases[p] = kernel
     return spanning_quotient_dim(sym.d, bases, n)
 
 

@@ -65,11 +65,21 @@ def random_invertible(n, rng):
             return g, [list(row) for row in zip(*cols)]
 
 
+def conjugate_rows(d, rows, rng):
+    """(g⊗g) R (g⊗g)^-1 for a d²×d² matrix R and a random invertible
+    rational g."""
+    g, g_inv = random_invertible(d, rng)
+    return mat_mul(mat_mul(kron(g, g), [list(r) for r in rows]), kron(g_inv, g_inv))
+
+
 def dense_conjugate(sym, rng):
-    """(g⊗g) R (g⊗g)^-1 for a random invertible rational g."""
-    g, g_inv = random_invertible(sym.d, rng)
-    mat = mat_mul(mat_mul(kron(g, g), [list(r) for r in sym.matrix]), kron(g_inv, g_inv))
-    return load_and_validate(sym.d, sym.q, mat)
+    return load_and_validate(sym.d, sym.q, conjugate_rows(sym.d, sym.matrix, rng))
+
+
+# The Hecke symmetry R = q + 2Ω of the bilinear form W = [[0, 2], [-1, 0]]
+# at q = 4 (Ω = ωβ, ω = Σ W_ij e_i⊗e_j, β(e_k⊗e_l) = (W^-1)_kl): no conjugate
+# of a deformed swap, and with no more nonzeros than one, so it gets no twin
+FORM = [[4, 0, 0, 0], [0, 0, 2, 0], [0, 2, 3, 0], [0, 0, 0, 4]]
 
 
 def test_free_algebra_without_relations():
@@ -141,10 +151,14 @@ def rejection(check, *args):
 
 
 @pytest.mark.parametrize("name,build,n_max", BUILTINS, ids=[b[0] for b in BUILTINS])
-def test_validator_rejects_like_the_dense_oracle(name, build, n_max):
+def test_validator_rejects_like_the_dense_oracle(name, build, n_max, monkeypatch):
     """Builtins and dense conjugates, each as given, with one entry
     perturbed, and conjugated by a random G on V⊗V (which keeps the
-    quadratic relation but not, in general, the braid identity)."""
+    quadratic relation but not, in general, the braid identity); and a
+    builtin perturbed at row (i,j), column (k,l) with i ≠ k and j ≠ l, then
+    conjugated densely: both partial traces keep their values, so a sparse
+    twin is found and fails, and the rejection must still be that of the
+    raw candidate."""
     rng = random.Random("reject" + name)
     sym = build()
     seen = set()
@@ -163,6 +177,22 @@ def test_validator_rejects_like_the_dense_oracle(name, build, n_max):
             got = rejection(load_and_validate, sym.d, sym.q, cand)
             assert got == rejection(oracles.validate_dense, sym.d, sym.q, cand)
             seen.add(got and got[0])
+    twins = []
+    normal_form = rmatrix._normal_form
+
+    def recording(*args):
+        twins.append(normal_form(*args))
+        return twins[-1]
+
+    monkeypatch.setattr(rmatrix, "_normal_form", recording)
+    d = sym.d
+    (i, k), (j, l) = rng.sample(range(d), 2), rng.sample(range(d), 2)
+    off_trace = [list(row) for row in sym.matrix]
+    off_trace[i * d + j][k * d + l] += rng.choice([-2, -1, 1, 2])
+    off_trace = conjugate_rows(d, off_trace, rng)
+    got = rejection(load_and_validate, d, sym.q, off_trace)
+    assert got is not None and twins[0] is not None
+    assert got == rejection(oracles.validate_dense, d, sym.q, off_trace)
     assert seen == {None, rmatrix.HeckeViolation, rmatrix.BraidViolation}
 
 
@@ -188,32 +218,77 @@ def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
 
 def test_relation_bases_equal_the_dense_route():
     """The one sparse relation builder gives the pair bases and the hom
-    relations of the full matrices, bit for bit, under their memo keys."""
+    relations of the full matrices that the engine reads (a user
+    symmetry's sparse twin where it has one), bit for bit, under their memo
+    keys."""
     rng = random.Random("relation bases")
     for name, build, _ in BUILTINS:
         for sym in (build(), dense_conjugate(build(), rng)):
-            for kind, want in zip(("sym", "ext"), oracles.dense_pair_bases(sym)):
+            for kind, want in zip(("sym", "ext"), oracles.dense_pair_bases(sym._twin)):
                 got = rmatrix._relations(sym, kind)
                 assert got == tuple(map(tuple, want)), (name, kind)
                 assert sym._cache["relations", kind, None] is got
     for target, source in HOM_PAIRS:
         a, b = HOM_SYMS[target](), HOM_SYMS[source]()
         for t, s in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
-            for kind, want in zip("AE", oracles.dense_hom_relations(t, s)):
+            for kind, want in zip("AE", oracles.dense_hom_relations(t._twin, s._twin)):
                 rmatrix.hom_dims(t, s, kind, 2)
                 got = s._cache["relations", kind, t]
                 assert got == tuple(map(tuple, want)), (target, source, kind)
                 assert rmatrix._relations(s, kind, t) is got
 
 
+def no_twin_symmetries():
+    """User symmetries that get no sparse twin, so the engine runs on the
+    matrix as given: dense fractional conjugates at q = 1, where X =
+    Tr₂R - Tr₁R is 0, and the bilinear form, which has no more nonzeros
+    than a deformed swap."""
+    rng = random.Random("no twin")
+    syms = {
+        "super21 q=1": dense_conjugate(build_super(2, 1, 1), rng),
+        "super11 q=1": dense_conjugate(build_super(1, 1, 1), rng),
+        "super11 q=1 again": dense_conjugate(build_super(1, 1, 1), rng),
+        "form": load_and_validate(2, 4, FORM),
+    }
+    assert all(sym._twin is sym for sym in syms.values())
+    return syms
+
+
+def test_dense_rows_without_a_twin_equal_the_dense_oracles():
+    """Where no twin is found, sym, ext, mixed, A and E come from the matrix
+    as given and equal the full-ambient oracles; the form's sym and ext
+    dims are 1, 2, 3, ... and 1, 2, 1, 0, 0.  A dense conjugate of the form
+    does have a twin: the form itself, since its X has the eigenvalues of a
+    deformed swap's."""
+    syms = no_twin_symmetries()
+    form = syms["form"]
+    assert symmetric_dims(form, 6) == [1, 2, 3, 4, 5, 6, 7]
+    assert exterior_dims(form, 4) == [1, 2, 1, 0, 0]
+    dense_form = dense_conjugate(form, random.Random("dense form"))
+    assert dense_form._twin.cols == form.cols and dense_form._twin.s == form.s
+    syms["dense form"] = dense_form
+    for name, sym in syms.items():
+        for n in range(5 if sym.d == 2 else 4):
+            part = [n] if n else []
+            assert symmetric_dims(sym, n)[n] == oracles.quotient_dim(sym, part, []), name
+            assert exterior_dims(sym, n)[n] == oracles.quotient_dim(sym, [], part), name
+        assert dim_quotient(sym, (2, 1), (1,)) == oracles.quotient_dim(sym, (2, 1), (1,)), name
+    pairs = [("super11 q=1", "super11 q=1 again"), ("form", "dense form"), ("dense form", "form")]
+    for target, source in pairs:
+        a, b = syms[target], syms[source]
+        for n in range(4):
+            assert dim_intertwiner(a, b, n) == oracles.intertwiner_dim(a, b, n), (target, source, n)
+            assert dim_e_component(a, b, n) == oracles.e_component_dim(a, b, n), (target, source, n)
+
+
 def test_engine_hands_echelon_integer_rows_only(monkeypatch):
-    """No relation or quotient row is scaled to integers: on fresh copies of
-    dense fractional conjugates, with ``linalg.scale_to_integers`` (and so
-    ``clear_denominators``) made to raise before the first library call,
-    the relation bases and dims still equal the dense oracles."""
-    rng = random.Random("integer rows")
-    sym = dense_conjugate(build_super(2, 1, 2), rng)
-    a, b = dense_conjugate(build_standard(2, 2), rng), dense_conjugate(build_super(1, 1, 2), rng)
+    """No relation or quotient row is scaled to integers: on dense
+    fractional conjugates that get no twin, with ``linalg.scale_to_integers``
+    (and so ``clear_denominators``) made to raise after the oracles ran and
+    before the first library call, the relation bases and dims still equal
+    the dense oracles."""
+    syms = no_twin_symmetries()
+    sym, a, b = syms["super21 q=1"], syms["super11 q=1"], syms["super11 q=1 again"]
     assert all(any(x.denominator > 1 for row in s.matrix for x in row) for s in (sym, a, b))
     want = {
         "sym": [oracles.quotient_dim(sym, [k] if k else [], []) for k in range(5)],
@@ -222,8 +297,6 @@ def test_engine_hands_echelon_integer_rows_only(monkeypatch):
         "A": [oracles.intertwiner_dim(a, b, k) for k in range(4)],
         "E": [oracles.e_component_dim(a, b, k) for k in range(4)],
     }
-    # the oracles have filled the caches of sym, a and b; fresh copies start empty
-    sym, a, b = (load_and_validate(s.d, s.q, s.matrix) for s in (sym, a, b))
 
     def refuse(row):
         raise AssertionError("a row reached scale_to_integers")
@@ -343,9 +416,7 @@ FILE_CASES = [
 @pytest.mark.parametrize("name,spec,build", FILE_CASES, ids=[c[0] for c in FILE_CASES])
 def test_dense_conjugate_files_print_the_builtin_output(name, spec, build, capsys, tmp_path):
     """A dense conjugate written to a file and read back through the CLI
-    prints what the builtin prints; verify only adds its conjectural notes.
-    The hom families (A:, E:, the homspace suite) run on d = 2 only: a dense
-    d = 3 pair at degree 3 takes tens of seconds."""
+    prints what the builtin prints; verify only adds its conjectural notes."""
 
     def out(*argv):
         assert main(list(argv)) == 0, argv
@@ -355,19 +426,17 @@ def test_dense_conjugate_files_print_the_builtin_output(name, spec, build, capsy
     path = tmp_path / f"{name}.txt"
     path.write_text(rmatrix.serialize_symmetry(dense_conjugate(sym, random.Random(name))))
     dense = f"file:{path}"
-    whats = ["sym", "ext", "quotient:[2,1];[2]"]
-    suites = ["all"]
-    if sym.d == 2:
-        whats += [f"A:{dense}", f"E:{dense}"]
-    else:
-        suites = [s for s in verify.SUITES if s != "homspace"]
-    for what in whats:
-        compute = ["compute", "--degree", "4", "--what"]
+    # the hom families act on d² dimensions: (d²)**4 exceeds the dimension
+    # cap for d = 3
+    hom_degree = 4 if sym.d == 2 else 3
+    whats = [("sym", 4), ("ext", 4), ("quotient:[2,1];[2]", 4)]
+    whats += [(f"A:{dense}", hom_degree), (f"E:{dense}", hom_degree)]
+    for what, degree in whats:
+        compute = ["compute", "--degree", str(degree), "--what"]
         got = out(*compute, what, "--symmetry", dense)
         assert got == out(*compute, what.replace(dense, spec), "--symmetry", spec), what
-    for suite in suites:
-        argv = ["verify", "--suite", suite, "--nmax", "3", "--max-weight", "6", "--machine"]
-        got = out(*argv, "--symmetry", dense).splitlines()
-        want = out(*argv, "--symmetry", spec).splitlines()
-        assert any(line.startswith("#") for line in got), suite
-        assert [line for line in got if not line.startswith("#")] == want, suite
+    argv = ["verify", "--suite", "all", "--nmax", "3", "--max-weight", "6", "--machine"]
+    got = out(*argv, "--symmetry", dense).splitlines()
+    want = out(*argv, "--symmetry", spec).splitlines()
+    assert any(line.startswith("#") for line in got)
+    assert [line for line in got if not line.startswith("#")] == want

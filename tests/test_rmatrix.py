@@ -702,6 +702,11 @@ class TestSerialization:
             parse_symmetry_text("\n".join(good[:-1]) + "\n")
         with pytest.raises(FileFormatError):
             parse_symmetry_text("\n".join(good + ["extra"]) + "\n")
+        # blank lines after the matrix are allowed, so the error names the
+        # first nonblank one: line 7, not line 5
+        text = "hecke-symmetry v1\nd = 1\nq = 2\n2\n\n  \njunk\n"
+        with pytest.raises(FileFormatError, match="^line 7: unexpected trailing content$"):
+            parse_symmetry_text(text)
 
     def test_parsed_matrix_is_validated(self):
         text = serialize_symmetry(build_standard(2, 2))
