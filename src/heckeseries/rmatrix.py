@@ -7,15 +7,16 @@ on the previous quotient tensored with one more slot, so the full
 tensor-power matrices are never materialized.  ``_relations`` is the one
 builder of a family's pair relations ("sym", "ext", "A", "E") and ``_dims``
 the one cache of its graded dimensions; a mixed quotient multiplies them.
-Every family reads a user symmetry's sparse normal form (``_normal_form``)
-where one is found: all four are invariant under conjugation by g⊗g.
+Every family reads the builtin deformed swap that a user symmetry
+conjugates (``_normal_form``) where there is one: all four are invariant
+under conjugation by g⊗g.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from . import linalg
 from .linalg import ORDER_CAP, CapExceeded
@@ -94,9 +95,9 @@ class HeckeSymmetry:
     row (k-1)·d + (l-1) its e_k⊗e_l component.  ``matrix`` is a derived
     read.  Instances are immutable after construction; ``_cache`` holds
     only what ``_relations`` and ``_dims`` derive from them.  ``_twin`` is
-    the matrix every relation family reads: a user symmetry's sparse
-    normal form (``_normal_form``) when it has one, else the symmetry
-    itself.
+    the matrix every relation family reads: the builtin deformed swap a
+    user symmetry conjugates (``_normal_form``) when there is one, else the
+    symmetry itself.
     """
 
     __slots__ = ("d", "q", "s", "cols", "source", "_twin", "_cache")
@@ -135,15 +136,11 @@ class HeckeSymmetry:
         steps = _validation_steps(d, self.cols)
         linalg.check_cap("validation work bound", steps, VALIDATION_CAP)
         self._twin = (source == "user" and _normal_form(self, steps)) or self
-        # both relations survive conjugation, so the twin validates R; a
-        # failure is raised again from R, with its witness in R's coordinates
-        try:
-            _validate(self._twin)
-        except SymmetryError:
-            if self._twin is self:
-                raise
+        # a twin B was validated when it was built, and g is invertible (its
+        # columns are eigenvectors of distinct eigenvalues), so R =
+        # (g⊗g)·B·(g⊗g)^-1 is a Hecke symmetry exactly when B is
+        if self._twin is self:
             _validate(self)
-            raise
 
     @property
     def matrix(self):
@@ -218,18 +215,20 @@ def _validate(sym: HeckeSymmetry):
 
 
 def _normal_form(sym: HeckeSymmetry, steps: int) -> HeckeSymmetry | None:
-    """The sparse twin R' = (g⊗g)^-1·R·(g⊗g) of an unvalidated user
-    symmetry, or None; nothing here raises.
+    """The deformed swap B that an unvalidated user symmetry R conjugates,
+    R = (g⊗g)·B·(g⊗g)^-1, or None; nothing here raises.
 
     X = Tr₂R - Tr₁R, with Tr₂R[i][k] = Σ_j R[(i,j),(k,j)] and Tr₁R[j][l] =
     Σ_i R[(i,j),(i,l)], is conjugated by g when R is by g⊗g (Gurevich 1991),
     and for every deformed swap it is (q-1)·diag(2i - d + 1).  When each of
     those d distinct eigenvalues has a one-dimensional kernel, its integer
-    vectors are the columns of g; on a conjugate of a deformed swap B they
-    are h·e_i up to scale, and conjugating by a diagonal matrix keeps B's
-    entries, so R' = B exactly.  Only q ≠ 1, d ≥ 2 and more nonzeros than a
-    deformed swap's are tried, and the twin is kept only with fewer
-    nonzeros than R and integers within the bit-length cap."""
+    vectors are the columns g_i of g, up to a scale that conjugating B by a
+    diagonal matrix does not see.  B's parities are read off M·(g_i⊗g_j),
+    i ≤ j: B(e_i⊗e_i) is -e_i⊗e_i exactly on an odd vector, and B(e_i⊗e_j)
+    is -e_j⊗e_i exactly on an odd pair.  At q = -1 the diagonal says
+    nothing, and a single odd vector gives the same B as an even one.  B is
+    kept when M·(g⊗g) = s·(g⊗g)·B, column by column.  Only q ≠ 1, d ≥ 2 and
+    more nonzeros than a deformed swap's are tried."""
     d, s, cols = sym.d, sym.s, sym.cols
     a, b = sym.q.numerator, sym.q.denominator
     nnz = sum(map(len, cols))
@@ -244,7 +243,7 @@ def _normal_form(sym: HeckeSymmetry, steps: int) -> HeckeSymmetry | None:
                 trace[i][k] += b * m
             if i == k:
                 trace[j][l] -= b * m
-    vecs = []  # the columns of g
+    g = []
     for i in range(d):
         ech = linalg.Echelon(d)
         shift = s * (a - b) * (2 * i - d + 1)
@@ -253,38 +252,28 @@ def _normal_form(sym: HeckeSymmetry, steps: int) -> HeckeSymmetry | None:
         kernel = ech.annihilator()
         if len(kernel) != 1:
             return None
-        vecs += kernel
-    # eigenvectors of distinct eigenvalues are independent, so the reduced
-    # rows of [g | 1] are [D·1 | D·g^-1]
-    inv = linalg.Echelon(2 * d)
-    for r in range(d):
-        inv.add([v[r] for v in vecs] + [int(r == c) for c in range(d)])
-    D, rows = inv.reduced()
-    g = [[(k, v) for k, v in enumerate(vec) if v] for vec in vecs]
-    ginv = [[(i, row[d + k]) for i, row in enumerate(rows) if row[d + k]] for k in range(d)]
-    # the products loop over nonzeros only: nnz(g)²·m + (d² + 1)·nnz(g^-1)²
-    # steps for m nonzeros per column of M, at most d²(d²·m + d⁴) + d⁴.
-    # Within validation's own bound, which the cap has checked, a sparse
-    # file pays for its nonzeros; past it no twin is tried.
-    nnz_g, nnz_inv = sum(map(len, g)), sum(map(len, ginv))
-    if nnz_g**2 * max(map(len, cols)) + (d * d + 1) * nnz_inv**2 > steps:
+        g.append([(k, v) for k, v in enumerate(kernel[0]) if v])
+    # the two products below take at most nnz(g)²·m and 2·nnz(g)² steps for
+    # m nonzeros per column of M, so 2·nnz(g)²·m in all, since more nonzeros
+    # than a deformed swap's put two in some column.  Within validation's
+    # own bound, which the cap has checked, a sparse file pays for its
+    # nonzeros; past it no twin is tried.
+    if 2 * sum(map(len, g)) ** 2 * max(map(len, cols)) > steps:
         return None
-    # D²·s·R' = (D·g^-1 ⊗ D·g^-1)·M·(g⊗g), column by column
-    left = [[(i * d + j, u * v) for i, u in ginv[k] for j, v in ginv[l]]
-            for k in range(d) for l in range(d)]
-    out = [
-        _times(left, _times(cols, {k * d + l: u * v for k, u in g[i] for l, v in g[j]}))
-        for i in range(d)
-        for j in range(d)
-    ]
-    content = gcd(D * D * s, *(v for col in out for v in col.values()))
-    twin = object.__new__(HeckeSymmetry)
-    twin.d, twin.q, twin.s, twin.source = d, sym.q, D * D * s // content, sym.source
-    twin.cols = tuple(tuple(sorted((r, v // content) for r, v in col.items())) for col in out)
-    twin._twin, twin._cache = twin, {}
-    entries = (abs(m) for col in twin.cols for _, m in col)
-    if sum(map(len, twin.cols)) >= nnz or max(twin.s, *entries).bit_length() > BIT_LENGTH_CAP:
-        return None
+    gg = [[(k * d + l, u * v) for k, u in g[i] for l, v in g[j]] for i in range(d) for j in range(d)]
+    image = [_times(cols, dict(col)) for col in gg]  # M·(g⊗g)
+
+    def odd(i, j):
+        return image[i * d + j] == {r: -s * x for r, x in gg[j * d + i]}
+
+    if sym.q != -1:
+        parity = [odd(i, i) for i in range(d)]
+    else:
+        parity = [any(odd(*sorted((i, j))) for j in range(d) if j != i) for i in range(d)]
+    twin = _deformed_swap(parity, sym.q, "twin")
+    for c, col in enumerate(twin.cols):
+        if {r: twin.s * x for r, x in image[c].items()} != _times(gg, {r: s * x for r, x in col}):
+            return None
     return twin
 
 

@@ -58,6 +58,32 @@ def test_importing_the_package_loads_no_module():
     assert loaded_after("import heckeseries") == {"heckeseries"}
 
 
+def test_every_module_imports_only_the_standard_library():
+    """pyproject.toml's ``dependencies = []``: each top-level module that
+    importing every module (but ``__main__``) loads is in the standard
+    library.  Only modules loaded after start-up count, since site ``.pth``
+    files may preload others."""
+    modules = sorted(
+        f"heckeseries.{path.stem}"
+        for path in Path(heckeseries.__file__).parent.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    )
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {modules!r}:\n"
+        "    __import__(name)\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(new - {'heckeseries'} - sys.stdlib_module_names)))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert "heckeseries.cli" in modules
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_compute_loads_only_the_matrix_modules():
     code = (
         "from heckeseries.cli import main\n"

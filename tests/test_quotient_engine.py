@@ -11,6 +11,7 @@ candidates with the same witness and give relation rows spanning the same
 space.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -110,6 +111,36 @@ def test_dense_conjugates_keep_chain_dims(name, build, n_max):
     assert exterior_dims(dense, n_max) == exterior_dims(sym, n_max)
 
 
+# (even, odd) basis vectors of the builtins whose dense conjugates must come
+# back as the builtin itself
+TWIN_BIRANKS = [(2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2), (0, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("q", [2, Fraction(1, 2), Fraction(3, 2), -1], ids=str)
+@pytest.mark.parametrize("r0,r1", TWIN_BIRANKS, ids=[f"super{r0}{r1}" for r0, r1 in TWIN_BIRANKS])
+def test_the_twin_of_a_dense_conjugate_is_the_builtin(r0, r1, q):
+    """At q = -1 parity is read from the pairs alone, and a single odd
+    vector gives the matrix of an even one.  A conjugator that keeps the
+    builtin's nonzero count tries no twin, so the first check keeps the
+    case from passing on R itself."""
+    builtin = build_super(r0, r1, q)
+    dense = dense_conjugate(builtin, random.Random(f"twin super{r0}{r1} at {q}"))
+    assert dense._twin is not dense
+    assert dense._twin.cols == builtin.cols and dense._twin.s == builtin.s
+
+
+def test_odd_vectors_before_even_ones_give_a_valid_twin():
+    """The twin keeps the order of g's columns, so its odd vectors may come
+    first: every parity order builds a Hecke symmetry, and a dense conjugate
+    of one comes back as it."""
+    rng = random.Random("parity orders")
+    for parity in itertools.chain(*(itertools.product((0, 1), repeat=d) for d in (2, 3))):
+        for q in (2, Fraction(1, 2), -1):
+            swap = rmatrix._deformed_swap(parity, q, "twin")
+            dense = dense_conjugate(swap, rng)
+            assert dense._twin is not dense and dense._twin.cols == swap.cols, (parity, q)
+
+
 HOM_PAIRS = [
     ("std2", "std2"),
     ("std2", "std1"),
@@ -156,9 +187,9 @@ def test_validator_rejects_like_the_dense_oracle(name, build, n_max, monkeypatch
     perturbed, and conjugated by a random G on V⊗V (which keeps the
     quadratic relation but not, in general, the braid identity); and a
     builtin perturbed at row (i,j), column (k,l) with i ≠ k and j ≠ l, then
-    conjugated densely: both partial traces keep their values, so a sparse
-    twin is found and fails, and the rejection must still be that of the
-    raw candidate."""
+    conjugated densely: both partial traces keep their values, so g is found,
+    but R·(g⊗g) = (g⊗g)·B fails, no twin is kept, and the rejection must be
+    that of the candidate as given."""
     rng = random.Random("reject" + name)
     sym = build()
     seen = set()
@@ -191,7 +222,7 @@ def test_validator_rejects_like_the_dense_oracle(name, build, n_max, monkeypatch
     off_trace[i * d + j][k * d + l] += rng.choice([-2, -1, 1, 2])
     off_trace = conjugate_rows(d, off_trace, rng)
     got = rejection(load_and_validate, d, sym.q, off_trace)
-    assert got is not None and twins[0] is not None
+    assert got is not None and twins[0] is None
     assert got == rejection(oracles.validate_dense, d, sym.q, off_trace)
     assert seen == {None, rmatrix.HeckeViolation, rmatrix.BraidViolation}
 
@@ -258,14 +289,14 @@ def test_dense_rows_without_a_twin_equal_the_dense_oracles():
     """Where no twin is found, sym, ext, mixed, A and E come from the matrix
     as given and equal the full-ambient oracles; the form's sym and ext
     dims are 1, 2, 3, ... and 1, 2, 1, 0, 0.  A dense conjugate of the form
-    does have a twin: the form itself, since its X has the eigenvalues of a
-    deformed swap's."""
+    gets no twin either: its X has the eigenvalues of a deformed swap's, but
+    the form is no deformed swap, so it runs on its own rows."""
     syms = no_twin_symmetries()
     form = syms["form"]
     assert symmetric_dims(form, 6) == [1, 2, 3, 4, 5, 6, 7]
     assert exterior_dims(form, 4) == [1, 2, 1, 0, 0]
     dense_form = dense_conjugate(form, random.Random("dense form"))
-    assert dense_form._twin.cols == form.cols and dense_form._twin.s == form.s
+    assert dense_form._twin is dense_form
     syms["dense form"] = dense_form
     for name, sym in syms.items():
         for n in range(5 if sym.d == 2 else 4):
