@@ -12,10 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .partitions import format_partition, parse_partition
-
-# rmatrix, series and verify are imported by the subcommands that use them:
-# compute loads no series code, and predict and series load no matrix code
+# partitions, rmatrix, series and verify are imported by the code that uses
+# them: compute loads no series code, and predict and series no matrix code
 
 
 class UsageError(Exception):
@@ -146,6 +144,8 @@ def cmd_predict(args) -> int:
 
 
 def _parse_quotient_arg(rest: str):
+    from .partitions import parse_partition
+
     parts = rest.split(";")
     if len(parts) != 2:
         raise UsageError(
@@ -217,6 +217,8 @@ def cmd_series(args) -> int:
         if hit is None:
             print("ok")
             return 0
+        from .partitions import format_partition
+
         lam, value = hit
         print(f"violation at {format_partition(lam)}: {value}")
         return 1

@@ -1,15 +1,15 @@
 """Concrete Hecke symmetries and exact linear algebra on tensor powers.
 
+A symmetry is built from its stored form R = M/s, sparse integer columns M
+and an integer s; ``load_and_validate`` is the one reader of a dense matrix.
 The two quadratic quotients and the two hom-algebra families come from one
-engine: a quadratic quotient of a tensor algebra by one set of pair
-relations, computed degree by degree by fraction-free integer elimination
-on the previous quotient tensored with one more slot, so the full
-tensor-power matrices are never materialized.  ``_relations`` is the one
-builder of a family's pair relations ("sym", "ext", "A", "E") and ``_dims``
-the one cache of its graded dimensions; a mixed quotient multiplies them.
-Every family reads the builtin deformed swap that a user symmetry
-conjugates (``_normal_form``) where there is one: all four are invariant
-under conjugation by g⊗g.
+engine: a quadratic quotient of a tensor algebra by pair relations, computed
+degree by degree by integer elimination on the previous quotient tensored
+with one more slot, never on a full tensor power.  ``_relations`` builds a
+family's pair relations ("sym", "ext", "A", "E") and ``_dims`` caches its
+graded dimensions; a mixed quotient multiplies them.  Every family reads
+the builtin deformed swap that a user symmetry conjugates (``_normal_form``)
+where there is one: all four are invariant under conjugation by g⊗g.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from math import lcm, prod
 
 from . import linalg
 from .linalg import ORDER_CAP, CapExceeded
-from .partitions import as_partition, weight
 
 # Refuse tensor computations whose ambient dimension d**n exceeds this;
 # validation works on V⊗3, so symmetries with d**3 above it are refused too.
@@ -89,48 +88,36 @@ def _check_bits(x: int) -> int:
 
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V,
-    stored once as M/s for an integer d²×d² matrix M: ``cols[c]`` lists the
-    nonzero ``(row, M[row][c])`` with rows ascending, and ``s`` is the lcm
-    of the entries' denominators.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j),
-    row (k-1)·d + (l-1) its e_k⊗e_l component.  ``matrix`` is a derived
-    read.  Instances are immutable after construction; ``_cache`` holds
-    only what ``_relations`` and ``_dims`` derive from them.  ``_twin`` is
-    the matrix every relation family reads: the builtin deformed swap a
-    user symmetry conjugates (``_normal_form``) when there is one, else the
-    symmetry itself.
+    built from its stored form M/s, s a positive integer and M an integer
+    d²×d² matrix: ``cols[c]`` lists the nonzero ``(row, M[row][c])``, rows
+    ascending.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j), row (k-1)·d + (l-1)
+    its e_k⊗e_l component.  Only q is read as a rational; ``matrix`` is a
+    derived read.  Instances are immutable after construction; ``_cache``
+    holds only what ``_relations`` and ``_dims`` derive from them.
+    ``_twin`` is the matrix every relation family reads: the builtin
+    deformed swap a user symmetry conjugates (``_normal_form``) when there
+    is one, else the symmetry itself.
     """
 
     __slots__ = ("d", "q", "s", "cols", "source", "_twin", "_cache")
 
-    def __init__(self, d: int, q, matrix, source: str = "user"):
+    def __init__(self, d: int, q, s: int, cols, source: str = "user"):
         q = linalg.rational(q)
         if q == 0:
             raise ValueError("the parameter q must be nonzero")
         if d < 1:
             raise ValueError("dimension must be at least 1")
+        _check_cap(d, 3)  # before any column is read
         dd = d * d
-        if len(matrix) != dd or any(len(row) != dd for row in matrix):
-            raise ValueError(f"matrix must be {dd}x{dd}")
-        _check_cap(d, 3)
+        cols = tuple(map(tuple, cols))
+        distinct = [len({r for r, _ in c if 0 <= r < dd}) for c in cols]
+        if s < 1 or len(cols) != dd or distinct != list(map(len, cols)):
+            raise ValueError(f"stored form: need s >= 1, {dd} columns, distinct rows below {dd}")
+        _check_bits(max(abs(q.numerator), q.denominator, s, *(abs(m) for c in cols for _, m in c)))
         self.d = d
         self.q = q
-        # int and Fraction zeros are dropped unconverted; any other entry,
-        # a "0" string included, is converted in row order
-        rows = [
-            [linalg.rational(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
-            for row in matrix
-        ]
-        cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
-        # s is checked as it grows: the lcm of many distinct denominators
-        # costs time quadratic in their number
-        s = 1
-        for col in cols:
-            for _, x in col:
-                s = _check_bits(lcm(s, x.denominator))
         self.s = s
-        self.cols = tuple(tuple((r, int(x * s)) for r, x in col) for col in cols)
-        entries = (abs(m) for col in self.cols for _, m in col)
-        _check_bits(max(abs(q.numerator), q.denominator, *entries))
+        self.cols = cols
         self.source = source
         self._cache = {}
         steps = _validation_steps(d, self.cols)
@@ -281,24 +268,23 @@ def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
     """The deformed transposition on basis vectors of the given parities
     (0 even, 1 odd): even diagonal pairs scale by q and odd ones by -1,
     ordered pairs swap with the sign of odd-odd pairs, and the
-    lower-triangular correction keeps the quadratic relation exact."""
+    lower-triangular correction keeps the quadratic relation exact.  Its
+    columns, M = s·R with s = b for q = a/b, are made after the cap check."""
     q = linalg.rational(q)
+    a, b = q.numerator, q.denominator
     d = len(parity)
-    _check_cap(d, 3)  # before the d**4 matrix entries are built
-    dd = d * d
-    mat = [[0] * dd for _ in range(dd)]
-    for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            sign = -1 if parity[i] and parity[j] else 1
-            if i == j:
-                mat[col][col] = -1 if parity[i] else q
-            elif i < j:
-                mat[j * d + i][col] = sign
-            else:
-                mat[j * d + i][col] = q * sign
-                mat[col][col] = q - 1
-    return HeckeSymmetry(d, q, mat, source=source)
+    s = 1 if d == 1 and parity[0] else b
+
+    def column(i, j):
+        sign = -1 if parity[i] and parity[j] else 1
+        if i == j:
+            return [(i * d + i, -s if parity[i] else a)]
+        if i < j:
+            return [(j * d + i, sign * s)]
+        return [(j * d + i, sign * a), (i * d + j, a - b)]
+
+    cols = ([(r, m) for r, m in column(i, j) if m] for i in range(d) for j in range(d))
+    return HeckeSymmetry(d, q, s, cols, source=source)
 
 
 def build_standard(r: int, q) -> HeckeSymmetry:
@@ -316,9 +302,26 @@ def build_super(r0: int, r1: int, q) -> HeckeSymmetry:
 
 
 def load_and_validate(d: int, q, matrix) -> HeckeSymmetry:
-    """Validate a user-supplied candidate; raises BraidViolation or
-    HeckeViolation with a 1-based witness on failure."""
-    return HeckeSymmetry(d, q, matrix, source="user")
+    """Validate a user-supplied candidate given as d² rows of d² rationals,
+    the one dense reader: s is the lcm of their denominators, and M = s·R.
+    Raises BraidViolation or HeckeViolation with a 1-based witness."""
+    dd = d * d
+    if len(matrix) != dd or any(len(row) != dd for row in matrix):
+        raise ValueError(f"matrix must be {dd}x{dd}")
+    # int and Fraction zeros are dropped unconverted; any other entry,
+    # a "0" string included, is converted in row order
+    rows = [
+        [linalg.rational(x) if x or not isinstance(x, (int, Fraction)) else 0 for x in row]
+        for row in matrix
+    ]
+    cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
+    # s is checked as it grows: the lcm of many distinct denominators
+    # costs time quadratic in their number
+    s = 1
+    for col in cols:
+        for _, x in col:
+            s = _check_bits(lcm(s, x.denominator))
+    return HeckeSymmetry(d, q, s, [[(r, int(x * s)) for r, x in col] for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +492,8 @@ def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
     after lam).  No relation crosses a block boundary, so the quotient is
     the tensor product of one chain quotient per block, and its dimension
     the product of the cached "sym" and "ext" dimensions."""
+    from .partitions import as_partition, weight
+
     lam, mu = as_partition(lam), as_partition(mu)
     _check_cap(sym.d, weight(lam) + weight(mu))
     sdims = _dims(sym, "sym", max(lam, default=0))

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from . import linalg
 from .linalg import ORDER_CAP
-from .partitions import enumerate_partitions
 
 
 class InconclusiveDetection(ValueError):
@@ -489,6 +488,8 @@ def total_positivity(f: TruncSeries, max_weight: int):
     Partitions are scanned by weight, then in descending lexicographic order;
     the returned pair is (partition, value) for the first negative value.
     """
+    from .partitions import enumerate_partitions
+
     if max_weight > f.order:
         raise ValueError("max_weight exceeds the truncation order")
     check_weight(max_weight)

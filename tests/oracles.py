@@ -23,7 +23,9 @@ the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 ``dense_pair_bases`` and ``dense_hom_relations`` are the dense route to the
 relation bases that the library builds from sparse nonzero entries: every
 row of the full matrix, zero or not, goes through ``row_basis`` or
-``nullspace`` in index order.
+``nullspace`` in index order.  ``deformed_swap_rows`` writes a builtin as
+d² rows of ``Fraction`` entries, where the library writes its integer
+columns directly.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
@@ -232,6 +234,28 @@ def validate_dense(d: int, q, matrix):
             rhs = apply_block(mat, d, 3, pos, rhs)
         if lhs != rhs:
             raise BraidViolation((x // dd + 1, (x // d) % d + 1, x % d + 1))
+
+
+def deformed_swap_rows(parity, q) -> list[list[Fraction]]:
+    """The deformed transposition on basis vectors of the given parities
+    (0 even, 1 odd) as a dense d²×d² matrix: q or -1 on the diagonal pairs,
+    ±1 on pairs i < j, ±q and the correction q - 1 on pairs i > j."""
+    q = Fraction(q)
+    d = len(parity)
+    dd = d * d
+    mat = [[Fraction(0)] * dd for _ in range(dd)]
+    for i in range(d):
+        for j in range(d):
+            col = i * d + j
+            sign = -1 if parity[i] and parity[j] else 1
+            if i == j:
+                mat[col][col] = Fraction(-1) if parity[i] else q
+            elif i < j:
+                mat[j * d + i][col] = Fraction(sign)
+            else:
+                mat[j * d + i][col] = q * sign
+                mat[col][col] = q - 1
+    return mat
 
 
 def pair_conjugation_matrix(sym_target, sym_source):

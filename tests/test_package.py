@@ -85,17 +85,20 @@ def test_every_module_imports_only_the_standard_library():
 
 
 def test_compute_loads_only_the_matrix_modules():
-    code = (
-        "from heckeseries.cli import main\n"
-        "main(['compute', '--symmetry', 'std:r=2,q=2', '--what', 'sym', '--degree', '3'])"
-    )
-    assert loaded_after(code) == {
-        "heckeseries",
-        "heckeseries.cli",
-        "heckeseries.linalg",
-        "heckeseries.partitions",
-        "heckeseries.rmatrix",
-    }
+    """compute loads no series code and predict no matrix code, and neither
+    loads partitions, which only the commands that read or print a
+    partition need."""
+    for argv, module in (
+        (["compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "3"], "rmatrix"),
+        (["predict", "--what", "sym", "--alphas", "1,1", "--degree", "4"], "series"),
+    ):
+        code = f"from heckeseries.cli import main\nmain({argv!r})"
+        assert loaded_after(code) == {
+            "heckeseries",
+            "heckeseries.cli",
+            "heckeseries.linalg",
+            f"heckeseries.{module}",
+        }, argv
 
 
 @pytest.mark.parametrize(

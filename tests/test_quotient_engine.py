@@ -68,13 +68,24 @@ def random_invertible(n, rng):
 
 def conjugate_rows(d, rows, rng):
     """(g⊗g) R (g⊗g)^-1 for a d²×d² matrix R and a random invertible
-    rational g."""
+    rational g.  For d ≥ 2, g is redrawn until it has no zero entry, so it is
+    not monomial: a diagonal g conjugates a deformed swap to itself."""
     g, g_inv = random_invertible(d, rng)
+    while d >= 2 and not all(map(all, g)):
+        g, g_inv = random_invertible(d, rng)
     return mat_mul(mat_mul(kron(g, g), [list(r) for r in rows]), kron(g_inv, g_inv))
 
 
 def dense_conjugate(sym, rng):
-    return load_and_validate(sym.d, sym.q, conjugate_rows(sym.d, sym.matrix, rng))
+    """A g⊗g conjugate of sym, read as a user matrix.  It differs from sym
+    unless R commutes with every g⊗g: a scalar (d = 1), or ± the plain swap
+    (std or super:0,r at q = 1)."""
+    d = sym.d
+    dense = load_and_validate(d, sym.q, conjugate_rows(d, sym.matrix, rng))
+    swap = tuple(tuple(int(r == c % d * d + c // d) for c in range(d * d)) for r in range(d * d))
+    if d > 1 and sym.matrix not in (swap, tuple(tuple(-x for x in row) for row in swap)):
+        assert dense.matrix != sym.matrix, sym
+    return dense
 
 
 # The Hecke symmetry R = q + 2Ω of the bilinear form W = [[0, 2], [-1, 0]]

@@ -2,12 +2,14 @@
 generator, and the graded dimension engines.  The operator oracle here is a
 dense Kronecker embedding built independently in the test module."""
 
+import itertools
 import math
 import random
 import sys
 import time
 from fractions import Fraction
 
+import oracles
 import pytest
 
 import heckeseries
@@ -307,6 +309,34 @@ class TestStoredForm:
             with pytest.raises(ValueError, match=f"^rational literal expands past the limit of {limit} digits$"):
                 call()
             assert time.perf_counter() - start < 1, name
+
+    @pytest.mark.parametrize("q", [2, Fraction(1, 2), Fraction(3, 2), -1, Fraction(-5, 7), 1], ids=str)
+    def test_builtins_write_the_stored_form_of_their_dense_rows(self, q):
+        """The builtin's columns, written directly, are the dense reading of
+        the same matrix: every parity pattern up to d = 4, and a few at 5."""
+        patterns = [p for d in range(1, 5) for p in itertools.product((0, 1), repeat=d)]
+        patterns += [(0,) * 5, (1,) * 5, (0, 1, 0, 1, 1), (1, 0, 0, 1, 0)]
+        for parity in patterns:
+            dense = load_and_validate(len(parity), q, oracles.deformed_swap_rows(parity, q))
+            built = rmatrix._deformed_swap(parity, q, "twin")
+            assert (built.s, built.cols) == (dense.s, dense.cols), parity
+
+    def test_malformed_stored_forms_are_refused(self):
+        """std2 at q = 2 with a column missing, a row out of range or listed
+        twice, or s = 0: each would validate (a repeated row sums where
+        ``matrix`` keeps the last entry, and 0·R passes every identity)."""
+        cols = [[(0, 2)], [(2, 1)], [(1, 2), (2, 1)], [(3, 2)]]
+        message = "^stored form: need s >= 1, 4 columns, distinct rows below 4$"
+        for s, bad in [
+            (1, cols[:3]),
+            (1, cols[:2] + [[(1, 2), (4, 1)], [(3, 2)]]),
+            (1, cols[:2] + [[(-1, 2), (2, 1)], [(3, 2)]]),
+            (1, cols[:2] + [[(1, 2), (2, 1), (2, 0)], [(3, 2)]]),
+            (0, [[(0, 0)], [], [], []]),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                HeckeSymmetry(2, 2, s, bad)
+        assert HeckeSymmetry(2, 2, 1, cols).cols == build_standard(2, 2).cols
 
 
 class TestValidationBound:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckeseries import partitions
 from heckeseries import series as series_module
 from heckeseries.linalg import CapExceeded
 from heckeseries.series import (
@@ -233,7 +234,7 @@ class TestSchurValues:
             f = TruncSeries([a0s[trial // 4 % 4]] + tail)
             value = schur_values(f)
             for w in range(order + 1):
-                for lam in series_module.enumerate_partitions(w):
+                for lam in partitions.enumerate_partitions(w):
                     assert value(lam) == jacobi_trudi_det(f, lam), (f, lam)
             # Hankel windows (i,)*k, zero parts included
             for i in range(order + 1):
@@ -543,7 +544,7 @@ class TestTotalPositivity:
                 (
                     (lam, v)
                     for w in range(order + 1)
-                    for lam in series_module.enumerate_partitions(w)
+                    for lam in partitions.enumerate_partitions(w)
                     if (v := jacobi_trudi_det(f, lam)) < 0
                 ),
                 None,
@@ -657,8 +658,10 @@ class TestDiamond:
         def refuse(*args):
             raise AssertionError("the pairing product evaluated a partition")
 
-        # every Schur value a table computes passes through its __missing__
-        monkeypatch.setattr(series_module, "enumerate_partitions", refuse)
+        # every Schur value a table computes passes through its __missing__;
+        # total_positivity imports enumerate_partitions when it runs, so the
+        # patch reaches any caller in series
+        monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
         monkeypatch.setattr(series_module._SchurTable, "__missing__", refuse)
         f = expand_ratio([1], [1, -5, 6], 8)
         g = expand_ratio([1, 1], [1, -1], 8)
