@@ -9,6 +9,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
@@ -365,4 +366,10 @@ def main(argv=None) -> int:
 
 
 def console_entry():
-    sys.exit(main())
+    code = main()
+    # the interpreter's shutdown runs full collections over every tracked
+    # object, and collections skip frozen ones.  main does not freeze: a
+    # caller that runs it in-process goes on, and frozen objects are never
+    # collected again
+    gc.freeze()
+    sys.exit(code)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .partitions import enumerate_partitions, format_partition, in_hook
 from .rmatrix import (
     HeckeSymmetry,
     dim_quotient,
@@ -168,6 +167,8 @@ def suite_character(sym: HeckeSymmetry, n_max: int) -> VerificationReport:
     """Consistency rows: ``dim_quotient(ν, ())``, a product of symmetric_dims,
     against the same series' coefficients multiplied; and the certificate's
     tensor-power identity: the homomorphism sends p_1^n, V^{⊗n}'s character, to d^n."""
+    from .partitions import enumerate_partitions, format_partition
+
     check_weight(n_max)
     report = VerificationReport("character", conjectural=_is_conjectural(sym))
     fs = TruncSeries(symmetric_dims(sym, series_horizon(sym.d, n_max)))
@@ -219,6 +220,8 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
     """Sign and support of the certified series on Schur generators: values
     are nonnegative, vanish exactly off the hook region, and vanishing along
     rectangle rows never reverses."""
+    from .partitions import enumerate_partitions, format_partition, in_hook
+
     check_weight(max_weight)
     report = VerificationReport("positivity")
     value = schur_values(cert.symmetric_series(max_weight))

@@ -2,6 +2,7 @@
 tests pin exact lines; exit codes distinguish verification failures (1),
 input errors (2), and cap overruns (3)."""
 
+import gc
 import os
 import random
 import re
@@ -1184,3 +1185,42 @@ class TestTypedFailures:
             code, out, err = run(capsys, "predict", "--what", "A", *argv)
             assert (code, out) == (1, "")
             assert err == "error: power sums give a non-integral h_2\n"
+
+
+# one command for each exit code
+EXIT_CASES = [
+    ["compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "3"],
+    ["series", "detect-rational", "--coeffs", "1,2,3,5,7,11,13", "--rmax", "2"],
+    ["compute", "--symmetry", "std:r=2,q=0", "--what", "sym"],
+    ["compute", "--symmetry", "std:r=4,q=2", "--what", "sym", "--degree", "12"],
+]
+
+
+class TestEntryPoint:
+    """``python -m heckeseries`` and the installed script run
+    ``console_entry``, which freezes the heap once ``main`` has returned."""
+
+    @pytest.mark.parametrize("code, argv", enumerate(EXIT_CASES), ids=["0", "1", "2", "3"])
+    def test_module_entry_prints_what_main_does_and_exits_frozen(self, capsys, code, argv):
+        # the atexit hook runs during shutdown, after sys.exit has unwound
+        # console_entry, so it sees whether the heap was frozen
+        child = (
+            "import atexit, gc, runpy, sys\n"
+            "start = gc.get_freeze_count()\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > start, file=sys.stderr))\n"
+            "runpy.run_module('heckeseries', run_name='__main__')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        in_process = run(capsys, *argv)
+        assert in_process[0] == code
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, in_process[1], in_process[2] + "True\n"
+        )
+
+    def test_main_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert [run(capsys, *argv)[0] for argv in EXIT_CASES] == [0, 1, 2, 3]
+        assert gc.get_freeze_count() == before

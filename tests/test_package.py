@@ -101,6 +101,23 @@ def test_compute_loads_only_the_matrix_modules():
         }, argv
 
 
+@pytest.mark.parametrize("suite", ["hilbert", "homspace", "character", "positivity"])
+def test_verify_loads_partitions_only_for_the_suites_that_enumerate_them(suite):
+    argv = ["verify", "--suite", suite, "--symmetry", "std:r=2,q=2", "--nmax", "3"]
+    code = f"from heckeseries.cli import main\nmain({argv!r})"
+    expected = {
+        "heckeseries",
+        "heckeseries.cli",
+        "heckeseries.linalg",
+        "heckeseries.rmatrix",
+        "heckeseries.series",
+        "heckeseries.verify",
+    }
+    if suite in ("character", "positivity"):
+        expected.add("heckeseries.partitions")
+    assert loaded_after(code) == expected
+
+
 @pytest.mark.parametrize(
     "argv",
     [
