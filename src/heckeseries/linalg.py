@@ -4,16 +4,16 @@
 entry point: every caller adds integer rows to it directly.  It runs
 fraction-free on rows kept gcd-reduced, so every intermediate value is an
 exact integer, and converts no rationals.  Its rows are a basis of the
-span, ``Echelon.reduced`` gives reduced echelon form with one common
-integer pivot value (``symfunc``'s inverse Kostka matrix is the right half
-of the reduced rows [K | I]), and ``Echelon.annihilator`` one primitive
-vector per free column orthogonal to every row: the kernel bases of
-``rmatrix._relations`` and the quotient coordinates of its graded-quotient
-engine.  Matrices are lists of rows.  Rank, row-basis and nullspace
-readers of rational matrices are test oracles, not library code, and so
-are determinants and square solves: Schur values come from the memoised
-expansion in ``series.schur_values``, and recurrence detection solves its
-nested systems in one Berlekamp-Massey pass.
+span, ``Echelon.reduced`` the reduced echelon form in primitive rows, the
+one such basis of the span (the image bases of ``rmatrix._relations``;
+``symfunc``'s inverse Kostka matrix is the right half of the reduced rows
+[K | I]), and ``Echelon.annihilator`` one primitive vector per free column
+orthogonal to every row: the kernel bases of ``rmatrix._relations`` and the
+quotient coordinates of its graded-quotient engine.  Matrices are lists of
+rows.  Rank, row-basis and nullspace readers of rational matrices are test
+oracles, not library code, and so are determinants and square solves: Schur
+values come from the memoised expansion in ``series.schur_values``, and
+recurrence detection solves its nested systems in one Berlekamp-Massey pass.
 ``primitive`` is the one gcd reduction and ``scale_to_integers`` the one
 scaling of a rational row to integers, both shared with the series kernels;
 ``clear_denominators`` chains them for the Sturm sequence.
@@ -143,10 +143,10 @@ class Echelon:
                 return True
         return False
 
-    def reduced(self) -> tuple[int, list[list[int]]]:
-        """Reduced echelon form ``(D, rows)``: integer rows aligned with
-        ``pivots``, each equal to D at its own pivot and zero at every other
-        pivot, spanning the same space as ``rows``."""
+    def reduced(self) -> list[list[int]]:
+        """Reduced echelon form, the one such basis of the span of ``rows``:
+        primitive integer rows aligned with ``pivots``, each positive at its
+        own pivot and zero at every other pivot."""
         out: list[list[int]] = []
         for row, p in zip(reversed(self.rows), reversed(self.pivots)):
             for brow, c in zip(out, reversed(self.pivots)):
@@ -154,22 +154,20 @@ class Echelon:
                     row = _eliminate(row, brow, c)
             out.append(row)
         out.reverse()
-        D = lcm(*(row[p] for row, p in zip(out, self.pivots)))
-        return D, [
-            row if row[p] == D else [a * (D // row[p]) for a in row]
-            for row, p in zip(out, self.pivots)
-        ]
+        return out
 
     def annihilator(self) -> list[list[int]]:
         """One primitive integer vector per free column f, orthogonal to
-        every stored row: D at f, the reduced rows' entries at f negated on
-        their pivots."""
-        D, reduced = self.reduced()
+        every stored row: D at f, the lcm of the reduced pivot values, and
+        on each pivot the entry at f of its reduced row, scaled to pivot
+        value D and negated."""
+        reduced = self.reduced()
+        D = lcm(*(row[p] for row, p in zip(reduced, self.pivots)))
         basis = []
         for f in sorted(set(range(self.ncols)).difference(self.pivots)):
             x = [0] * self.ncols
             x[f] = D
             for row, p in zip(reduced, self.pivots):
-                x[p] = -row[f]
+                x[p] = -row[f] * (D // row[p])
             basis.append(primitive(x))
         return basis

@@ -5,11 +5,15 @@ and an integer s; ``load_and_validate`` is the one reader of a dense matrix.
 The two quadratic quotients and the two hom-algebra families come from one
 engine: a quadratic quotient of a tensor algebra by pair relations, computed
 degree by degree by integer elimination on the previous quotient tensored
-with one more slot, never on a full tensor power.  ``_relations`` builds a
-family's pair relations ("sym", "ext", "A", "E") and ``_dims`` caches its
-graded dimensions; a mixed quotient multiplies them.  Every family reads
-the builtin deformed swap that a user symmetry conjugates (``_normal_form``)
-where there is one: all four are invariant under conjugation by g⊗g.
+with one more slot, never on a full tensor power.  Their pair relations
+come from one operator, the FRT relation R'·T₁T₂ = T₁T₂·R as a map Y on
+two-slot maps (``_frt_entries``): "A" is the image of Yᵀ and "E" its
+kernel, and "sym" and "ext" are "A" and "E" against the one-dimensional
+symmetry q.  ``_relations`` builds a family's pair relations and ``_dims``
+caches its graded dimensions; a mixed quotient multiplies them.  Every
+family reads the builtin deformed swap that a user symmetry conjugates
+(``_normal_form``) where there is one: all four are invariant under
+conjugation by g⊗g.
 """
 
 from __future__ import annotations
@@ -110,9 +114,14 @@ class HeckeSymmetry:
         _check_cap(d, 3)  # before any column is read
         dd = d * d
         cols = tuple(map(tuple, cols))
-        distinct = [len({r for r, _ in c if 0 <= r < dd}) for c in cols]
-        if s < 1 or len(cols) != dd or distinct != list(map(len, cols)):
-            raise ValueError(f"stored form: need s >= 1, {dd} columns, distinct rows below {dd}")
+        distinct = [
+            len({r for r, m in c if isinstance(r, int) and isinstance(m, int) and 0 <= r < dd})
+            for c in cols
+        ]
+        if not isinstance(s, int) or s < 1 or len(cols) != dd or distinct != list(map(len, cols)):
+            raise ValueError(
+                f"stored form: need integers, s >= 1, {dd} columns, distinct rows below {dd}"
+            )
         _check_bits(max(abs(q.numerator), q.denominator, s, *(abs(m) for c in cols for _, m in c)))
         self.d = d
         self.q = q
@@ -139,16 +148,6 @@ class HeckeSymmetry:
 
     def __repr__(self):
         return f"HeckeSymmetry(d={self.d}, q={self.q}, source={self.source})"
-
-
-def _entries(sym: HeckeSymmetry, u: int, v: int):
-    """Nonzero ``(row, col, x)`` of the integer matrix u·M + v·s."""
-    out = []
-    for c, col in enumerate(sym.cols):
-        entries = {r: u * m for r, m in col}
-        entries[c] = entries.get(c, 0) + v * sym.s
-        out += [(r, c, x) for r, x in entries.items() if x]
-    return out
 
 
 def _times(op, vec):
@@ -429,32 +428,52 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     return dims
 
 
+def _frt_entries(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
+    """Nonzero ``(row, col, x)`` of Yᵀ, for Y(φ) = s·M'φ - s'·φM = s·s'·(R'φ
+    - φR) on two-slot maps φ: V⊗V → V'⊗V', R = M/s the source symmetry and
+    R' = M'/s' the target.  The coordinate t_ab⊗t_ce of φ, a and c indexing
+    V' and b and e indexing V, sits at (a·d + b)·d·d' + c·d + e, the sum of
+    a part from (a, c) and a part from (b, e)."""
+    d, dp = sym_source.d, sym_target.d
+    big = d * dp
+    left = [a * d * big + c * d for a in range(dp) for c in range(dp)]
+    right = [b * big + e for b in range(d) for e in range(d)]
+    out = {}
+    for k, col in enumerate(sym_target.cols):
+        for r, m in col:
+            for j in right:
+                out[left[k] + j, left[r] + j] = sym_source.s * m
+    for k, col in enumerate(sym_source.cols):
+        for r, m in col:
+            for i in left:
+                key = i + right[r], i + right[k]
+                out[key] = out.get(key, 0) - sym_target.s * m
+    return [(r, c, x) for (r, c), x in out.items() if x]
+
+
 def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = None):
-    """The pair relations of family ``kind``, built once per symmetry and
-    target: Im X for "sym" and "A", a basis of Ker X for "ext" and "E", as
-    integer rows.  X is b·M - a·s = b·s·(R - q) on V⊗V for "sym" and "ext"
-    (q = a/b, R = M/s), and for "A" and "E" the transpose of (conjugation -
-    identity) on the square of Hom(V, V'), V' the target's space.  Im X is
-    the row space of the transpose, and the nonzero rows reach one
-    ``linalg.Echelon`` in index order, so every basis is that of the dense
-    matrix: a zero row is a no-op there."""
+    """The pair relations of family ``kind`` as integer rows, built once per
+    symmetry and target: the reduced basis of Im Yᵀ (the row space of Y) for
+    "sym" and "A", a basis of Ker Yᵀ for "ext" and "E", Y as in
+    ``_frt_entries``.  Target None, the key of "sym" and "ext", reads as the
+    one-dimensional symmetry q = a/b: there Yᵀ = a·s - b·M = -b·s·(R - q).
+    Conjugation minus identity, φ ↦ R'^{-1}φR - φ, is -R'^{-1}·Y(φ)/(s·s'),
+    with row space Im Yᵀ, and for a shared q it is Y(φR)/(q·s·s'), as
+    R'^{-1}φ - φR^{-1} = (R'φ - φR)/q, with transpose kernel Ker Yᵀ.  The
+    nonzero rows reach one ``linalg.Echelon`` in index order."""
     key = ("relations", kind, target)
     if key not in sym._cache:
-        if target is None:
-            size = sym.d**2
-            entries = _entries(sym._twin, sym.q.denominator, -sym.q.numerator)
-        else:
-            size = (sym.d * target.d) ** 2
-            entries = _conjugation_entries(target._twin, sym._twin)
+        target = target or build_standard(1, sym.q)
+        size = (sym.d * target.d) ** 2
         kernel = kind in ("ext", "E")
         rows = {}
-        for r, c, x in entries:
+        for r, c, x in _frt_entries(target._twin, sym._twin):
             i, j = (r, c) if kernel else (c, r)
             rows.setdefault(i, [0] * size)[j] = x
         ech = linalg.Echelon(size)
         for i in sorted(rows):
             ech.add(rows[i])
-        sym._cache[key] = tuple(map(tuple, ech.annihilator() if kernel else ech.rows))
+        sym._cache[key] = tuple(map(tuple, ech.annihilator() if kernel else ech.reduced()))
     return sym._cache[key]
 
 
@@ -466,7 +485,7 @@ def _dims(sym: HeckeSymmetry, kind: str, n_max: int, target: HeckeSymmetry | Non
     key = ("dims", kind, target)
     dims = sym._cache.get(key)
     if dims is None or len(dims) <= n_max:
-        d = sym.d if target is None else sym.d * target.d
+        d = sym.d * (target or build_standard(1, sym.q)).d
         _check_cap(d, n_max)
         relations = _relations(sym, kind, target) if n_max > 1 else ()
         dims = _graded_quotient_dims(d, relations, n_max)
@@ -505,28 +524,6 @@ def dim_quotient(sym: HeckeSymmetry, lam, mu) -> int:
 # hom-space dimensions for a pair of symmetries
 
 
-def _conjugation_entries(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
-    """Nonzero ``(row, col, x)`` of the transpose of (conjugation - identity)
-    on the square of Hom(V, V'), times a·s'·s.  Conjugation takes a two-slot
-    map φ to R'^{-1}·φ·R with R = M/s the source symmetry, and the quadratic
-    relation gives R'^{-1} = (R' - (q-1))/q = P/(a·s') with P = b·M' - (a-b)·s'."""
-    d, dp = sym_source.d, sym_target.d
-    big = d * dp
-    a, b = sym_source.q.numerator, sym_source.q.denominator
-    scale = a * sym_target.s * sym_source.s
-    out = {(k, k): -scale for k in range(big * big)}
-    right = [
-        (*divmod(r, d), *divmod(c, d), m) for r, c, m in _entries(sym_source, 1, 0)
-    ]
-    for r, c, p in _entries(sym_target, b, b - a):
-        (a2, c2), (a1, c1) = divmod(r, dp), divmod(c, dp)
-        for b1, e1, b2, e2, m in right:
-            row = (a2 * d + b2) * big + (c2 * d + e2)
-            col = (a1 * d + b1) * big + (c1 * d + e1)
-            out[col, row] = out.get((col, row), 0) + p * m
-    return [(r, c, x) for (r, c), x in out.items() if x]
-
-
 def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
     if sym_target.q != sym_source.q:
         raise ValueError(
@@ -537,7 +534,9 @@ def require_same_q(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
 
 def hom_dims(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry, kind: str, n_max: int):
     """Dimensions for n = 0..n_max of hom family ``kind``: "A" as in
-    ``dim_intertwiner``, "E" as in ``dim_e_component``."""
+    ``dim_intertwiner``, "E" as in ``dim_e_component``, from the FRT
+    relation of ``_relations``; E needs the shared q checked here.  Against
+    ``build_standard(1, q)`` they are the sym and ext dimensions."""
     if kind not in ("A", "E"):
         raise ValueError(f"hom family must be 'A' or 'E', got {kind!r}")
     require_same_q(sym_target, sym_source)

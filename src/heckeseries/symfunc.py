@@ -140,7 +140,7 @@ class SymElement:
 def _degree_data(n: int):
     """The degree-n partitions, their index, the Kostka matrix and its
     inverse, the right half of the reduced rows [K | I]: K is unitriangular,
-    so their common pivot value is 1."""
+    so every pivot value is 1."""
     _check_degree(n)
     parts = enumerate_partitions(n)
     index = {lam: i for i, lam in enumerate(parts)}
@@ -149,8 +149,8 @@ def _degree_data(n: int):
     ech = linalg.Echelon(2 * size)
     for i, row in enumerate(k_matrix):
         ech.add(row + [int(i == j) for j in range(size)])
-    D, reduced = ech.reduced()
-    if D != 1:
+    reduced = ech.reduced()
+    if any(row[p] != 1 for row, p in zip(reduced, ech.pivots)):
         raise ConsistencyError(f"degree-{n} Kostka matrix is not unitriangular")
     return parts, index, k_matrix, [row[size:] for row in reduced]
 

@@ -8,12 +8,12 @@ They share nothing with the engine: their pair bases come from the dense
 route on the matrix as given, never from a user symmetry's sparse twin.
 They cost d**n columns, so use them only at small n.
 
-``rank``, ``row_basis`` and ``nullspace`` are the rational readers that
-these routes eliminate with: each clears every row of a rational matrix of
-its denominators once and adds it to one ``linalg.Echelon``, the library's
-kernel, which itself takes integer rows only; ``contains`` tests membership
-in an ``Echelon``'s span.  The library has no such reader: it adds integer
-rows to ``linalg.Echelon`` directly.
+``rank``, ``row_basis``, ``reduced_basis`` and ``nullspace`` are the
+rational readers that these routes eliminate with: each clears every row of
+a rational matrix of its denominators once and adds it to one
+``linalg.Echelon``, the library's kernel, which itself takes integer rows
+only; ``contains`` tests membership in an ``Echelon``'s span.  The library
+has no such reader: it adds integer rows to ``linalg.Echelon`` directly.
 
 ``validate_dense`` and ``pair_conjugation_matrix`` read R as a dense
 ``Fraction`` matrix, where the library reads its sparse integer columns:
@@ -21,11 +21,13 @@ the first applies R to dense vectors on V⊗3 (``apply_block``) and raises
 what the library's validator raises, the second builds the conjugation on
 the square of Hom(V, V') entry by entry from R and the inverse R'^{-1}.
 ``dense_pair_bases`` and ``dense_hom_relations`` are the dense route to the
-relation bases that the library builds from sparse nonzero entries: every
-row of the full matrix, zero or not, goes through ``row_basis`` or
-``nullspace`` in index order.  ``deformed_swap_rows`` writes a builtin as
-d² rows of ``Fraction`` entries, where the library writes its integer
-columns directly.
+relation spaces that the library builds from the sparse nonzero entries of
+one FRT operator: every row of the full matrix of R - q or of (conjugation
+- identity), zero or not, goes through ``row_basis`` or ``nullspace`` in
+index order.  The library stores image bases in reduced form, the
+``reduced_basis`` of the same rows.  ``deformed_swap_rows`` writes a
+builtin as d² rows of ``Fraction`` entries, where the library writes its
+integer columns directly.
 
 ``oracle_solve_square`` and ``oracle_det`` are textbook Gaussian
 eliminations on Fraction matrices, independent of the library's one
@@ -105,6 +107,12 @@ def rank(rows, ncols: int | None = None) -> int:
 def row_basis(rows, ncols: int) -> list[list[int]]:
     """Echelon basis (integer rows) of the span of `rows`."""
     return _echelon(rows, ncols).rows
+
+
+def reduced_basis(rows, ncols: int) -> list[list[int]]:
+    """The primitive reduced echelon basis of the span of `rows`, the one
+    such basis of that space."""
+    return _echelon(rows, ncols).reduced()
 
 
 def nullspace(rows, ncols: int) -> list[list[int]]:

@@ -309,8 +309,8 @@ class TestKernelAgainstOracles:
         assert nullspace([], 2) == [[1, 0], [0, 1]]
         assert oracle_det([[1, 2], [0, 0]]) == 0
         assert oracle_solve_square([[0, 0], [0, 1]], [0, 1]) is None
-        assert Echelon(0).reduced() == (1, [])
-        assert Echelon(3).reduced() == (1, [])
+        assert Echelon(0).reduced() == []
+        assert Echelon(3).reduced() == []
 
     def test_det_sign_under_row_permutations(self):
         rng = random.Random(31337)
@@ -333,15 +333,20 @@ class TestKernelAgainstOracles:
             ech = Echelon(ncols)
             for row in m:
                 ech.add(clear_denominators(row))
-            D, rows = ech.reduced()
-            assert D > 0
+            rows = ech.reduced()
             assert len(rows) == len(ech.rows) == oracle_rank(m)
             for i, row in enumerate(rows):
                 assert all(isinstance(a, int) for a in row)
+                assert primitive(row) == row
                 for j, p in enumerate(ech.pivots):
-                    assert row[p] == (D if i == j else 0)
+                    assert row[p] > 0 if i == j else row[p] == 0
             # same span as the input
             assert rank(rows + m, ncols) == len(rows)
+            # the one such basis: the same rows from the rows in reverse
+            again = Echelon(ncols)
+            for row in reversed(m):
+                again.add(clear_denominators(row))
+            assert again.reduced() == rows
 
 
 def test_parse_rational_refuses_exponents_past_the_digit_limit():

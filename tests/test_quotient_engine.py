@@ -240,44 +240,51 @@ def test_validator_rejects_like_the_dense_oracle(name, build, n_max, monkeypatch
 
 @pytest.mark.parametrize("target,source", HOM_PAIRS, ids=["x".join(p) for p in HOM_PAIRS])
 def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
+    """The rows of the FRT operator Y, the relation rows of A and E, span
+    what the dense (conjugation - identity) spans, and its transpose has the
+    same null space, on builtins and on dense conjugates read as given."""
     a, b = HOM_SYMS[target](), HOM_SYMS[source]()
     rng = random.Random("conj" + target + source)
     for pair in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
         want = oracles.conj_minus_one(*pair)
         size = len(want)
-        # the entries are the nonzeros of the transpose, each listed once
+        # the entries are the nonzeros of Yᵀ, each listed once
         rows = [[0] * size for _ in range(size)]
-        for r, c, x in rmatrix._conjugation_entries(*pair):
+        for r, c, x in rmatrix._frt_entries(*pair):
             assert x and not rows[c][r]
             rows[c][r] = x
-        factor = next(
-            x / y for row, wrow in zip(rows, want) for x, y in zip(row, wrow) if y
-        )
-        assert factor and rows == [[factor * y for y in wrow] for wrow in want]
-        assert oracles.row_basis(rows, size) == oracles.row_basis(want, size)
+        assert oracles.reduced_basis(rows, size) == oracles.reduced_basis(want, size)
         assert oracles.nullspace(zip(*rows), size) == oracles.nullspace(zip(*want), size)
 
 
 def test_relation_bases_equal_the_dense_route():
-    """The one sparse relation builder gives the pair bases and the hom
-    relations of the full matrices that the engine reads (a user
-    symmetry's sparse twin where it has one), bit for bit, under their memo
-    keys."""
+    """The one sparse relation builder gives, under their memo keys, the
+    kernel bases of the full matrices that the engine reads (a user
+    symmetry's sparse twin where it has one) bit for bit, and the reduced
+    form of their image bases, which on builtins and twins is the dense
+    route's own basis; inputs with no twin run on the matrix as given."""
     rng = random.Random("relation bases")
-    for name, build, _ in BUILTINS:
-        for sym in (build(), dense_conjugate(build(), rng)):
-            for kind, want in zip(("sym", "ext"), oracles.dense_pair_bases(sym._twin)):
-                got = rmatrix._relations(sym, kind)
-                assert got == tuple(map(tuple, want)), (name, kind)
-                assert sym._cache["relations", kind, None] is got
-    for target, source in HOM_PAIRS:
-        a, b = HOM_SYMS[target](), HOM_SYMS[source]()
-        for t, s in ((a, b), (dense_conjugate(a, rng), dense_conjugate(b, rng))):
-            for kind, want in zip("AE", oracles.dense_hom_relations(t._twin, s._twin)):
-                rmatrix.hom_dims(t, s, kind, 2)
-                got = s._cache["relations", kind, t]
-                assert got == tuple(map(tuple, want)), (target, source, kind)
-                assert rmatrix._relations(s, kind, t) is got
+    syms = [sym for _, build, _ in BUILTINS for sym in (build(), dense_conjugate(build(), rng))]
+    no_twin = no_twin_symmetries()
+    for sym in syms + list(no_twin.values()):
+        image, kernel = oracles.dense_pair_bases(sym._twin)
+        got = {kind: rmatrix._relations(sym, kind) for kind in ("sym", "ext")}
+        assert got["sym"] == tuple(map(tuple, oracles.reduced_basis(image, sym.d**2))), sym
+        assert got["ext"] == tuple(map(tuple, kernel)), sym
+        if sym in syms:
+            assert got["sym"] == tuple(map(tuple, image)), sym
+        for kind in got:
+            assert sym._cache["relations", kind, None] is got[kind]
+    pairs = [(HOM_SYMS[target](), HOM_SYMS[source]()) for target, source in HOM_PAIRS]
+    pairs += [(dense_conjugate(a, rng), dense_conjugate(b, rng)) for a, b in pairs]
+    pairs += [(no_twin["super11 q=1"], no_twin["super11 q=1 again"]), (no_twin["form"],) * 2]
+    for t, s in pairs:
+        image, kernel = oracles.dense_hom_relations(t._twin, s._twin)
+        for kind, want in (("A", oracles.reduced_basis(image, (t.d * s.d) ** 2)), ("E", kernel)):
+            rmatrix.hom_dims(t, s, kind, 2)
+            got = s._cache["relations", kind, t]
+            assert got == tuple(map(tuple, want)), (t, s, kind)
+            assert rmatrix._relations(s, kind, t) is got
 
 
 def no_twin_symmetries():
@@ -294,6 +301,22 @@ def no_twin_symmetries():
     }
     assert all(sym._twin is sym for sym in syms.values())
     return syms
+
+
+def test_sym_and_ext_are_a_and_e_against_the_one_dimensional_symmetry():
+    """Against R' = q on k the FRT operator has Yᵀ = a·s - b·M = -b·s·(R -
+    q), so the symmetric and exterior dimensions are the A and E dimensions
+    of the pair (std:1, R): on builtins, dense conjugates with twins, the
+    inputs with no twin and at q = -1."""
+    rng = random.Random("one-dimensional target")
+    syms = [sym for _, build, _ in BUILTINS for sym in (build(), dense_conjugate(build(), rng))]
+    syms += [build_super(1, 1, -1), dense_conjugate(build_super(2, 1, -1), rng)]
+    syms += no_twin_symmetries().values()
+    assert sum(sym.q == -1 for sym in syms) == 4
+    for sym in syms:
+        line, n = build_standard(1, sym.q), 4 if sym.d <= 2 else 3
+        assert symmetric_dims(sym, n) == rmatrix.hom_dims(line, sym, "A", n), sym
+        assert exterior_dims(sym, n) == rmatrix.hom_dims(line, sym, "E", n), sym
 
 
 def test_dense_rows_without_a_twin_equal_the_dense_oracles():
@@ -355,52 +378,45 @@ def test_engine_hands_echelon_integer_rows_only(monkeypatch):
 
 
 def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
-    calls = {"chains": 0, "conj": 0}
-    engine, conj = rmatrix._graded_quotient_dims, rmatrix._conjugation_entries
+    calls = {"chains": 0, "entries": 0}
+    engine, entries = rmatrix._graded_quotient_dims, rmatrix._frt_entries
 
     def counting_engine(*args):
         calls["chains"] += 1
         return engine(*args)
 
-    def counting_conj(*args):
-        calls["conj"] += 1
-        return conj(*args)
-
-    monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
-    monkeypatch.setattr(rmatrix, "_conjugation_entries", counting_conj)
-    # one sym chain (source and target coincide); one A and one E chain,
-    # each with its conjugation entries
-    assert verify.suite_homspace(*[build_standard(2, 2)] * 2, 5).passed
-    assert calls == {"chains": 3, "conj": 2}
-    calls.update(chains=0, conj=0)
-    spec = "std:r=2,q=2"
-    assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
-    assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
-    assert calls == {"chains": 1, "conj": 1}
-    # each relation family is built once per symmetry and target, whichever
-    # reader asks first: sym and ext from the entries of R - q, A and E from
-    # the conjugation entries, which read the entries of both symmetries
-    entries = rmatrix._entries
-
     def counting_entries(*args):
         calls["entries"] += 1
         return entries(*args)
 
-    monkeypatch.setattr(rmatrix, "_entries", counting_entries)
-    calls.update(conj=0, entries=0)
+    monkeypatch.setattr(rmatrix, "_graded_quotient_dims", counting_engine)
+    monkeypatch.setattr(rmatrix, "_frt_entries", counting_entries)
+    # one sym chain (source and target coincide); one A and one E chain;
+    # each family reads the one builder of relation entries once
+    assert verify.suite_homspace(*[build_standard(2, 2)] * 2, 5).passed
+    assert calls == {"chains": 3, "entries": 3}
+    calls.update(chains=0, entries=0)
+    spec = "std:r=2,q=2"
+    assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
+    assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
+    assert calls == {"chains": 1, "entries": 1}
+    # each relation family is built once per symmetry and target, whichever
+    # reader asks first: sym and ext against the one-dimensional symmetry q,
+    # A and E against the given target
+    calls.update(entries=0)
     sym = build_standard(2, 2)
     assert symmetric_dims(sym, 4) == [1, 2, 3, 4, 5]
     assert exterior_dims(sym, 4) == [1, 2, 1, 0, 0]
     assert dim_quotient(sym, (2, 1), (2,)) == 6
     assert dim_quotient(sym, (3,), (2, 2)) == 4
     assert calls["entries"] == 2
-    calls.update(conj=0, entries=0)
+    calls.update(entries=0)
     target, source = build_standard(2, 2), build_super(1, 1, 2)
     assert rmatrix.hom_dims(target, source, "A", 3) == [1, 4, 8, 12]
     assert rmatrix.hom_dims(target, source, "E", 3) == [1, 4, 8, 12]
     assert dim_intertwiner(target, source, 4) == 16
     assert dim_e_component(target, source, 4) == 16
-    assert calls["conj"] == 2 and calls["entries"] == 4
+    assert calls["entries"] == 2
 
 
 def test_mixed_quotients_run_no_chain_of_their_own(monkeypatch):

@@ -326,7 +326,7 @@ class TestStoredForm:
         twice, or s = 0: each would validate (a repeated row sums where
         ``matrix`` keeps the last entry, and 0·R passes every identity)."""
         cols = [[(0, 2)], [(2, 1)], [(1, 2), (2, 1)], [(3, 2)]]
-        message = "^stored form: need s >= 1, 4 columns, distinct rows below 4$"
+        message = "^stored form: need integers, s >= 1, 4 columns, distinct rows below 4$"
         for s, bad in [
             (1, cols[:3]),
             (1, cols[:2] + [[(1, 2), (4, 1)], [(3, 2)]]),
@@ -337,6 +337,23 @@ class TestStoredForm:
             with pytest.raises(ValueError, match=message):
                 HeckeSymmetry(2, 2, s, bad)
         assert HeckeSymmetry(2, 2, 1, cols).cols == build_standard(2, 2).cols
+
+    def test_stored_forms_of_non_integers_are_refused(self):
+        """M and s are integers.  std2 at q = 3/2 written as R itself, with
+        s = 1 and entries 3/2 or 1.5, or with a float s, would validate and
+        then raise TypeError in the gcd of the first elimination; a float
+        row is refused too."""
+        sym = build_standard(2, "3/2")
+        message = "^stored form: need integers, s >= 1, 4 columns, distinct rows below 4$"
+        for s, cols in [
+            (1, [[(r, Fraction(m, sym.s)) for r, m in col] for col in sym.cols]),
+            (1, [[(r, m / sym.s) for r, m in col] for col in sym.cols]),
+            (float(sym.s), sym.cols),
+            (sym.s, [[(float(r), m) for r, m in col] for col in sym.cols]),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                HeckeSymmetry(2, "3/2", s, cols)
+        assert HeckeSymmetry(2, "3/2", sym.s, sym.cols).cols == sym.cols
 
 
 class TestValidationBound:
