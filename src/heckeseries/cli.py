@@ -17,12 +17,8 @@ from fractions import Fraction
 # them: compute loads no series code, and predict and series no matrix code
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError on bad input.  A parser made with ``fill`` calls
+    """Raises ValueError on bad input.  A parser made with ``fill`` calls
     fill(parser) to add its arguments when it first parses, so a subparser
     whose arguments need a module costs nothing unless its command runs."""
 
@@ -37,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _size(text: str) -> int:
@@ -63,18 +59,12 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
 
     if series_text is not None:
         if alphas or betas:
-            raise UsageError(
-                f"give either --series{suffix} or root lists, not both"
-            )
-        try:
-            texts = split_rational_form(series_text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        num, den = map(parse_rationals, texts)
+            raise ValueError(f"give either --series{suffix} or root lists, not both")
+        num, den = map(parse_rationals, split_rational_form(series_text))
         # the series is f1(-t)/f0(t): numerator determines f1
         return BirankCertificate.from_polynomials(den, poly_negate_t(num))
     if not alphas and not betas:
-        raise UsageError(
+        raise ValueError(
             f"need --series{suffix} or at least one of "
             f"--alphas{suffix}/--betas{suffix}"
         )
@@ -84,41 +74,6 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
         check_certificate_degree(len(roots))
         polys.append(poly_from_roots(roots))
     return BirankCertificate.from_polynomials(*polys)
-
-
-def _parse_symmetry_spec(spec: str):
-    from . import linalg, rmatrix
-
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        raise UsageError(
-            f"symmetry specifier {spec!r} needs a 'std:', 'super:' or "
-            "'file:' prefix"
-        )
-    if kind == "file":
-        return rmatrix.load_symmetry_file(rest)
-    fields = [f.strip() for f in rest.split(",")]
-    try:
-        if kind == "std":
-            kv = dict(f.split("=", 1) for f in fields if "=" in f)
-            if len(kv) != len(fields) or sorted(kv) != ["q", "r"]:
-                raise UsageError(
-                    f"std specifier must be 'std:r=R,q=Q', got {spec!r}"
-                )
-            return rmatrix.build_standard(int(kv["r"]), linalg.parse_rational(kv["q"]))
-        if kind == "super":
-            if len(fields) != 3 or not fields[2].startswith("q="):
-                raise UsageError(
-                    f"super specifier must be 'super:r0,r1,q=Q', got {spec!r}"
-                )
-            return rmatrix.build_super(
-                int(fields[0]), int(fields[1]), linalg.parse_rational(fields[2][2:])
-            )
-    except (UsageError, linalg.CapExceeded):
-        raise
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad symmetry specifier {spec!r}: {exc}") from None
-    raise UsageError(f"unknown symmetry kind {kind!r}")
 
 
 def cmd_predict(args) -> int:
@@ -149,19 +104,14 @@ def _parse_quotient_arg(rest: str):
 
     parts = rest.split(";")
     if len(parts) != 2:
-        raise UsageError(
-            f"quotient wants 'quotient:[parts];[parts]', got {rest!r}"
-        )
-    try:
-        return parse_partition(parts[0]), parse_partition(parts[1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"quotient wants 'quotient:[parts];[parts]', got {rest!r}")
+    return parse_partition(parts[0]), parse_partition(parts[1])
 
 
 def cmd_compute(args) -> int:
     from . import rmatrix
 
-    sym = _parse_symmetry_spec(args.symmetry)
+    sym = rmatrix.read_symmetry(args.symmetry)
     what = args.what
     n_max = args.degree
     if what == "sym":
@@ -173,18 +123,18 @@ def cmd_compute(args) -> int:
         print(rmatrix.dim_quotient(sym, lam, mu))
         return 0
     elif what.startswith(("A:", "E:")):
-        dims = rmatrix.hom_dims(_parse_symmetry_spec(what[2:]), sym, what[0], n_max)
+        dims = rmatrix.hom_dims(rmatrix.read_symmetry(what[2:]), sym, what[0], n_max)
     else:
-        raise UsageError(f"unknown computation {what!r}")
+        raise ValueError(f"unknown computation {what!r}")
     print(", ".join(str(v) for v in dims))
     return 0
 
 
 def cmd_verify(args) -> int:
-    from . import verify
+    from . import rmatrix, verify
 
-    sym = _parse_symmetry_spec(args.symmetry)
-    sym2 = _parse_symmetry_spec(args.symmetry2) if args.symmetry2 else sym
+    sym = rmatrix.read_symmetry(args.symmetry)
+    sym2 = rmatrix.read_symmetry(args.symmetry2) if args.symmetry2 else sym
     reports = verify.run_suites(args.suite, sym, sym2, args.nmax, args.max_weight)
     blocks = [r.render_machine() if args.machine else r.render_human() for r in reports]
     print("\n".join(blocks))
@@ -227,7 +177,7 @@ def cmd_series(args) -> int:
 
 def _require(value, flag: str):
     if value is None:
-        raise UsageError(f"{flag} is required for this action")
+        raise ValueError(f"{flag} is required for this action")
     return value
 
 
@@ -343,7 +293,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, OSError, ValueError, AssertionError) as exc:
+    except (OSError, ValueError, AssertionError) as exc:
         # an error type can only be raised once its module is loaded, so
         # the modules are imported here, on the error path only
         from . import linalg, rmatrix, series
@@ -357,7 +307,7 @@ def main(argv=None) -> int:
             (rmatrix.SymmetryError, 1, "rejected"),
             (linalg.CapExceeded, 3, "error"),
             (refusals, 1, "error"),
-            ((UsageError, OSError, ValueError), 2, "error"),
+            ((OSError, ValueError), 2, "error"),
         ):
             if isinstance(exc, types):
                 print(f"{tag}: {exc}", file=sys.stderr)

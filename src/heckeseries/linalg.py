@@ -20,8 +20,10 @@ scaling of a rational row to integers, both shared with the series kernels;
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so do ``check_cap``, which raises and words
-every cap refusal but the dimension cap's, and ``ORDER_CAP``, the one degree
-cap that both the tensor-power engine and the series expansions enforce.
+every cap refusal but the dimension cap's, ``ORDER_CAP``, the one degree
+cap that both the tensor-power engine and the series expansions enforce, and
+``BIT_LENGTH_CAP``, the one bit-length cap of a symmetry's integers and of a
+detection window's.
 ``parse_rational``, the one parser of rational input, lives here too, so
 that reading a symmetry loads no ``series`` code; ``rational`` reads any
 number or string through it for the library constructors.
@@ -52,6 +54,12 @@ def check_cap(what: str, value: int, cap: int):
 # does not, as for d = 1, whose d**n never exceeds any dimension cap;
 # degrees and orders above this are refused before the first one is computed.
 ORDER_CAP = 1000
+
+# The bit length of the integers exact work starts from: a symmetry's s, M
+# and q (validating std16 at 14281 bits took 4.6 s) and a detection window
+# scaled to integers (the order-1000 window of 1/∏_{k≤24}(1 - kt), at 4616
+# bits, took 7.5 s).  Longer integers are refused before the work starts.
+BIT_LENGTH_CAP = 1024
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,7 +1,8 @@
 """Concrete Hecke symmetries and exact linear algebra on tensor powers.
 
 A symmetry is built from its stored form R = M/s, sparse integer columns M
-and an integer s; ``load_and_validate`` is the one reader of a dense matrix.
+and an integer s; ``load_and_validate`` is the one reader of a dense matrix,
+and ``read_symmetry`` the one reader of a specifier such as ``std:r=2,q=3``.
 The two quadratic quotients and the two hom-algebra families come from one
 engine: a quadratic quotient of a tensor algebra by pair relations, computed
 degree by degree by integer elimination on the previous quotient tensored
@@ -23,7 +24,7 @@ from functools import cache
 from math import lcm, prod
 
 from . import linalg
-from .linalg import ORDER_CAP, CapExceeded
+from .linalg import BIT_LENGTH_CAP, ORDER_CAP, CapExceeded
 
 # Refuse tensor computations whose ambient dimension d**n exceeds this;
 # validation works on V⊗3, so symmetries with d**3 above it are refused too.
@@ -36,11 +37,6 @@ DIMENSION_CAP = 4096
 # whose bound on that work (``_validation_steps``) exceeds this are refused
 # before the first step.
 VALIDATION_CAP = 10**7
-
-# Validation multiplies the integers of M, s and q, so its time grows with
-# their size: std16 at 14281 bits took 4.6 s.  Symmetries with an integer
-# longer than this many bits are refused before validation starts.
-BIT_LENGTH_CAP = 1024
 
 
 class SymmetryError(ValueError):
@@ -387,6 +383,37 @@ def load_symmetry_file(path: str) -> HeckeSymmetry:
         return parse_symmetry_text(fh.read())
 
 
+def read_symmetry(spec: str) -> HeckeSymmetry:
+    """The symmetry named by ``std:r=R,q=Q``, ``super:r0,r1,q=Q`` or
+    ``file:PATH``, the one reader of that grammar.  A malformed specifier
+    raises ValueError, and so does a builder's ValueError or a literal's
+    ZeroDivisionError, wrapped in a message naming the specifier; caps,
+    validation failures, file-format and OS errors pass through."""
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        raise ValueError(f"symmetry specifier {spec!r} needs a 'std:', 'super:' or 'file:' prefix")
+    if kind == "file":
+        return load_symmetry_file(rest)
+    fields = [f.strip() for f in rest.split(",")]
+    if kind == "std":
+        kv = dict(f.split("=", 1) for f in fields if "=" in f)
+        if len(kv) != len(fields) or sorted(kv) != ["q", "r"]:
+            raise ValueError(f"std specifier must be 'std:r=R,q=Q', got {spec!r}")
+        build, sizes, q = build_standard, [kv["r"]], kv["q"]
+    elif kind == "super":
+        if len(fields) != 3 or not fields[2].startswith("q="):
+            raise ValueError(f"super specifier must be 'super:r0,r1,q=Q', got {spec!r}")
+        build, sizes, q = build_super, fields[:2], fields[2][2:]
+    else:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    try:
+        return build(*map(int, sizes), linalg.parse_rational(q))
+    except (CapExceeded, SymmetryError):
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad symmetry specifier {spec!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # graded dimension engines
 
@@ -485,7 +512,7 @@ def _dims(sym: HeckeSymmetry, kind: str, n_max: int, target: HeckeSymmetry | Non
     key = ("dims", kind, target)
     dims = sym._cache.get(key)
     if dims is None or len(dims) <= n_max:
-        d = sym.d * (target or build_standard(1, sym.q)).d
+        d = sym.d * (target.d if target else 1)
         _check_cap(d, n_max)
         relations = _relations(sym, kind, target) if n_max > 1 else ()
         dims = _graded_quotient_dims(d, relations, n_max)

@@ -12,7 +12,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .linalg import ORDER_CAP
+from .linalg import BIT_LENGTH_CAP, ORDER_CAP
 
 
 class InconclusiveDetection(ValueError):
@@ -51,8 +51,10 @@ CERTIFICATE_CAP = 16
 # 2 r_max steps on a window with no recurrence: on the same machine, 60
 # random coefficients at r_max = 24 take 0.004 s at 64 bits, 0.05 s at 256
 # and 0.7 s at 1024.  A window that fits runs to its end with entries the
-# size of an r x r Hankel minor: order 1000 with 24 roots 1..24 takes 5 s.
-# Larger r_max are refused before the window is read.
+# size of an r x r Hankel minor, so linalg.BIT_LENGTH_CAP bounds the
+# window's integers too: at 1024 bits, roots 1..24 (order 216) take 0.3 s
+# and 1001 random coefficients 1.0 s.  Larger r_max are refused before the
+# window is read.
 DETECTION_CAP = 24
 
 
@@ -434,7 +436,14 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
     linalg.check_cap("recurrence order", r_max, DETECTION_CAP)
     n = f.order
     check_order(n)
-    D, a = linalg.scale_to_integers(f.coeffs)
+    # the pass's entries grow with the window's integers D a_m, so their bit
+    # length is checked before it starts, D as its lcm grows
+    D = 1
+    for x in f.coeffs:
+        D = lcm(D, x.denominator)
+        linalg.check_cap("window denominator bit length", D.bit_length(), BIT_LENGTH_CAP)
+    a = [x.numerator * (D // x.denominator) for x in f.coeffs]
+    linalg.check_cap("window bit length", max(map(abs, a)).bit_length(), BIT_LENGTH_CAP)
 
     def form(lam, length, checked):
         """The rational form of connection polynomial lam at the given

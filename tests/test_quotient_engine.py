@@ -239,7 +239,7 @@ def test_validator_rejects_like_the_dense_oracle(name, build, n_max, monkeypatch
 
 
 @pytest.mark.parametrize("target,source", HOM_PAIRS, ids=["x".join(p) for p in HOM_PAIRS])
-def test_conjugation_rows_are_a_multiple_of_the_dense_oracle(target, source):
+def test_frt_rows_span_the_dense_conjugation_relations(target, source):
     """The rows of the FRT operator Y, the relation rows of A and E, span
     what the dense (conjugation - identity) spans, and its transpose has the
     same null space, on builtins and on dense conjugates read as given."""

@@ -5,9 +5,11 @@ dense Kronecker embedding built independently in the test module."""
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -392,6 +394,116 @@ class TestValidationBound:
         monkeypatch.setattr(rmatrix, "_times", _times)
         monkeypatch.setattr(rmatrix, "VALIDATION_CAP", bound)
         assert load_and_validate(sym.d, sym.q, sym.matrix).cols == sym.cols
+
+
+SPEC_FORMATS = {
+    "std": "std specifier must be 'std:r=R,q=Q', got {!r}",
+    "super": "super specifier must be 'super:r0,r1,q=Q', got {!r}",
+}
+
+
+class TestReadSymmetry:
+    """The one specifier reader, called as a library function."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("2", "symmetry specifier '2' needs a 'std:', 'super:' or 'file:' prefix"),
+            ("", "symmetry specifier '' needs a 'std:', 'super:' or 'file:' prefix"),
+            ("std", "symmetry specifier 'std' needs a 'std:', 'super:' or 'file:' prefix"),
+            ("foo:1", "unknown symmetry kind 'foo'"),
+            (":", "unknown symmetry kind ''"),
+            ("STD:r=2,q=2", "unknown symmetry kind 'STD'"),
+            (" std:r=2,q=2", "unknown symmetry kind ' std'"),
+            ("std:r=2", SPEC_FORMATS["std"]),
+            ("std:r=2,q=2,x=1", SPEC_FORMATS["std"]),
+            ("std:r=2,r=3", SPEC_FORMATS["std"]),
+            ("std:r=2,q=2,", SPEC_FORMATS["std"]),
+            ("std:r = 2,q=2", SPEC_FORMATS["std"]),
+            ("super:1,1", SPEC_FORMATS["super"]),
+            ("super:1,1,q=2,x", SPEC_FORMATS["super"]),
+            ("super:1,1,x=2", SPEC_FORMATS["super"]),
+            ("super:,,", SPEC_FORMATS["super"]),
+            ("std:r=x,q=2", "bad symmetry specifier 'std:r=x,q=2': "
+             "invalid literal for int() with base 10: 'x'"),
+            ("std:r=2=3,q=2", "bad symmetry specifier 'std:r=2=3,q=2': "
+             "invalid literal for int() with base 10: '2=3'"),
+            ("super:a,1,q=2", "bad symmetry specifier 'super:a,1,q=2': "
+             "invalid literal for int() with base 10: 'a'"),
+            (" super: 1 , 1 , q= ", "unknown symmetry kind ' super'"),
+            ("super: 1 , 1 , q= ", "bad symmetry specifier 'super: 1 , 1 , q= ': "
+             "Invalid literal for Fraction: ''"),
+            ("std:r=0,q=2", "bad symmetry specifier 'std:r=0,q=2': dimension must be at least 1"),
+            ("std:r=2,q=0", "bad symmetry specifier 'std:r=2,q=0': "
+             "the parameter q must be nonzero"),
+            ("super:0,0,q=2", "bad symmetry specifier 'super:0,0,q=2': "
+             "need r0, r1 >= 0 with r0 + r1 >= 1"),
+            # the literal is read before the builder checks r
+            ("std:r=0,q=1/0", "bad symmetry specifier 'std:r=0,q=1/0': Fraction(1, 0)"),
+            ("std:r=2,q=1/0", "bad symmetry specifier 'std:r=2,q=1/0': Fraction(1, 0)"),
+            ("std:r=2,q=1e-1000000", "bad symmetry specifier 'std:r=2,q=1e-1000000': "
+             "rational literal expands past the limit of 4300 digits"),
+        ],
+    )
+    def test_malformed_specifiers_raise_value_error(self, spec, message):
+        if message in SPEC_FORMATS.values():
+            message = message.format(spec)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            rmatrix.read_symmetry(spec)
+        assert time.perf_counter() - start < 1.0
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_caps_pass_through_unwrapped(self):
+        with pytest.raises(CapExceeded) as info:
+            rmatrix.read_symmetry("std:r=17,q=2")
+        assert str(info.value) == f"tensor power dimension 17**3 exceeds cap {DIMENSION_CAP}"
+        with pytest.raises(CapExceeded, match="^symmetry bit length 1025 exceeds cap 1024$"):
+            rmatrix.read_symmetry(f"std:r=2,q=1/{2**BIT_LENGTH_CAP}")
+
+    def test_file_errors_pass_through_unwrapped(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            rmatrix.read_symmetry(f"file:{tmp_path / 'missing.hs'}")
+        with pytest.raises(OSError):
+            rmatrix.read_symmetry("file:")
+        for name, rows, error in (
+            ("braid.hs", [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 2]], BraidViolation),
+            ("hecke.hs", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], HeckeViolation),
+        ):
+            path = tmp_path / name
+            path.write_text("hecke-symmetry v1\nd = 2\nq = 2\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in rows
+            ))
+            with pytest.raises(error):
+                rmatrix.read_symmetry(f"file:{path}")
+        path = tmp_path / "format.hs"
+        path.write_text("hecke-symmetry v1\nd = x\nq = 2\n")
+        with pytest.raises(FileFormatError, match="^line 2: bad dimension"):
+            rmatrix.read_symmetry(f"file:{path}")
+
+    def test_readme_specifiers_read_as_their_builders(self, tmp_path):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        q = r"q=(-?\d+(?:/\d+)?)(?![\w./-])"
+        cases = {
+            spec: build_standard(int(r), Fraction(qv))
+            for spec, r, qv in re.findall(rf"(?<![\w:])(std:r=(\d+),{q})", text)
+        } | {
+            spec: build_super(int(r0), int(r1), Fraction(qv))
+            for spec, r0, r1, qv in re.findall(rf"(?<![\w:])(super:(\d+),(\d+),{q})", text)
+        }
+        assert {"std:r=2,q=-1", "super:1,1,q=1"} <= cases.keys()
+        # spaces around the fields are stripped
+        cases["std: q=2 , r=3 "] = build_standard(3, 2)
+        cases["super: 2 , 1 , q=1/2"] = build_super(2, 1, Fraction(1, 2))
+        path = tmp_path / "std2.hs"
+        path.write_text(serialize_symmetry(build_standard(2, 3)))
+        cases[f"file:{path}"] = load_symmetry_file(path)
+        for spec, want in cases.items():
+            got = rmatrix.read_symmetry(spec)
+            assert (got.d, got.q, got.s, got.cols, got.source) == (
+                want.d, want.q, want.s, want.cols, want.source
+            ), spec
 
 
 class TestBitLengthCap:

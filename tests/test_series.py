@@ -9,7 +9,7 @@ import pytest
 
 from heckeseries import partitions
 from heckeseries import series as series_module
-from heckeseries.linalg import CapExceeded
+from heckeseries.linalg import BIT_LENGTH_CAP, CapExceeded
 from heckeseries.series import (
     CERTIFICATE_CAP,
     DETECTION_CAP,
@@ -379,7 +379,31 @@ class TestDetectionCaps:
         with pytest.raises(CapExceeded, match=f"^{message}$"):
             detect_rational(TruncSeries([1] * (ORDER_CAP + 2)), 2)
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            # 1/∏_{k≤24}(1 - kt) to order 1000, 4616 bits: 7 s before the cap
+            (lambda: expand_ratio([1], poly_from_roots(range(1, 25)), ORDER_CAP),
+             "window bit length 4616"),
+            (lambda: TruncSeries([2**BIT_LENGTH_CAP, 1]),
+             f"window bit length {BIT_LENGTH_CAP + 1}"),
+            # each entry fits, their lcm D does not
+            (lambda: TruncSeries([Fraction(1, 3**600), Fraction(1, 2**600)]),
+             "window denominator bit length 1551"),
+            # numerator and D fit, the scaled entry D·a_n does not
+            (lambda: TruncSeries([2**1000, Fraction(1, 2**30)]), "window bit length 1031"),
+        ],
+    )
+    def test_windows_past_the_bit_length_cap_are_refused_at_once(self, window, message):
+        f = window()
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"^{message} exceeds cap {BIT_LENGTH_CAP}$"):
+            detect_rational(f, DETECTION_CAP)
+        assert time.perf_counter() - start < 1.0
+
     def test_caps_themselves_are_allowed(self):
+        f = TruncSeries([2 ** (BIT_LENGTH_CAP - 1)] * 4)
+        assert detect_rational(f, 1) == RationalForm((2 ** (BIT_LENGTH_CAP - 1),), (1, -1))
         den = [1, -3, 1] + [0] * (DETECTION_CAP - 3) + [1]
         f = expand_ratio([1], den, 2 * DETECTION_CAP + 2)
         assert detect_rational(f, DETECTION_CAP) == RationalForm((1,), den)
