@@ -13,13 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "partitions": (
         "conjugate",
-        "dominance_leq",
         "enumerate_partitions",
         "in_hook",
         "kostka",
-        "lr_coeff",
-        "partition_pairs",
-        "standard_tableaux_count",
     ),
     "series": (
         "BirankCertificate",

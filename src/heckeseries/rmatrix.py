@@ -252,28 +252,28 @@ def _normal_form(sym: HeckeSymmetry, steps: int) -> HeckeSymmetry | None:
         parity = [odd(i, i) for i in range(d)]
     else:
         parity = [any(odd(*sorted((i, j))) for j in range(d) if j != i) for i in range(d)]
-    twin = _deformed_swap(parity, sym.q, "twin")
+    twin = _deformed_swap(d, parity.__getitem__, sym.q, "twin")
     for c, col in enumerate(twin.cols):
         if {r: twin.s * x for r, x in image[c].items()} != _times(gg, {r: s * x for r, x in col}):
             return None
     return twin
 
 
-def _deformed_swap(parity, q, source: str) -> HeckeSymmetry:
-    """The deformed transposition on basis vectors of the given parities
-    (0 even, 1 odd): even diagonal pairs scale by q and odd ones by -1,
-    ordered pairs swap with the sign of odd-odd pairs, and the
-    lower-triangular correction keeps the quadratic relation exact.  Its
-    columns, M = s·R with s = b for q = a/b, are made after the cap check."""
+def _deformed_swap(d: int, odd, q, source: str) -> HeckeSymmetry:
+    """The deformed transposition on d basis vectors, vector i odd when
+    ``odd(i)``: even diagonal pairs scale by q and odd ones by -1, ordered
+    pairs swap with the sign of odd-odd pairs, and the lower-triangular
+    correction keeps the quadratic relation exact.  Its columns, M = s·R
+    with s = b for q = a/b, are made after the cap check, and nothing of
+    length d before it."""
     q = linalg.rational(q)
     a, b = q.numerator, q.denominator
-    d = len(parity)
-    s = 1 if d == 1 and parity[0] else b
+    s = 1 if d == 1 and odd(0) else b
 
     def column(i, j):
-        sign = -1 if parity[i] and parity[j] else 1
+        sign = -1 if odd(i) and odd(j) else 1
         if i == j:
-            return [(i * d + i, -s if parity[i] else a)]
+            return [(i * d + i, -s if odd(i) else a)]
         if i < j:
             return [(j * d + i, sign * s)]
         return [(j * d + i, sign * a), (i * d + j, a - b)]
@@ -286,14 +286,14 @@ def build_standard(r: int, q) -> HeckeSymmetry:
     """The deformed-transposition symmetry on an r-dimensional space."""
     if r < 1:
         raise ValueError("dimension must be at least 1")
-    return _deformed_swap([0] * r, q, "standard")
+    return _deformed_swap(r, lambda i: False, q, "standard")
 
 
 def build_super(r0: int, r1: int, q) -> HeckeSymmetry:
     """The graded variant: r0 even basis vectors followed by r1 odd ones."""
     if r0 < 0 or r1 < 0 or r0 + r1 < 1:
         raise ValueError("need r0, r1 >= 0 with r0 + r1 >= 1")
-    return _deformed_swap([0] * r0 + [1] * r1, q, "super")
+    return _deformed_swap(r0 + r1, lambda i: i >= r0, q, "super")
 
 
 def load_and_validate(d: int, q, matrix) -> HeckeSymmetry:
@@ -321,17 +321,6 @@ def load_and_validate(d: int, q, matrix) -> HeckeSymmetry:
 
 # ---------------------------------------------------------------------------
 # file format
-
-
-def serialize_symmetry(sym: HeckeSymmetry) -> str:
-    lines = [
-        "hecke-symmetry v1",
-        f"d = {sym.d}",
-        f"q = {sym.q.numerator}/{sym.q.denominator}",
-    ]
-    for row in sym.matrix:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_symmetry_text(text: str) -> HeckeSymmetry:

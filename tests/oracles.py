@@ -64,28 +64,35 @@ divide ``Fraction`` polynomials with ``poly_divmod``; the library builds one
 generalized Sturm sequence of the polynomial itself from integer
 pseudo-remainders.
 
-``lr_coeff_via_pieri`` reaches Littlewood-Richardson coefficients through
-the Jacobi-Trudi determinant and iterated Pieri steps instead of lattice
-words (``partitions.lr_coeff``, itself the independent count that the
-library's h-label products must reproduce), and
-``count_row_col_matrices``/``count_mixed_matrices`` count the integer
-matrices that the pairings of h and e products must reproduce.
+``lr_coeff`` counts Littlewood-Richardson coefficients as lattice-word
+fillings, the independent count that ``symfunc.multiply``'s structure
+constants must reproduce, and ``lr_coeff_via_pieri`` reaches the same
+numbers through the Jacobi-Trudi determinant and iterated Pieri steps;
+``standard_tableaux_count`` (hook lengths), ``dominance_leq`` and
+``partition_pairs`` are the other partition counts that only the tests
+read.  ``count_row_col_matrices``/``count_mixed_matrices`` count the
+integer matrices that the pairings of h and e products must reproduce.
+
+``serialize_symmetry`` writes a symmetry as the text that
+``rmatrix.parse_symmetry_text`` reads, from the dense ``matrix``: the
+fixture behind every ``file:`` symmetry of the tests.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from heckeseries import linalg
 from heckeseries.partitions import (
+    Partition,
     _strip_counts,
     as_partition,
+    conjugate,
     enumerate_partitions,
-    partition_pairs,
     weight,
 )
-from heckeseries.rmatrix import BraidViolation, HeckeViolation
+from heckeseries.rmatrix import BraidViolation, HeckeSymmetry, HeckeViolation
 from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 from heckeseries.symfunc import SymElement, _h_product, specialize_super, to_basis
 
@@ -264,6 +271,17 @@ def deformed_swap_rows(parity, q) -> list[list[Fraction]]:
                 mat[j * d + i][col] = q * sign
                 mat[col][col] = q - 1
     return mat
+
+
+def serialize_symmetry(sym: HeckeSymmetry) -> str:
+    lines = [
+        "hecke-symmetry v1",
+        f"d = {sym.d}",
+        f"q = {sym.q.numerator}/{sym.q.denominator}",
+    ]
+    for row in sym.matrix:
+        lines.append(" ".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def pair_conjugation_matrix(sym_target, sym_source):
@@ -569,6 +587,103 @@ def squarefree_sturm_all_roots_positive(p) -> bool:
     at_zero = sign_changes([q[0] for q in chain])
     at_inf = sign_changes([q[-1] for q in chain])
     return at_zero - at_inf == len(sf) - 1
+
+
+@lru_cache(maxsize=None)
+def partition_pairs(n: int) -> tuple[tuple[Partition, Partition], ...]:
+    """All ordered pairs (lam, mu) with |lam| + |mu| = n."""
+    out = []
+    for a in range(n, -1, -1):
+        for lam in enumerate_partitions(a):
+            for mu in enumerate_partitions(n - a):
+                out.append((lam, mu))
+    return tuple(out)
+
+
+def dominance_leq(mu: Partition, lam: Partition) -> bool:
+    """True when mu is dominated by lam (equal weights required)."""
+    if sum(mu) != sum(lam):
+        raise ValueError("dominance compares partitions of equal weight")
+    ps_mu = ps_lam = 0
+    for i in range(max(len(mu), len(lam))):
+        ps_mu += mu[i] if i < len(mu) else 0
+        ps_lam += lam[i] if i < len(lam) else 0
+        if ps_mu > ps_lam:
+            return False
+    return True
+
+
+def standard_tableaux_count(lam: Partition) -> int:
+    """Number of standard tableaux of shape lam (hook length formula)."""
+    n = sum(lam)
+    conj = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    count, rem = divmod(factorial(n), hooks)
+    assert rem == 0
+    return count
+
+
+def _cells_of_skew(outer: Partition, inner: Partition):
+    """Skew cells in reading order: rows top to bottom, right to left."""
+    cells = []
+    for r, row_len in enumerate(outer):
+        start = inner[r] if r < len(inner) else 0
+        for c in range(row_len - 1, start - 1, -1):
+            cells.append((r, c))
+    return cells
+
+
+@lru_cache(maxsize=None)
+def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient: multiplicity of nu in lam * mu.
+
+    Counts column-strict fillings of nu/lam with content mu whose reverse
+    reading word is a lattice word.  Returns 0 on weight mismatch.
+    """
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    if len(lam) > len(nu):
+        return 0
+    if any(lam[i] > nu[i] for i in range(len(lam))):
+        return 0
+    if not mu:
+        return 1 if lam == nu else 0
+    cells = _cells_of_skew(nu, lam)
+    nrows = len(nu)
+    fill = [[0] * nu[r] for r in range(nrows)]
+    counts = [0] * (len(mu) + 1)
+    inner_len = [lam[r] if r < len(lam) else 0 for r in range(nrows)]
+    total = 0
+
+    def backtrack(idx: int):
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        hi = len(mu)
+        if c + 1 < nu[r]:
+            hi = min(hi, fill[r][c + 1])
+        lo = 1
+        if r > 0 and c < nu[r - 1] and c >= inner_len[r - 1]:
+            lo = fill[r - 1][c] + 1
+        for v in range(lo, hi + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            fill[r][c] = v
+            counts[v] += 1
+            backtrack(idx + 1)
+            counts[v] -= 1
+        fill[r][c] = 0
+
+    backtrack(0)
+    return total
 
 
 @lru_cache(maxsize=None)

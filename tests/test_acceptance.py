@@ -11,13 +11,9 @@ import time
 from fractions import Fraction
 
 from heckeseries.partitions import (
-    dominance_leq,
     enumerate_partitions,
     in_hook,
     kostka,
-    lr_coeff,
-    partition_pairs,
-    standard_tableaux_count,
 )
 from heckeseries.rmatrix import (
     BraidViolation,
@@ -54,7 +50,15 @@ from heckeseries.verify import detected_certificate
 
 import pytest
 
-from oracles import count_mixed_matrices, lr_coeff_via_pieri, poly_gcd
+from oracles import (
+    count_mixed_matrices,
+    dominance_leq,
+    lr_coeff,
+    lr_coeff_via_pieri,
+    partition_pairs,
+    poly_gcd,
+    standard_tableaux_count,
+)
 
 
 def poly_from_roots(roots):

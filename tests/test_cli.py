@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import serialize_symmetry
 
 import heckeseries
 from heckeseries import rmatrix, series, verify
@@ -20,7 +21,6 @@ from heckeseries.rmatrix import (
     BIT_LENGTH_CAP,
     VALIDATION_CAP,
     build_standard,
-    serialize_symmetry,
 )
 from heckeseries.series import (
     CERTIFICATE_CAP,
@@ -928,6 +928,12 @@ class TestTypedFailures:
               "--nmax", "1000000000"), "2**1000000000"),
             (("compute", "--symmetry", "std:r=2,q=2", "--what", "A:std:r=2,q=2",
               "--degree", "1000000000"), "4**1000000000"),
+            # r past any list length: a parity list [0] * r ended in an
+            # OverflowError traceback before the cap was checked
+            (("compute", "--symmetry", "std:r=100000000000000000000,q=2",
+              "--what", "sym"), "100000000000000000000**3"),
+            (("compute", "--symmetry", "super:10000000000000000000,1,q=2",
+              "--what", "sym"), "10000000000000000001**3"),
         ],
     )
     def test_dimension_cap_exits_3_before_any_work(

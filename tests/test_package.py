@@ -1,5 +1,7 @@
-"""Package surface: the public names, and which modules a command loads."""
+"""Package surface: the public names, which modules a command loads, and
+that every private name in the package is used by the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -12,10 +14,10 @@ import heckeseries
 
 SRC = str(Path(heckeseries.__file__).resolve().parent.parent)
 
-# every name `heckeseries/__init__.py` bound when it imported eagerly
+# every name `heckeseries/__init__.py` bound when it imported eagerly, less
+# the four partition counts that only the tests read, kept in tests/oracles.py
 PUBLIC = """
-conjugate dominance_leq enumerate_partitions in_hook kostka lr_coeff
-partition_pairs standard_tableaux_count
+conjugate enumerate_partitions in_hook kostka
 BirankCertificate CertificateError InconclusiveDetection RationalForm
 RootLocationError TruncSeries birank_certificate detect_rational diamond
 exterior_from_symmetric hankel_minor predict_hom_series
@@ -28,6 +30,37 @@ load_and_validate symmetric_dims
 VerificationReport suite_character suite_hilbert suite_homspace
 suite_positivity
 """.split()
+
+
+def unreferenced_private_names(package: Path) -> list[str]:
+    """Every top-level function and class of a module of ``package`` (but
+    ``__init__`` and ``__main__``) outside ``heckeseries.__all__`` that no
+    name, attribute or ``from`` import in the package reads outside its own
+    definition; docstrings and comments are not read."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined, readers = [], {}  # name -> {(module, top-level name reading it)}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if module not in ("__init__", "__main__") and stmt.name not in heckeseries.__all__:
+                    defined.append((module, stmt.name))
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    readers.setdefault(name, set()).add((module, owner))
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if not readers.get(name, set()) - {(module, name)}
+    ]
 
 
 def loaded_after(code: str) -> set[str]:
@@ -52,6 +85,11 @@ def test_every_public_name_still_imports_from_the_package():
     assert heckeseries.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         heckeseries.no_such_name
+
+
+def test_every_private_name_is_used_by_the_package():
+    """A function or class that only the tests call belongs in tests/."""
+    assert unreferenced_private_names(Path(heckeseries.__file__).parent) == []
 
 
 def test_importing_the_package_loads_no_module():
@@ -85,19 +123,27 @@ def test_every_module_imports_only_the_standard_library():
 
 
 def test_compute_loads_only_the_matrix_modules():
-    """compute loads no series code and predict no matrix code, and neither
-    loads partitions, which only the commands that read or print a
-    partition need."""
-    for argv, module in (
-        (["compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "3"], "rmatrix"),
-        (["predict", "--what", "sym", "--alphas", "1,1", "--degree", "4"], "series"),
+    """compute loads no series code and predict no matrix code, and
+    partitions is loaded only by the commands that read or print a
+    partition."""
+    for argv, modules in (
+        (["compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "3"], ["rmatrix"]),
+        (["predict", "--what", "sym", "--alphas", "1,1", "--degree", "4"], ["series"]),
+        (
+            ["compute", "--symmetry", "std:r=2,q=2", "--what", "quotient:[2,1];[2]"],
+            ["rmatrix", "partitions"],
+        ),
+        (
+            ["series", "total-positivity", "--coeffs", "1,1,1", "--max-weight", "3"],
+            ["series", "partitions"],
+        ),
     ):
         code = f"from heckeseries.cli import main\nmain({argv!r})"
         assert loaded_after(code) == {
             "heckeseries",
             "heckeseries.cli",
             "heckeseries.linalg",
-            f"heckeseries.{module}",
+            *(f"heckeseries.{module}" for module in modules),
         }, argv
 
 

@@ -14,19 +14,23 @@ from heckeseries.partitions import (
     _add_strip,
     as_partition,
     conjugate,
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     in_hook,
     kostka,
-    lr_coeff,
     parse_partition,
-    partition_pairs,
-    standard_tableaux_count,
     weight,
 )
 
-from oracles import count_mixed_matrices, count_row_col_matrices, lr_coeff_via_pieri
+from oracles import (
+    count_mixed_matrices,
+    count_row_col_matrices,
+    dominance_leq,
+    lr_coeff,
+    lr_coeff_via_pieri,
+    partition_pairs,
+    standard_tableaux_count,
+)
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 
@@ -73,11 +77,6 @@ def test_enumeration_order_is_descending_lex():
         parts = enumerate_partitions(n)
         assert list(parts) == sorted(parts, reverse=True)
         assert all(weight(lam) == n for lam in parts)
-
-
-def test_enumeration_max_len():
-    assert enumerate_partitions(4, max_len=2) == ((4,), (3, 1), (2, 2))
-    assert enumerate_partitions(3, max_len=1) == ((3,),)
 
 
 def test_as_partition_rejects_bad_input():

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 import heckeseries
 from heckeseries import linalg, rmatrix, series, symfunc
-from heckeseries.partitions import conjugate, partition_pairs, weight
+from heckeseries.partitions import conjugate, weight
 from heckeseries.rmatrix import (
     BIT_LENGTH_CAP,
     DIMENSION_CAP,
@@ -38,7 +39,6 @@ from heckeseries.rmatrix import (
     load_and_validate,
     load_symmetry_file,
     parse_symmetry_text,
-    serialize_symmetry,
     symmetric_dims,
 )
 
@@ -265,8 +265,8 @@ class TestStoredForm:
             assert all(type(m) is int and m for _, m in col)
             assert [r for r, _ in col] == sorted({r for r, _ in col})
         assert forms[0].matrix == tuple(map(tuple, rows))
-        text = serialize_symmetry(forms[0])
-        assert serialize_symmetry(parse_symmetry_text(text)) == text
+        text = oracles.serialize_symmetry(forms[0])
+        assert oracles.serialize_symmetry(parse_symmetry_text(text)) == text
 
     def test_entries_are_converted_before_zeros_drop(self):
         sym = load_and_validate(1, Fraction(-1, 2), [["-3/6"]])
@@ -320,7 +320,7 @@ class TestStoredForm:
         patterns += [(0,) * 5, (1,) * 5, (0, 1, 0, 1, 1), (1, 0, 0, 1, 0)]
         for parity in patterns:
             dense = load_and_validate(len(parity), q, oracles.deformed_swap_rows(parity, q))
-            built = rmatrix._deformed_swap(parity, q, "twin")
+            built = rmatrix._deformed_swap(len(parity), parity.__getitem__, q, "twin")
             assert (built.s, built.cols) == (dense.s, dense.cols), parity
 
     def test_malformed_stored_forms_are_refused(self):
@@ -436,6 +436,11 @@ class TestReadSymmetry:
             ("std:r=0,q=2", "bad symmetry specifier 'std:r=0,q=2': dimension must be at least 1"),
             ("std:r=2,q=0", "bad symmetry specifier 'std:r=2,q=0': "
              "the parameter q must be nonzero"),
+            ("std:r=17,q=0", "bad symmetry specifier 'std:r=17,q=0': "
+             "the parameter q must be nonzero"),
+            # q is checked before the dimension cap, whatever r is
+            ("std:r=100000000000000000000,q=0", "bad symmetry specifier "
+             "'std:r=100000000000000000000,q=0': the parameter q must be nonzero"),
             ("super:0,0,q=2", "bad symmetry specifier 'super:0,0,q=2': "
              "need r0, r1 >= 0 with r0 + r1 >= 1"),
             # the literal is read before the builder checks r
@@ -461,6 +466,26 @@ class TestReadSymmetry:
         assert str(info.value) == f"tensor power dimension 17**3 exceeds cap {DIMENSION_CAP}"
         with pytest.raises(CapExceeded, match="^symmetry bit length 1025 exceeds cap 1024$"):
             rmatrix.read_symmetry(f"std:r=2,q=1/{2**BIT_LENGTH_CAP}")
+        # r past any list length: a parity list [0] * r ended in
+        # OverflowError before the cap was checked
+        for spec, d in (
+            ("std:r=100000000000000000000,q=2", 10**20),
+            ("super:10000000000000000000,1,q=2", 10**19 + 1),
+        ):
+            with pytest.raises(CapExceeded) as info:
+                rmatrix.read_symmetry(spec)
+            assert str(info.value) == f"tensor power dimension {d}**3 exceeds cap {DIMENSION_CAP}"
+
+    def test_the_cap_is_checked_before_anything_of_length_d_is_built(self):
+        # the parity list [0] * 10**7 alone took 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                build_standard(10**7, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_file_errors_pass_through_unwrapped(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -497,7 +522,7 @@ class TestReadSymmetry:
         cases["std: q=2 , r=3 "] = build_standard(3, 2)
         cases["super: 2 , 1 , q=1/2"] = build_super(2, 1, Fraction(1, 2))
         path = tmp_path / "std2.hs"
-        path.write_text(serialize_symmetry(build_standard(2, 3)))
+        path.write_text(oracles.serialize_symmetry(build_standard(2, 3)))
         cases[f"file:{path}"] = load_symmetry_file(path)
         for spec, want in cases.items():
             got = rmatrix.read_symmetry(spec)
@@ -622,7 +647,7 @@ class TestDimQuotient:
             sdims = symmetric_dims(sym, 4)
             edims = exterior_dims(sym, 4)
             for n in range(0, 5):
-                for lam, mu in partition_pairs(n):
+                for lam, mu in oracles.partition_pairs(n):
                     expected = 1
                     for part in lam:
                         expected *= sdims[part]
@@ -785,7 +810,7 @@ def test_every_cap_raises_the_one_cap_error(overrun, message):
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         sym = build_super(1, 1, Fraction(1, 2))
-        text = serialize_symmetry(sym)
+        text = oracles.serialize_symmetry(sym)
         back = parse_symmetry_text(text)
         assert back.d == sym.d
         assert back.q == sym.q
@@ -832,7 +857,7 @@ class TestSerialization:
         assert str(info.value) == f"line {line}: {message}"
 
     def test_entry_errors_carry_line_numbers(self):
-        good = serialize_symmetry(build_standard(2, 2))
+        good = oracles.serialize_symmetry(build_standard(2, 2))
         lines = good.splitlines()
         lines[5] = "1 2 oops 4"
         with pytest.raises(FileFormatError) as info:
@@ -842,21 +867,21 @@ class TestSerialization:
     def test_each_distinct_entry_is_parsed_once(self, monkeypatch):
         # std16 writes 65536 entries, almost all of them "0"; with one parse
         # per entry, reading it took 0.18 s, against 0.05 s
-        text = serialize_symmetry(build_standard(16, 2))
+        text = oracles.serialize_symmetry(build_standard(16, 2))
         tokens = set(" ".join(text.splitlines()[3:]).split())
         parse, calls = linalg.parse_rational, []
         monkeypatch.setattr(linalg, "parse_rational", lambda t: calls.append(t) or parse(t))
         assert parse_symmetry_text(text).matrix == build_standard(16, 2).matrix
         assert len(calls) <= len(tokens) + 1  # and q
         # a bad entry still raises at its first occurrence, in row order
-        lines = serialize_symmetry(build_standard(2, 2)).splitlines()
+        lines = oracles.serialize_symmetry(build_standard(2, 2)).splitlines()
         lines[4] = lines[5] = "0 oops 0 0"
         with pytest.raises(FileFormatError) as info:
             parse_symmetry_text("\n".join(lines) + "\n")
         assert info.value.line == 5
 
     def test_missing_rows_and_trailing_garbage(self):
-        good = serialize_symmetry(build_standard(2, 2)).splitlines()
+        good = oracles.serialize_symmetry(build_standard(2, 2)).splitlines()
         with pytest.raises(FileFormatError):
             parse_symmetry_text("\n".join(good[:-1]) + "\n")
         with pytest.raises(FileFormatError):
@@ -868,7 +893,7 @@ class TestSerialization:
             parse_symmetry_text(text)
 
     def test_parsed_matrix_is_validated(self):
-        text = serialize_symmetry(build_standard(2, 2))
+        text = oracles.serialize_symmetry(build_standard(2, 2))
         # corrupt one entry so the braid check must fire
         broken = text.replace("1", "7", 1)
         with pytest.raises((SymmetryError, FileFormatError)):

@@ -16,9 +16,6 @@ from heckeseries.partitions import (
     enumerate_partitions,
     in_hook,
     kostka,
-    lr_coeff,
-    partition_pairs,
-    standard_tableaux_count,
     weight,
 )
 from heckeseries.series import TruncSeries, expand_ratio
@@ -42,7 +39,10 @@ from oracles import (
     count_mixed_matrices,
     count_row_col_matrices,
     invert_unitriangular,
+    lr_coeff,
     pair_sum_character,
+    partition_pairs,
+    standard_tableaux_count,
 )
 
 
@@ -151,7 +151,7 @@ class TestMultiply:
 
     def test_schur_structure_constants_are_lr_coefficients(self):
         # products concatenate h-labels; the lattice-word count of
-        # partitions.lr_coeff is the independent route to the same numbers
+        # oracles.lr_coeff is the independent route to the same numbers
         for n in range(0, 8):
             for lam, mu in partition_pairs(n):
                 prod = multiply(gen("s", lam), gen("s", mu))
@@ -499,14 +499,8 @@ class TestTensorPowerCharacter:
                     alpha_poly=f0,
                     beta_poly=f1,
                 )
-                for lam, mu in _pairs(n)
+                for lam, mu in partition_pairs(n)
             )
-
-
-def _pairs(n):
-    from heckeseries.partitions import partition_pairs
-
-    return partition_pairs(n)
 
 
 class TestSchurValue:

@@ -2,14 +2,13 @@
 built-in families."""
 
 import pytest
-from oracles import jacobi_trudi_det
+from oracles import jacobi_trudi_det, serialize_symmetry
 
 from heckeseries import verify
 from heckeseries.rmatrix import (
     build_standard,
     build_super,
     parse_symmetry_text,
-    serialize_symmetry,
 )
 from heckeseries.linalg import CapExceeded
 from heckeseries.partitions import enumerate_partitions, format_partition
