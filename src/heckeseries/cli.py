@@ -53,16 +53,13 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
         check_certificate_degree,
         parse_rationals,
         poly_from_roots,
-        poly_negate_t,
         split_rational_form,
     )
 
     if series_text is not None:
         if alphas or betas:
             raise ValueError(f"give either --series{suffix} or root lists, not both")
-        num, den = map(parse_rationals, split_rational_form(series_text))
-        # the series is f1(-t)/f0(t): numerator determines f1
-        return BirankCertificate.from_polynomials(den, poly_negate_t(num))
+        return BirankCertificate.from_form(*map(parse_rationals, split_rational_form(series_text)))
     if not alphas and not betas:
         raise ValueError(
             f"need --series{suffix} or at least one of "

@@ -284,8 +284,6 @@ def _deformed_swap(d: int, odd, q, source: str) -> HeckeSymmetry:
 
 def build_standard(r: int, q) -> HeckeSymmetry:
     """The deformed-transposition symmetry on an r-dimensional space."""
-    if r < 1:
-        raise ValueError("dimension must be at least 1")
     return _deformed_swap(r, lambda i: False, q, "standard")
 
 

@@ -281,6 +281,17 @@ def split_rational_form(text: str) -> tuple[str, str]:
     return fields["num"], fields["den"]
 
 
+def super_series(f0, f1, order: int) -> TruncSeries:
+    """The series f1(-t)/f0(t) of the super alphabet whose even letters are
+    the reciprocal roots of f0 and whose odd letters those of f1: sum h_n t^n
+    = prod(1 + beta_j t) / prod(1 - alpha_i t) (Berele-Regev).  Both
+    polynomials need constant term 1."""
+    f0, f1 = poly_trim(f0), poly_trim(f1)
+    if f0[:1] != [1] or f1[:1] != [1]:
+        raise ValueError("alphabet polynomials need constant term 1")
+    return expand_ratio(poly_negate_t(f1), f0, order)
+
+
 class BirankCertificate(NamedTuple):
     """Integer polynomials f0, f1 (constant term 1, all roots positive real)
     presenting the symmetric-side series as f1(-t)/f0(t)."""
@@ -291,10 +302,10 @@ class BirankCertificate(NamedTuple):
     r1: int
 
     def symmetric_series(self, order: int) -> TruncSeries:
-        return expand_ratio(poly_negate_t(self.f1), self.f0, order)
+        return super_series(self.f0, self.f1, order)
 
     def exterior_series(self, order: int) -> TruncSeries:
-        return expand_ratio(poly_negate_t(self.f0), self.f1, order)
+        return super_series(self.f1, self.f0, order)
 
     @property
     def birank(self) -> tuple[int, int]:
@@ -333,6 +344,11 @@ class BirankCertificate(NamedTuple):
             len(f0) - 1,
             len(f1) - 1,
         )
+
+    @classmethod
+    def from_form(cls, num, den) -> "BirankCertificate":
+        """The certificate of the series num/den, read as f1(-t)/f0(t)."""
+        return cls.from_polynomials(den, poly_negate_t(num))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +584,8 @@ def birank_certificate(f: TruncSeries, r_max: int) -> BirankCertificate:
 
     Expects a series that is totally positive over the window.  Raises
     InconclusiveDetection when no recurrence fits, CertificateError on
-    integrality/normalization failure or when the detected degrees exceed the
-    first coefficient, RootLocationError when a Sturm check fails.
+    integrality/normalization failure, RootLocationError when a Sturm check
+    fails.
     """
     form = detect_rational(f, r_max)
     if form is None:
@@ -577,18 +593,7 @@ def birank_certificate(f: TruncSeries, r_max: int) -> BirankCertificate:
             f"no rational form detected within order {r_max} "
             f"at truncation order {f.order}"
         )
-    num, den = list(form.num), list(form.den)
-    if not num or num[0] != 1:
-        raise CertificateError("series must start at 1 for a certificate")
-    f0 = poly_trim(den)
-    f1 = poly_trim(poly_negate_t(num))
-    cert = BirankCertificate.from_polynomials(f0, f1)
-    a1 = f.coeff(1)
-    if cert.r0 + cert.r1 > a1:
-        raise CertificateError(
-            f"birank sum {cert.r0 + cert.r1} exceeds first coefficient {a1}"
-        )
-    return cert
+    return BirankCertificate.from_form(form.num, form.den)
 
 
 # ---------------------------------------------------------------------------

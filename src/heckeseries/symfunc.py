@@ -39,11 +39,8 @@ from .partitions import (
 from .series import (
     ConsistencyError,
     TruncSeries,
-    expand_ratio,
-    poly_from_roots,
-    poly_negate_t,
-    poly_trim,
     schur_values,
+    super_series,
 )
 
 BASES = ("m", "h", "e", "s")
@@ -298,37 +295,13 @@ def hall_rep(f: TruncSeries, n: int) -> SymElement:
     return SymElement(n, "s", coeffs)
 
 
-def _alphabet_poly(roots, poly) -> list[Fraction]:
-    """Polynomial prod(1 - x_i t) from explicit roots, or the given
-    polynomial."""
-    if roots and poly is not None:
-        raise ValueError("give either explicit roots or a polynomial, not both")
-    if poly is None:
-        return poly_from_roots(roots)
-    p = [linalg.rational(c) for c in poly]
-    if not p or p[0] == 0:
-        raise ValueError("alphabet polynomial needs a nonzero constant term")
-    return p
-
-
-def specialize_super(
-    u: SymElement,
-    alphas=(),
-    betas=(),
-    alpha_poly=None,
-    beta_poly=None,
-) -> Fraction:
-    """Evaluate u on a two-alphabet (even/odd) specialization.
-
-    The defining data is the series sum h_n t^n = prod(1 + beta_j t) /
-    prod(1 - alpha_i t).  Each alphabet comes either as an explicit rational
-    root list or as a polynomial prod(1 - x t) with the roots left implicit,
-    the betas' flipped to -t, so results stay exact even when the roots are
-    irrational.
-    """
-    den = _alphabet_poly(alphas, alpha_poly)
-    num = poly_negate_t(_alphabet_poly(betas, beta_poly))
-    return hom_eval(expand_ratio(num, den, max(u.degree, 1)), u)
+def specialize_super(u: SymElement, f0, f1) -> Fraction:
+    """Evaluate u on the super alphabet of f0 = prod(1 - alpha_i t) and
+    f1 = prod(1 - beta_j t): the homomorphism of the series
+    sum h_n t^n = f1(-t)/f0(t).  The roots stay implicit, so results stay
+    exact even when they are irrational; ``poly_from_roots`` turns an
+    explicit root list into its polynomial."""
+    return hom_eval(super_series(f0, f1, max(u.degree, 1)), u)
 
 
 def tensor_power_character(f0, f1, n: int) -> SymElement:
@@ -341,11 +314,8 @@ def tensor_power_character(f0, f1, n: int) -> SymElement:
     representative sum_nu s_nu[f1(-t)/f0(t)] s_nu, read off the one Schur
     table of that series.
     """
-    f0, f1 = poly_trim(f0), poly_trim(f1)
-    if f0[:1] != [1] or f1[:1] != [1]:
-        raise ValueError("alphabet polynomials need constant term 1")
     _check_degree(n)
-    return to_basis(hall_rep(expand_ratio(poly_negate_t(f1), f0, n), n), "h")
+    return to_basis(hall_rep(super_series(f0, f1, n), n), "h")
 
 
 def schur_value(f: TruncSeries, lam) -> Fraction:

@@ -467,10 +467,10 @@ def pair_sum_character(f0, f1, n: int) -> SymElement:
     value a specialization at the implicit roots of f0 or f1."""
     result = SymElement(n, "h", {})
     for lam, mu in partition_pairs(n):
-        a = specialize_super(SymElement.generator("m", lam), alpha_poly=f0)
+        a = specialize_super(SymElement.generator("m", lam), f0, [1])
         if a == 0:
             continue
-        b = specialize_super(SymElement.generator("m", mu), alpha_poly=f1)
+        b = specialize_super(SymElement.generator("m", mu), f1, [1])
         if b == 0:
             continue
         e_part = to_basis(SymElement.generator("e", mu), "h")

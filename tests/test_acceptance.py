@@ -192,14 +192,10 @@ def test_criterion_05_character_shadow(criterion):
         for n in range(1, 6):
             total = Fraction(0)
             for lam, mu in partition_pairs(n):
-                a = specialize_super(
-                    SymElement.generator("m", lam), alpha_poly=list(cert.f0)
-                )
+                a = specialize_super(SymElement.generator("m", lam), cert.f0, [1])
                 if a == 0:
                     continue
-                b = specialize_super(
-                    SymElement.generator("m", mu), alpha_poly=list(cert.f1)
-                )
+                b = specialize_super(SymElement.generator("m", mu), cert.f1, [1])
                 if b == 0:
                     continue
                 multinomial = math.factorial(n)

@@ -383,6 +383,9 @@ class TestCompute:
             ("std:r=2,q=2", "quotient:[2,1]",
              "quotient wants 'quotient:[parts];[parts]', got '[2,1]'"),
             ("std:r=2,q=2", "quotient:[2,x];[]", "invalid literal for int() with base 10: 'x'"),
+            ("std:r=2,q=2", "quotient:2,1;[1]", "expected bracketed partition, got '2,1'"),
+            ("std:r=0,q=0", "sym", "bad symmetry specifier 'std:r=0,q=0': "
+             "the parameter q must be nonzero"),
         ],
     )
     def test_malformed_specifiers_are_usage_errors(self, capsys, symmetry, what, message):

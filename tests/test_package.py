@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import heckeseries
+from heckeseries import partitions, series, symfunc
 
 SRC = str(Path(heckeseries.__file__).resolve().parent.parent)
 
@@ -175,3 +176,33 @@ def test_verify_loads_partitions_only_for_the_suites_that_enumerate_them(suite):
 def test_no_command_loads_the_symmetric_function_tables(argv):
     code = f"from heckeseries.cli import main\nmain({argv!r})"
     assert "heckeseries.symfunc" not in loaded_after(code)
+
+
+ORDER_TWO = series.TruncSeries([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partitions.parse_partition("2,1"), "expected bracketed partition, got '2,1'"),
+        (lambda: partitions.enumerate_partitions(-1), "weight must be nonnegative"),
+        (lambda: series.TruncSeries([]), "a truncated series needs at least one coefficient"),
+        (lambda: series.hankel_minor(ORDER_TWO, 0, -1), "window size must be nonnegative"),
+        (lambda: series.detect_rational(ORDER_TWO, -1), "r_max must be nonnegative"),
+        (lambda: series.total_positivity(ORDER_TWO, ORDER_TWO.order + 1),
+         "max_weight exceeds the truncation order"),
+        (lambda: symfunc.SymElement(-1, "s", {}), "degree must be nonnegative"),
+        (lambda: symfunc.to_basis(symfunc.SymElement.unit(), "x"), "unknown basis 'x'"),
+        (lambda: symfunc.hall_rep(ORDER_TWO, ORDER_TWO.order + 1),
+         "degree 3 exceeds truncation order 2"),
+    ],
+    ids=[
+        "parse_partition", "enumerate_partitions", "TruncSeries", "hankel_minor",
+        "detect_rational", "total_positivity", "SymElement", "to_basis", "hall_rep",
+    ],
+)
+def test_argument_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

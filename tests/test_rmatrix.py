@@ -302,8 +302,8 @@ class TestStoredForm:
             "expand_ratio den": lambda: series.expand_ratio([1], [1, huge], 2),
             "SymElement": lambda: symfunc.SymElement(1, "s", {(1,): huge}),
             "SymElement.scaled": lambda: symfunc.SymElement.unit().scaled(huge),
-            "specialize_super alpha_poly": lambda: symfunc.specialize_super(
-                symfunc.SymElement.unit(), alpha_poly=[1, huge]
+            "specialize_super f0": lambda: symfunc.specialize_super(
+                symfunc.SymElement.unit(), [1, huge], [1]
             ),
         }
         for name, call in calls.items():
@@ -434,6 +434,10 @@ class TestReadSymmetry:
             ("super: 1 , 1 , q= ", "bad symmetry specifier 'super: 1 , 1 , q= ': "
              "Invalid literal for Fraction: ''"),
             ("std:r=0,q=2", "bad symmetry specifier 'std:r=0,q=2': dimension must be at least 1"),
+            ("std:r=-3,q=2", "bad symmetry specifier 'std:r=-3,q=2': dimension must be at least 1"),
+            # q is checked before the dimension, whatever r is
+            ("std:r=0,q=0", "bad symmetry specifier 'std:r=0,q=0': "
+             "the parameter q must be nonzero"),
             ("std:r=2,q=0", "bad symmetry specifier 'std:r=2,q=0': "
              "the parameter q must be nonzero"),
             ("std:r=17,q=0", "bad symmetry specifier 'std:r=17,q=0': "

@@ -639,8 +639,21 @@ class TestBirankCertificate:
             birank_certificate(f, 2)
 
     def test_bound_on_first_coefficient(self):
-        # valid certificates satisfy r0 + r1 <= first coefficient
-        for f0, f1 in [([1, -2, 1], [1]), ([1, -1], [1, -1]), ([1, -5, 6], [1, -1])]:
+        # valid certificates satisfy r0 + r1 <= first coefficient; by AM-GM,
+        # a_1 = sum alpha + sum beta >= r0 + r1, as prod alpha = |lead f0| >= 1
+        golden = [1, -3, 1]
+        top = poly_mul(poly_mul(golden, golden), poly_from_roots([1] * 12))
+        assert len(top) - 1 == CERTIFICATE_CAP
+        pairs = [
+            ([1, -2, 1], [1]), ([1, -1], [1, -1]), ([1, -5, 6], [1, -1]),
+            (golden, [1]), (golden, [1, -5, 5]), (top, [1]), ([1], top), (top, top),
+        ]
+        rng = random.Random(34)
+        for _ in range(40):
+            roots0 = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+            roots1 = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+            pairs.append((poly_from_roots(roots0), poly_from_roots(roots1)))
+        for f0, f1 in pairs:
             cert = BirankCertificate.from_polynomials(f0, f1)
             a1 = cert.symmetric_series(1).coeff(1)
             assert sum(cert.birank) <= a1

@@ -18,7 +18,7 @@ from heckeseries.partitions import (
     kostka,
     weight,
 )
-from heckeseries.series import TruncSeries, expand_ratio
+from heckeseries.series import TruncSeries, expand_ratio, poly_from_roots
 from heckeseries.symfunc import (
     BASES,
     DEGREE_CAP,
@@ -345,23 +345,22 @@ class TestHallRep:
 
 class TestSpecializeSuper:
     def test_plain_alphabet_values(self):
-        assert specialize_super(gen("s", (2,)), alphas=(1,)) == 1
-        assert specialize_super(gen("s", (1, 1)), alphas=(1,)) == 0
-        assert specialize_super(gen("s", (1, 1)), betas=(1,)) == 1
-        assert specialize_super(gen("s", (2,)), alphas=(1,), betas=(1,)) == 2
+        one = poly_from_roots([1])
+        assert specialize_super(gen("s", (2,)), one, [1]) == 1
+        assert specialize_super(gen("s", (1, 1)), one, [1]) == 0
+        assert specialize_super(gen("s", (1, 1)), [1], one) == 1
+        assert specialize_super(gen("s", (2,)), one, one) == 2
 
     def test_h_generator_counts(self):
         # h_n at k plain variables equal to 1 counts multisets
         for n in range(1, 5):
-            val = specialize_super(gen("h", (n,)), alphas=(1, 1))
+            val = specialize_super(gen("h", (n,)), poly_from_roots([1, 1]), [1])
             assert val == n + 1
 
     def test_polynomial_route_matches_root_route(self):
         u = gen("s", (2, 1))
-        by_roots = specialize_super(u, alphas=(1, 2), betas=(3,))
-        by_polys = specialize_super(
-            u, alpha_poly=[1, -3, 2], beta_poly=[1, -3]
-        )
+        by_roots = specialize_super(u, poly_from_roots([1, 2]), poly_from_roots([3]))
+        by_polys = specialize_super(u, [1, -3, 2], [1, -3])
         assert by_roots == by_polys
 
     def test_hook_support(self):
@@ -370,7 +369,9 @@ class TestSpecializeSuper:
             betas = (1,) * r1
             for n in range(0, 7):
                 for lam in enumerate_partitions(n):
-                    val = specialize_super(gen("s", lam), alphas=alphas, betas=betas)
+                    val = specialize_super(
+                        gen("s", lam), poly_from_roots(alphas), poly_from_roots(betas)
+                    )
                     assert (val != 0) == in_hook(lam, r0, r1), (lam, r0, r1)
                     assert val >= 0
 
@@ -378,24 +379,24 @@ class TestSpecializeSuper:
         # swapping the alphabets conjugates the shape
         for n in range(0, 6):
             for lam in enumerate_partitions(n):
-                a = specialize_super(gen("s", lam), alphas=(1, 2), betas=(3,))
+                a = specialize_super(gen("s", lam), poly_from_roots([1, 2]), poly_from_roots([3]))
                 b = specialize_super(
-                    gen("s", conjugate(lam)), alphas=(3,), betas=(1, 2)
+                    gen("s", conjugate(lam)), poly_from_roots([3]), poly_from_roots([1, 2])
                 )
                 assert a == b, lam
 
     def test_factorization_over_subalphabets(self):
         # s_lam(x union / y) = sum over splittings mu, nu with LR coefficients
-        alphas = (1, 2)
-        betas = (3,)
+        alphas = poly_from_roots([1, 2])
+        betas = poly_from_roots([3])
         for n in range(0, 6):
             for lam in enumerate_partitions(n):
-                lhs = specialize_super(gen("s", lam), alphas=alphas, betas=betas)
+                lhs = specialize_super(gen("s", lam), alphas, betas)
                 lam_c = conjugate(lam)
                 rhs = Fraction(0)
                 for a in range(0, n + 1):
                     for mu in enumerate_partitions(a):
-                        s_mu = specialize_super(gen("s", mu), alphas=alphas)
+                        s_mu = specialize_super(gen("s", mu), alphas, [1])
                         if s_mu == 0:
                             continue
                         for nu in enumerate_partitions(n - a):
@@ -404,21 +405,14 @@ class TestSpecializeSuper:
                                 rhs += (
                                     c
                                     * s_mu
-                                    * specialize_super(gen("s", nu), alphas=betas)
+                                    * specialize_super(gen("s", nu), betas, [1])
                                 )
                 assert lhs == rhs, lam
 
     def test_rejects_zero_constant_poly(self):
-        with pytest.raises(ValueError):
-            specialize_super(gen("s", (1,)), alpha_poly=[0, 1])
-
-    def test_rejects_mixing_roots_and_poly(self):
-        for alphabets in (
-            {"alphas": (1,), "alpha_poly": [1, -1]},
-            {"betas": (5,), "beta_poly": [1, -1]},
-        ):
-            with pytest.raises(ValueError, match="not both"):
-                specialize_super(gen("s", (1,)), **alphabets)
+        for f0, f1 in (([0, 1], [1]), ([2, -1], [1]), ([1], [2, -1])):
+            with pytest.raises(ValueError, match="^alphabet polynomials need constant term 1$"):
+                specialize_super(gen("s", (1,)), f0, f1)
 
 
 class TestTensorPowerCharacter:
@@ -485,19 +479,17 @@ class TestTensorPowerCharacter:
         f0, f1 = [1, -2, 1], [1]
         for n in range(0, 4):
             u = tensor_power_character(f0, f1, n)
-            val = specialize_super(u, alpha_poly=f0, beta_poly=f1)
+            val = specialize_super(u, f0, f1)
             assert val == sum(
-                specialize_super(
-                    SymElement.generator("m", lam), alpha_poly=f0
-                )
-                * specialize_super(SymElement.generator("m", mu), alpha_poly=f1)
+                specialize_super(SymElement.generator("m", lam), f0, [1])
+                * specialize_super(SymElement.generator("m", mu), f1, [1])
                 * specialize_super(
                     multiply(
                         SymElement.generator("h", lam),
                         SymElement.generator("e", mu),
                     ),
-                    alpha_poly=f0,
-                    beta_poly=f1,
+                    f0,
+                    f1,
                 )
                 for lam, mu in partition_pairs(n)
             )
