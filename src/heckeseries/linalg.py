@@ -15,15 +15,15 @@ oracles, not library code, and so are determinants and square solves: Schur
 values come from the memoised expansion in ``series.schur_values``, and
 recurrence detection solves its nested systems in one Berlekamp-Massey pass.
 ``primitive`` is the one gcd reduction and ``scale_to_integers`` the one
-scaling of a rational row to integers, both shared with the series kernels;
-``clear_denominators`` chains them for the Sturm sequence.
+scaling of a rational row to integers, within ``BIT_LENGTH_CAP``: no other
+module takes a denominator lcm.
 
 ``CapExceeded`` lives here because every module that enforces a size cap
 already imports this one, and so do ``check_cap``, which raises and words
 every cap refusal but the dimension cap's, ``ORDER_CAP``, the one degree
 cap that both the tensor-power engine and the series expansions enforce, and
-``BIT_LENGTH_CAP``, the one bit-length cap of a symmetry's integers and of a
-detection window's.
+``BIT_LENGTH_CAP``, the one bit-length cap of a symmetry's integers and of
+every rational row scaled to integers.
 ``parse_rational``, the one parser of rational input, lives here too, so
 that reading a symmetry loads no ``series`` code; ``rational`` reads any
 number or string through it for the library constructors.
@@ -56,9 +56,10 @@ def check_cap(what: str, value: int, cap: int):
 ORDER_CAP = 1000
 
 # The bit length of the integers exact work starts from: a symmetry's s, M
-# and q (validating std16 at 14281 bits took 4.6 s) and a detection window
-# scaled to integers (the order-1000 window of 1/∏_{k≤24}(1 - kt), at 4616
-# bits, took 7.5 s).  Longer integers are refused before the work starts.
+# and q (validating std16 at 14281 bits took 4.6 s) and every rational row
+# scaled to integers (detection on the order-1000 window of
+# 1/∏_{k≤24}(1 - kt), at 4616 bits, took 7.5 s).  Longer integers are
+# refused before the work starts.
 BIT_LENGTH_CAP = 1024
 
 
@@ -98,16 +99,15 @@ def primitive(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-def scale_to_integers(row) -> tuple[int, list[int]]:
-    """``(D, [x*D for x in row])`` for a rational row, D the lcm of its
-    denominators."""
-    D = lcm(*(x.denominator for x in row))
+def scale_to_integers(row, what: str) -> tuple[int, list[int]]:
+    """``(D, [x*D for x in row])`` for a row of ints and ``Fraction``s, D the
+    lcm of its denominators, refused as "<what> bit length" as it grows: the
+    lcm of many distinct denominators costs time quadratic in their number."""
+    D = 1
+    for x in row:
+        D = lcm(D, x.denominator)
+        check_cap(f"{what} bit length", D.bit_length(), BIT_LENGTH_CAP)
     return D, [x.numerator * (D // x.denominator) for x in row]
-
-
-def clear_denominators(row):
-    """Rescale a rational row to coprime integers, preserving signs."""
-    return primitive(scale_to_integers(row)[1])
 
 
 def _eliminate(row, brow, p):

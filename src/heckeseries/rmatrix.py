@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 
 from . import linalg
 from .linalg import BIT_LENGTH_CAP, ORDER_CAP, CapExceeded
@@ -81,11 +81,6 @@ def _check_cap(d: int, n: int):
     linalg.check_cap("tensor degree", n, ORDER_CAP)
 
 
-def _check_bits(x: int) -> int:
-    linalg.check_cap("symmetry bit length", x.bit_length(), BIT_LENGTH_CAP)
-    return x
-
-
 class HeckeSymmetry:
     """A validated solution R of the braid + quadratic relations on V⊗V,
     built from its stored form M/s, s a positive integer and M an integer
@@ -118,7 +113,8 @@ class HeckeSymmetry:
             raise ValueError(
                 f"stored form: need integers, s >= 1, {dd} columns, distinct rows below {dd}"
             )
-        _check_bits(max(abs(q.numerator), q.denominator, s, *(abs(m) for c in cols for _, m in c)))
+        big = max(abs(q.numerator), q.denominator, s, *(abs(m) for c in cols for _, m in c))
+        linalg.check_cap("symmetry bit length", big.bit_length(), BIT_LENGTH_CAP)
         self.d = d
         self.q = q
         self.s = s
@@ -308,13 +304,9 @@ def load_and_validate(d: int, q, matrix) -> HeckeSymmetry:
         for row in matrix
     ]
     cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
-    # s is checked as it grows: the lcm of many distinct denominators
-    # costs time quadratic in their number
-    s = 1
-    for col in cols:
-        for _, x in col:
-            s = _check_bits(lcm(s, x.denominator))
-    return HeckeSymmetry(d, q, s, [[(r, int(x * s)) for r, x in col] for col in cols])
+    s, entries = linalg.scale_to_integers([x for col in cols for _, x in col], "symmetry")
+    entries = iter(entries)
+    return HeckeSymmetry(d, q, s, [[(r, next(entries)) for r, _ in col] for col in cols])
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ that window, and running out of window raises instead of guessing.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -39,7 +39,8 @@ WEIGHT_CAP = 24
 # expand_ratio takes order x len(den) steps and diamond order**2, but their
 # coefficients grow in size with the order, and so do the work per step and
 # the rendered output; orders above linalg.ORDER_CAP are refused before any
-# coefficient is computed.
+# coefficient is computed, and coefficients too long to print as they are
+# computed (_check_printable).
 # A Sturm sequence's pseudo-remainders grow in size with the degree and
 # with the size of the roots, and the degree dominates: on a shared 2-CPU
 # machine under Python 3.11, degree 16 takes 0.0004 s on small integer
@@ -68,6 +69,20 @@ def check_order(n: int):
 
 def check_certificate_degree(n: int):
     linalg.check_cap("certificate degree", n, CERTIFICATE_CAP)
+
+
+def _check_printable(x):
+    """x, refused when its numerator or denominator has more decimal digits
+    than Python converts to a string (``sys.get_int_max_str_digits()``):
+    no output holding it could be printed, and the work that would follow
+    grows with its size."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    n = max(abs(x.numerator), x.denominator)
+    bits = n.bit_length()
+    if bits > 3 * limit:  # 2**(3 limit) < 10**limit: shorter integers print
+        digits = bits * 30102999566398119521 // 10**20  # floor(bits log10 2)
+        linalg.check_cap("coefficient digits", digits + (n >= 10**digits), limit)
+    return x
 
 
 class RootLocationError(CertificateError):
@@ -218,7 +233,7 @@ def expand_ratio(num, den, order: int) -> TruncSeries:
             if i > k:
                 break
             s -= c * out[k - i]
-        out.append(s / den[0])
+        out.append(_check_printable(s / den[0]))
     return TruncSeries(out)
 
 
@@ -398,6 +413,15 @@ class _SchurTable(dict):
         return v
 
 
+def _window(f: TruncSeries) -> tuple[int, list[int]]:
+    """(D, [D a_n]) for the window of f, D the lcm of its denominators: the
+    exact kernels' entries grow with these, so D is checked as it grows and
+    then the scaled window."""
+    D, a = linalg.scale_to_integers(f.coeffs, "window denominator")
+    linalg.check_cap("window bit length", max(map(abs, a)).bit_length(), BIT_LENGTH_CAP)
+    return D, a
+
+
 def schur_values(f: TruncSeries):
     """The reader lam -> det(a_{lam_i - i + j}) of one memo table for f.
 
@@ -409,7 +433,7 @@ def schur_values(f: TruncSeries):
     contribute a factor a_0 each.  A matrix entry beyond the truncation
     order raises as TruncSeries.coeff does.
     """
-    D, b = linalg.scale_to_integers(f.coeffs)
+    D, b = _window(f)
     table, b0 = _SchurTable(b), b[0]
 
     def value(lam) -> Fraction:
@@ -452,14 +476,7 @@ def detect_rational(f: TruncSeries, r_max: int) -> RationalForm | None:
     linalg.check_cap("recurrence order", r_max, DETECTION_CAP)
     n = f.order
     check_order(n)
-    # the pass's entries grow with the window's integers D a_m, so their bit
-    # length is checked before it starts, D as its lcm grows
-    D = 1
-    for x in f.coeffs:
-        D = lcm(D, x.denominator)
-        linalg.check_cap("window denominator bit length", D.bit_length(), BIT_LENGTH_CAP)
-    a = [x.numerator * (D // x.denominator) for x in f.coeffs]
-    linalg.check_cap("window bit length", max(map(abs, a)).bit_length(), BIT_LENGTH_CAP)
+    D, a = _window(f)
 
     def form(lam, length, checked):
         """The rational form of connection polynomial lam at the given
@@ -550,7 +567,7 @@ def sturm_all_roots_positive(p) -> bool:
         raise ValueError("polynomial must not vanish at 0")
     if len(p) == 1:
         return True
-    ints = linalg.clear_denominators(p)
+    ints = linalg.primitive(linalg.scale_to_integers(p, "polynomial denominator")[1])
     chain = [ints, linalg.primitive([i * c for i, c in enumerate(ints)][1:])]
     while len(chain[-1]) > 1:
         rem = _pseudo_remainder(chain[-2], chain[-1])
@@ -627,9 +644,9 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     for s in (f, g):
         if s.coeffs[0] != 1:
             raise ValueError("the pairing product needs constant term 1")
-        cs = s.coeffs[: order + 1]
-        D = lcm(*(c.denominator for c in cs))
-        h = [c.numerator * (D**n // c.denominator) for n, c in enumerate(cs)]
+        # read at D t: h_n = D**n a_n = D**(n-1) b_n
+        D, b = linalg.scale_to_integers(s.coeffs[: order + 1], "operand denominator")
+        h = [1] + [x * D ** (n - 1) for n, x in enumerate(b[1:], 1)]
         p = [x * y for x, y in zip(p, _power_sums(h, order))]
         scale *= D
     return _exp_power_sums(p, order).scale_variable(Fraction(1, scale))
@@ -641,7 +658,7 @@ def _power_sums(h, order: int) -> list[int]:
     n h_n = sum_{i=1}^n p_i h_{n-i}; the p_k are integers too."""
     p = [0]
     for n in range(1, order + 1):
-        p.append(n * h[n] - sum(p[i] * h[n - i] for i in range(1, n)))
+        p.append(_check_printable(n * h[n] - sum(p[i] * h[n - i] for i in range(1, n))))
     return p
 
 
@@ -654,7 +671,7 @@ def _exp_power_sums(p, order: int) -> TruncSeries:
         q, r = divmod(sum(p[i] * h[n - i] for i in range(1, n + 1)), n)
         if r:
             raise ConsistencyError(f"power sums give a non-integral h_{n}")
-        h.append(q)
+        h.append(_check_printable(q))
     return TruncSeries(h)
 
 

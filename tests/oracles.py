@@ -14,6 +14,8 @@ a rational matrix of its denominators once and adds it to one
 ``linalg.Echelon``, the library's kernel, which itself takes integer rows
 only; ``contains`` tests membership in an ``Echelon``'s span.  The library
 has no such reader: it adds integer rows to ``linalg.Echelon`` directly.
+``clear_denominators`` scales those rows by the lcm of their denominators
+without the library's own scaling, ``linalg.scale_to_integers``.
 
 ``validate_dense`` and ``pair_conjugation_matrix`` read R as a dense
 ``Fraction`` matrix, where the library reads its sparse integer columns:
@@ -75,10 +77,13 @@ integer matrices that the pairings of h and e products must reproduce.
 
 ``serialize_symmetry`` writes a symmetry as the text that
 ``rmatrix.parse_symmetry_text`` reads, from the dense ``matrix``: the
-fixture behind every ``file:`` symmetry of the tests.
+fixture behind every ``file:`` symmetry of the tests, and
+``big_denominator_window`` the window behind the tests of the Schur
+readers' bit-length cap.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -97,10 +102,18 @@ from heckeseries.series import RationalForm, TruncSeries, poly_mul, poly_trim
 from heckeseries.symfunc import SymElement, _h_product, specialize_super, to_basis
 
 
+def clear_denominators(row) -> list[int]:
+    """A rational row rescaled to coprime integers, signs kept, by the lcm of
+    its denominators: the integer rows the dense routes hand to
+    ``linalg.Echelon``, read without the library's own scaling."""
+    s = lcm(*(x.denominator for x in row))
+    return linalg.primitive([x.numerator * (s // x.denominator) for x in row])
+
+
 def _echelon(rows, ncols: int) -> linalg.Echelon:
     ech = linalg.Echelon(ncols)
     for r in rows:
-        ech.add(linalg.clear_denominators(r))
+        ech.add(clear_denominators(r))
     return ech
 
 
@@ -271,6 +284,18 @@ def deformed_swap_rows(parity, q) -> list[list[Fraction]]:
                 mat[j * d + i][col] = q * sign
                 mat[col][col] = q - 1
     return mat
+
+
+def big_denominator_window() -> list[Fraction]:
+    """The 25 coefficients of 1/prod(1 - t/p_i) for 8 seeded odd 16-bit p_i:
+    a certified, totally positive window whose denominators have an lcm of
+    2577 bits (at 1075 bits it first passes ``linalg.BIT_LENGTH_CAP``)."""
+    rng = random.Random(3)
+    h = [Fraction(1)] + [Fraction(0)] * 24
+    for p in [rng.getrandbits(16) | 1 for _ in range(8)]:
+        for n in range(1, 25):
+            h[n] += h[n - 1] / p
+    return h
 
 
 def serialize_symmetry(sym: HeckeSymmetry) -> str:

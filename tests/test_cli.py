@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from oracles import serialize_symmetry
+from oracles import big_denominator_window, serialize_symmetry
 
 import heckeseries
 from heckeseries import rmatrix, series, verify
@@ -888,6 +888,53 @@ class TestTypedFailures:
         )
         assert time.perf_counter() - start < 0.75
         assert (code, out) == (0, "ok\n")
+
+    def test_total_positivity_on_a_window_past_the_bit_length_cap_exits_3_at_once(self, capsys):
+        # 10 s to print "ok" without the cap
+        coeffs = ",".join(map(str, big_denominator_window()))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "series", "total-positivity", "--coeffs", coeffs,
+            "--max-weight", str(WEIGHT_CAP),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # without the bound: 78 s, then exit 2 at printing
+            ("predict", "--what", "A", "--alphas", "1000000", "--alphas2", "1000000"),
+            # without the bound: exit 2 at printing
+            ("predict", "--what", "sym", "--alphas", "1000000"),
+            # without the bound: over 300 s
+            ("series", "diamond", "--f", f"1,{2**64 - 59},{2**64 - 59}",
+             "--g", f"1,{2**64 - 59},{2**64 - 59}"),
+        ],
+    )
+    def test_coefficients_too_long_to_print_exit_3_as_they_grow(self, capsys, argv):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--degree", str(ORDER_CAP))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"error: coefficient digits \d+ exceeds cap {limit}\n", err)
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            # 487 kB, the largest coefficient 963 digits long
+            (("--alphas", "3,3", "--alphas2", "3,3", "--degree", str(ORDER_CAP)), 487199),
+            # 483 kB, the largest coefficient 2401 digits long
+            (("--alphas", "1000", "--alphas2", "1000", "--degree", "400"), 482556),
+        ],
+    )
+    def test_long_outputs_that_print_are_not_refused(self, capsys, argv, size):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "predict", "--what", "A", *argv)
+        assert time.perf_counter() - start < 6.0
+        assert (code, len(out)) == (0, size)
 
     def test_all_suites_check_the_weight_before_any_suite_runs(
         self, capsys, monkeypatch

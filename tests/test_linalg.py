@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    clear_denominators,
     contains,
     intersect_bases,
     invert_unitriangular,
@@ -35,7 +36,7 @@ from oracles import (
 )
 
 from heckeseries import linalg
-from heckeseries.linalg import Echelon, clear_denominators, parse_rational, primitive
+from heckeseries.linalg import Echelon, parse_rational, primitive, scale_to_integers
 
 
 def oracle_rank(rows):
@@ -70,11 +71,12 @@ def random_matrix(rng, nrows, ncols, planted_rank):
     ]
 
 
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert clear_denominators([Fraction(2), Fraction(4)]) == [1, 2]
-    assert clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
-    assert clear_denominators([Fraction(-1, 2)]) == [-1]
+def test_scale_to_integers():
+    assert scale_to_integers([Fraction(1, 2), Fraction(1, 3)], "row") == (6, [3, 2])
+    # no content is divided out: D·x keeps the row's own scale
+    assert scale_to_integers([Fraction(2), Fraction(4)], "row") == (1, [2, 4])
+    assert scale_to_integers([Fraction(0), Fraction(0)], "row") == (1, [0, 0])
+    assert scale_to_integers([Fraction(-1, 2)], "row") == (2, [-1])
 
 
 def test_primitive_divides_by_the_positive_content():
@@ -87,18 +89,29 @@ def test_primitive_divides_by_the_positive_content():
     assert primitive([-7]) == [-1]
 
 
-def test_clear_denominators_on_mixed_int_and_fraction_rows():
+def test_scale_to_integers_on_mixed_int_and_fraction_rows():
     # lcm of denominators 1, 3, 4, 1 is 12: 6·12, -2/3·12, 5/4·12, 2·12
     row = [6, Fraction(-2, 3), Fraction(5, 4), Fraction(4, 2)]
-    assert clear_denominators(row) == [72, -8, 15, 24]
-    # Fraction(4, 2) is the integer 2; the common factor 2 is divided out
-    assert clear_denominators([Fraction(4, 2), -6, 0, 10]) == [1, -3, 0, 5]
-    assert clear_denominators([-3, Fraction(-9, 6)]) == [-2, -1]
-    assert clear_denominators([0, Fraction(0, 5), 0]) == [0, 0, 0]
-    assert clear_denominators([]) == []
-    assert all(
-        type(v) is int for v in clear_denominators([Fraction(1, 2), 3])
-    )
+    assert scale_to_integers(row, "row") == (12, [72, -8, 15, 24])
+    # Fraction(4, 2) is the integer 2, so D is 1
+    assert scale_to_integers([Fraction(4, 2), -6, 0, 10], "row") == (1, [2, -6, 0, 10])
+    assert scale_to_integers([-3, Fraction(-9, 6)], "row") == (2, [-6, -3])
+    assert scale_to_integers([0, Fraction(0, 5), 0], "row") == (1, [0, 0, 0])
+    assert scale_to_integers([], "row") == (1, [])
+    D, ints = scale_to_integers([Fraction(1, 2), 3], "row")
+    assert type(D) is int and all(type(v) is int for v in ints)
+
+
+def test_scale_to_integers_refuses_D_past_the_bit_length_cap_as_it_grows():
+    cap = linalg.BIT_LENGTH_CAP
+    D, ints = scale_to_integers([3, Fraction(1, 2 ** (cap - 1))], "row")
+    assert D.bit_length() == cap and ints == [3 * 2 ** (cap - 1), 1]
+    # each denominator fits, their lcm does not (951 + 600 bits): D is
+    # refused at the entry that takes it past the cap, before the next is
+    # read, and a str has no denominator to read
+    row = [Fraction(1, 3**600), Fraction(1, 2**600), "not read"]
+    with pytest.raises(linalg.CapExceeded, match=f"^symmetry bit length 1551 exceeds cap {cap}$"):
+        scale_to_integers(row, "symmetry")
 
 
 def test_rank_matches_oracle_on_random_matrices():

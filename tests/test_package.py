@@ -123,6 +123,22 @@ def test_every_module_imports_only_the_standard_library():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_only_linalg_takes_a_denominator_lcm():
+    """Every rational row is scaled to integers by ``linalg.scale_to_integers``,
+    within the bit-length cap: no other module imports ``math.lcm`` or reads
+    it as ``math.lcm``."""
+    readers = set()
+    for path in Path(heckeseries.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                if any(alias.name == "lcm" for alias in node.names):
+                    readers.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+                if isinstance(node.value, ast.Name) and node.value.id == "math":
+                    readers.add(path.stem)
+    assert readers == {"linalg"}
+
+
 def test_compute_loads_only_the_matrix_modules():
     """compute loads no series code and predict no matrix code, and
     partitions is loaded only by the commands that read or print a

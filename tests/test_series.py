@@ -2,12 +2,13 @@
 coefficientwise product of nonnegative-support series."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from heckeseries import partitions
+from heckeseries import linalg, partitions
 from heckeseries import series as series_module
 from heckeseries.linalg import BIT_LENGTH_CAP, CapExceeded
 from heckeseries.series import (
@@ -38,6 +39,7 @@ from heckeseries.series import (
 )
 
 from oracles import (
+    big_denominator_window,
     expand_ratio_dense,
     jacobi_trudi_det,
     minor_sum_diamond,
@@ -370,7 +372,7 @@ class TestDetectionCaps:
             raise AssertionError("the window was scaled before the cap check")
 
         # scaling the window to integers is the first step of the one pass
-        monkeypatch.setattr(series_module, "lcm", refuse)
+        monkeypatch.setattr(linalg, "lcm", refuse)
         f = TruncSeries(range(1, 120))
         message = f"recurrence order {DETECTION_CAP + 1} exceeds cap {DETECTION_CAP}"
         with pytest.raises(CapExceeded, match=f"^{message}$"):
@@ -409,6 +411,122 @@ class TestDetectionCaps:
         assert detect_rational(f, DETECTION_CAP) == RationalForm((1,), den)
         f = TruncSeries([1] * (ORDER_CAP + 1))
         assert detect_rational(f, 2) == RationalForm((1,), (1, -1))
+
+
+class TestSchurWindowCaps:
+    """Schur values read their window as detection does: D as its lcm
+    grows, then the scaled window D·a_n, against BIT_LENGTH_CAP."""
+
+    def test_a_window_past_the_cap_is_refused_by_every_reader_at_once(self):
+        # total positivity to weight 24 on it took 10 s before the cap
+        f = TruncSeries(big_denominator_window())
+        message = f"^window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}$"
+        for read in (
+            lambda: total_positivity(f, 24),
+            lambda: hankel_minor(f, 0, 12),
+            lambda: schur_values(f),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded, match=message):
+                read()
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([1, Fraction(1, 2**BIT_LENGTH_CAP)],
+             f"window denominator bit length {BIT_LENGTH_CAP + 1}"),
+            ([1, 2**BIT_LENGTH_CAP], f"window bit length {BIT_LENGTH_CAP + 1}"),
+        ],
+    )
+    def test_one_bit_past_the_cap_is_refused(self, coeffs, message):
+        with pytest.raises(CapExceeded, match=f"^{message} exceeds cap {BIT_LENGTH_CAP}$"):
+            hankel_minor(TruncSeries(coeffs), 0, 1)
+
+    def test_a_window_at_the_cap_is_read(self):
+        # D = 2**(cap - 1) and the scaled window [D, 1, D] are cap bits long
+        small = Fraction(1, 2 ** (BIT_LENGTH_CAP - 1))
+        f = TruncSeries([1, small, 1])
+        assert hankel_minor(f, 1, 1) == small
+        value = schur_values(f)
+        for lam in [(1,), (2,), (1, 1)]:
+            assert value(lam) == jacobi_trudi_det(f, lam)
+        assert total_positivity(f, 2) == ((1, 1), small**2 - 1)
+
+
+class TestOperandAndPolynomialCaps:
+    """diamond reads each operand's D, and the Sturm sequence its
+    polynomial's, through linalg.scale_to_integers, within BIT_LENGTH_CAP."""
+
+    @pytest.mark.parametrize(
+        "compute, message",
+        [
+            (lambda wide: diamond(TruncSeries([1, 1, 1]), TruncSeries(wide), 2),
+             "operand denominator bit length 1551"),
+            (sturm_all_roots_positive, "polynomial denominator bit length 1551"),
+        ],
+    )
+    def test_denominators_past_the_cap_are_refused(self, compute, message):
+        # each denominator fits, their lcm does not (951 + 600 bits)
+        wide = [1, Fraction(-1, 3**600), Fraction(1, 2**600)]
+        with pytest.raises(CapExceeded, match=f"^{message} exceeds cap {BIT_LENGTH_CAP}$"):
+            compute(wide)
+
+    def test_denominators_at_the_cap_are_read(self):
+        small = Fraction(1, 2 ** (BIT_LENGTH_CAP - 1))
+        got = diamond(TruncSeries([1, small]), TruncSeries([1, 3]), 1)
+        assert got == TruncSeries([1, 3 * small])
+        assert sturm_all_roots_positive([1, -small])
+
+
+class TestPrintBound:
+    """A coefficient whose numerator or denominator has more decimal digits
+    than str converts is refused as it is computed: no output holding it
+    could be printed."""
+
+    LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+    def test_the_bound_is_the_digit_limit_of_str(self):
+        def digits(x):
+            old = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return len(str(abs(x)))
+            finally:
+                sys.set_int_max_str_digits(old)
+
+        # powers of 10 and of 2 on both sides of 10**limit
+        check, limit = series_module._check_printable, self.LIMIT
+        top = (10**limit).bit_length()
+        candidates = [10**k + e for k in range(limit - 2, limit + 30) for e in (-1, 0, 1)]
+        candidates += [2**b + e for b in range(top - 30, top + 30) for e in (-1, 0)]
+        for x in candidates:
+            for y in (x, -x, Fraction(1, x), Fraction(-1, x)):
+                if digits(x) <= limit:
+                    assert check(y) is y and str(y)
+                else:
+                    with pytest.raises(
+                        CapExceeded, match=f"^coefficient digits {digits(x)} exceeds cap {limit}$"
+                    ):
+                        check(y)
+                    if sys.get_int_max_str_digits():  # 0 switches the limit off
+                        with pytest.raises(ValueError, match="Exceeds the limit"):
+                            str(y)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            # the series 1/(1 - x t) and its power sums x^k, x = 10**100
+            lambda: expand_ratio([1], [1, -(10**100)], ORDER_CAP),
+            lambda: series_module._power_sums([10 ** (100 * n) for n in range(101)], 100),
+            lambda: series_module._exp_power_sums([10 ** (100 * k) for k in range(101)], 100),
+        ],
+    )
+    def test_each_expansion_refuses_as_its_coefficients_grow(self, compute):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"^coefficient digits \\d+ exceeds cap {self.LIMIT}$"):
+            compute()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRationalForm:

@@ -36,6 +36,7 @@ from heckeseries.symfunc import (
 )
 
 from oracles import (
+    big_denominator_window,
     count_mixed_matrices,
     count_row_col_matrices,
     invert_unitriangular,
@@ -518,6 +519,17 @@ class TestSchurValue:
         f = expand_ratio([1], [1, -1], 6)
         assert schur_value(f, (3,)) == 1
         assert schur_value(f, (1, 1)) == 0
+
+    def test_refuses_a_window_past_the_bit_length_cap_at_once(self):
+        # the whole window is read, as by series.schur_values: its lcm D
+        # passes the cap at a_10
+        f = TruncSeries(big_denominator_window())
+        start = time.perf_counter()
+        with pytest.raises(
+            CapExceeded, match="^window denominator bit length 1075 exceeds cap 1024$"
+        ):
+            schur_value(f, (1,))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_degree_cap_enforced():
