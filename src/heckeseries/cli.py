@@ -74,7 +74,7 @@ def _certificate_from_flags(series_text, alphas, betas, suffix=""):
 
 
 def cmd_predict(args) -> int:
-    from .series import exterior_from_symmetric, predict_hom_series
+    from .series import diamond, predict_hom_series
 
     cert = _certificate_from_flags(args.series, args.alphas, args.betas)
     certs = [("", cert)]
@@ -83,8 +83,13 @@ def cmd_predict(args) -> int:
             args.series2, args.alphas2, args.betas2, suffix="2"
         )
         certs.append(("2", cert2))
-        hom = predict_hom_series(cert, cert2, args.degree)
-        out = hom if args.what == "A" else exterior_from_symmetric(hom)
+        if args.what == "A":
+            out = predict_hom_series(cert, cert2, args.degree)
+        else:
+            # 1/A(-t) is the pairing with the dual alphabet, so diamond's
+            # print bound reads the printed series, not A
+            sym, ext = cert.symmetric_series, cert2.exterior_series
+            out = diamond(sym(args.degree), ext(args.degree), args.degree)
     elif args.what == "sym":
         out = cert.symmetric_series(args.degree)
     else:

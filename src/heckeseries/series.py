@@ -39,8 +39,10 @@ WEIGHT_CAP = 24
 # expand_ratio takes order x len(den) steps and diamond order**2, but their
 # coefficients grow in size with the order, and so do the work per step and
 # the rendered output; orders above linalg.ORDER_CAP are refused before any
-# coefficient is computed, and coefficients too long to print as they are
-# computed (_check_printable).
+# coefficient is computed.  A coefficient too long to print is refused when
+# it is rendered, and by diamond as soon as it is computed
+# (_check_printable); intermediates are not bounded, because a pairing may
+# cancel them to a short result.
 # A Sturm sequence's pseudo-remainders grow in size with the degree and
 # with the size of the roots, and the degree dominates: on a shared 2-CPU
 # machine under Python 3.11, degree 16 takes 0.0004 s on small integer
@@ -73,15 +75,17 @@ def check_certificate_degree(n: int):
 
 def _check_printable(x):
     """x, refused when its numerator or denominator has more decimal digits
-    than Python converts to a string (``sys.get_int_max_str_digits()``):
-    no output holding it could be printed, and the work that would follow
-    grows with its size."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    than ``str`` converts (``sys.get_int_max_str_digits()``, 0 for no
+    limit): no output holding it could be printed.  The limit is the
+    interpreter's, so a library call reads the same setting."""
+    limit = sys.get_int_max_str_digits()
     n = max(abs(x.numerator), x.denominator)
     bits = n.bit_length()
-    if bits > 3 * limit:  # 2**(3 limit) < 10**limit: shorter integers print
-        digits = bits * 30102999566398119521 // 10**20  # floor(bits log10 2)
-        linalg.check_cap("coefficient digits", digits + (n >= 10**digits), limit)
+    # 2**(3 limit) < 10**limit: shorter integers print
+    if limit and bits > 3 * limit and n >= 10**limit:
+        raise linalg.CapExceeded(
+            f"coefficient bit length {bits} exceeds the limit of {limit} decimal digits"
+        )
     return x
 
 
@@ -202,7 +206,7 @@ class TruncSeries:
         return hash(self.coeffs)
 
     def render(self) -> str:
-        return ", ".join(str(c) for c in self.coeffs)
+        return ", ".join(str(_check_printable(c)) for c in self.coeffs)
 
     def __repr__(self):
         return f"TruncSeries({self.render()})"
@@ -233,7 +237,7 @@ def expand_ratio(num, den, order: int) -> TruncSeries:
             if i > k:
                 break
             s -= c * out[k - i]
-        out.append(_check_printable(s / den[0]))
+        out.append(s / den[0])
     return TruncSeries(out)
 
 
@@ -633,46 +637,58 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     identity reads them off each operand, they are multiplied termwise and
     exponentiated by the same identity.  Each operand is read at D t, D the
     lcm of its denominators, so every step runs on integers; coefficient n
-    is divided by (D E)**n at the end.  ValueError on a constant term other
-    than 1: the minors then weight lam by a_0**len(lam), which no ring
-    homomorphism does.
+    is divided by (D E)**n as it is computed.  The three steps run one
+    degree at a time, so a result coefficient too long to print is refused
+    (CapExceeded) before any power sum of higher degree is computed; the
+    power sums themselves are not bounded, since a pairing such as
+    (1 + x t) with 1/(1 - x t) cancels them to 1 + x**2 t.  ValueError on
+    a constant term other than 1: the minors then weight lam by
+    a_0**len(lam), which no ring homomorphism does.
     """
     check_order(order)
     if f.order < order or g.order < order:
         raise ValueError("both operands must carry at least the target order")
-    p, scale = [1] * (order + 1), 1
+    hs, scale = [], 1
     for s in (f, g):
         if s.coeffs[0] != 1:
             raise ValueError("the pairing product needs constant term 1")
         # read at D t: h_n = D**n a_n = D**(n-1) b_n
         D, b = linalg.scale_to_integers(s.coeffs[: order + 1], "operand denominator")
-        h = [1] + [x * D ** (n - 1) for n, x in enumerate(b[1:], 1)]
-        p = [x * y for x, y in zip(p, _power_sums(h, order))]
+        hs.append([1] + [x * D ** (n - 1) for n, x in enumerate(b[1:], 1)])
         scale *= D
-    return _exp_power_sums(p, order).scale_variable(Fraction(1, scale))
+    p = (x * y for x, y in zip(*(_power_sums(h, order) for h in hs)))
+    return _exp_power_sums(p, order, Fraction(1, scale))
 
 
-def _power_sums(h, order: int) -> list[int]:
-    """[0, p_1, ..., p_order] for the alphabet whose complete homogeneous
+def _power_sums(h, order: int):
+    """Yield 0, p_1, ..., p_order for the alphabet whose complete homogeneous
     values are the integers h, with h_0 = 1, by Newton's identity
-    n h_n = sum_{i=1}^n p_i h_{n-i}; the p_k are integers too."""
+    n h_n = sum_{i=1}^n p_i h_{n-i}; the p_k are integers too.  Each is
+    computed when it is read."""
     p = [0]
+    yield 0
     for n in range(1, order + 1):
-        p.append(_check_printable(n * h[n] - sum(p[i] * h[n - i] for i in range(1, n))))
-    return p
+        p.append(n * h[n] - sum(p[i] * h[n - i] for i in range(1, n)))
+        yield p[n]
 
 
-def _exp_power_sums(p, order: int) -> TruncSeries:
-    """exp(sum_k p_k t^k / k) to the order: the same identity, solved for h.
-    Products of power sums of integral series have integral h, so every
-    division is exact; ConsistencyError on a remainder."""
-    h = [1]
-    for n in range(1, order + 1):
-        q, r = divmod(sum(p[i] * h[n - i] for i in range(1, n + 1)), n)
-        if r:
-            raise ConsistencyError(f"power sums give a non-integral h_{n}")
-        h.append(_check_printable(q))
-    return TruncSeries(h)
+def _exp_power_sums(p, order: int, a) -> TruncSeries:
+    """exp(sum_k p_k (a t)^k / k) to the order, for the integers p_0, p_1, ...
+    read from the iterable p one degree at a time: the same identity,
+    solved for h.  Products of power sums of integral series have integral
+    h, so every division is exact; ConsistencyError on a remainder.  Each
+    coefficient h_n a^n is refused as soon as it is computed if it cannot be
+    printed, before the power sums of higher degree are read."""
+    ps, h, out = [], [1], []
+    for n, pn in zip(range(order + 1), p):
+        ps.append(pn)
+        if n:
+            q, r = divmod(sum(ps[i] * h[n - i] for i in range(1, n + 1)), n)
+            if r:
+                raise ConsistencyError(f"power sums give a non-integral h_{n}")
+            h.append(q)
+        out.append(_check_printable(h[n] * a**n))
+    return TruncSeries(out)
 
 
 def predict_hom_series(

@@ -902,24 +902,46 @@ class TestTypedFailures:
         assert err == f"error: window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, budget",
         [
-            # without the bound: 78 s, then exit 2 at printing
-            ("predict", "--what", "A", "--alphas", "1000000", "--alphas2", "1000000"),
+            # without the bound: 78 s, then exit 2 at printing; the result
+            # passes the limit at degree 359, which takes about 1.5 s
+            (("predict", "--what", "A", "--alphas", "1000000", "--alphas2", "1000000"), 10.0),
             # without the bound: exit 2 at printing
-            ("predict", "--what", "sym", "--alphas", "1000000"),
+            (("predict", "--what", "sym", "--alphas", "1000000"), 1.0),
             # without the bound: over 300 s
-            ("series", "diamond", "--f", f"1,{2**64 - 59},{2**64 - 59}",
-             "--g", f"1,{2**64 - 59},{2**64 - 59}"),
+            (("series", "diamond", "--f", f"1,{2**64 - 59},{2**64 - 59}",
+              "--g", f"1,{2**64 - 59},{2**64 - 59}"), 1.0),
         ],
     )
-    def test_coefficients_too_long_to_print_exit_3_as_they_grow(self, capsys, argv):
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    def test_coefficients_too_long_to_print_exit_3_as_they_grow(
+        self, capsys, monkeypatch, argv, budget
+    ):
+        limit = sys.int_info.default_max_str_digits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--degree", str(ORDER_CAP))
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < budget
         assert (code, out) == (3, "")
-        assert re.fullmatch(rf"error: coefficient digits \d+ exceeds cap {limit}\n", err)
+        assert re.fullmatch(
+            rf"error: coefficient bit length \d+ exceeds the limit of {limit} decimal digits\n",
+            err,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the pairing (1 + x t) with 1/(1 - x t): power sums of x**(2 k)
+            ("--what", "A", "--betas", "10" * 50, "--alphas2", "10" * 50),
+            # 1/A(-t), where A = 1/(1 - x**2 t) passes the limit at degree 22
+            ("--what", "E", "--alphas", "10" * 50, "--alphas2", "10" * 50),
+        ],
+    )
+    def test_short_results_of_long_intermediates_are_not_refused(self, capsys, argv):
+        x = int("10" * 50)
+        code, out, _ = run(capsys, "predict", *argv, "--degree", "100")
+        assert code == 0
+        assert out.splitlines()[0] == ", ".join(["1", str(x**2)] + ["0"] * 99)
 
     @pytest.mark.parametrize(
         "argv, size",

@@ -480,23 +480,28 @@ class TestOperandAndPolynomialCaps:
 
 
 class TestPrintBound:
-    """A coefficient whose numerator or denominator has more decimal digits
-    than str converts is refused as it is computed: no output holding it
-    could be printed."""
+    """A series coefficient whose numerator or denominator has more decimal
+    digits than str converts is refused when it is rendered, and by diamond
+    as soon as it is computed; a result that prints is never refused, however
+    long the intermediates that lead to it."""
 
-    LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    @pytest.fixture
+    def limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(old)
 
-    def test_the_bound_is_the_digit_limit_of_str(self):
+    def test_the_bound_is_the_digit_limit_of_str(self, limit):
         def digits(x):
-            old = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(0)
             try:
                 return len(str(abs(x)))
             finally:
-                sys.set_int_max_str_digits(old)
+                sys.set_int_max_str_digits(limit)
 
         # powers of 10 and of 2 on both sides of 10**limit
-        check, limit = series_module._check_printable, self.LIMIT
+        check = series_module._check_printable
         top = (10**limit).bit_length()
         candidates = [10**k + e for k in range(limit - 2, limit + 30) for e in (-1, 0, 1)]
         candidates += [2**b + e for b in range(top - 30, top + 30) for e in (-1, 0)]
@@ -505,28 +510,46 @@ class TestPrintBound:
                 if digits(x) <= limit:
                     assert check(y) is y and str(y)
                 else:
-                    with pytest.raises(
-                        CapExceeded, match=f"^coefficient digits {digits(x)} exceeds cap {limit}$"
-                    ):
+                    message = (
+                        f"^coefficient bit length {x.bit_length()} "
+                        f"exceeds the limit of {limit} decimal digits$"
+                    )
+                    with pytest.raises(CapExceeded, match=message):
                         check(y)
-                    if sys.get_int_max_str_digits():  # 0 switches the limit off
-                        with pytest.raises(ValueError, match="Exceeds the limit"):
-                            str(y)
+                    with pytest.raises(ValueError, match="Exceeds the limit"):
+                        str(y)
 
-    @pytest.mark.parametrize(
-        "compute",
-        [
-            # the series 1/(1 - x t) and its power sums x^k, x = 10**100
-            lambda: expand_ratio([1], [1, -(10**100)], ORDER_CAP),
-            lambda: series_module._power_sums([10 ** (100 * n) for n in range(101)], 100),
-            lambda: series_module._exp_power_sums([10 ** (100 * k) for k in range(101)], 100),
-        ],
-    )
-    def test_each_expansion_refuses_as_its_coefficients_grow(self, compute):
+    def test_no_limit_refuses_nothing(self, limit):
+        x = 10 ** (2 * limit)
+        sys.set_int_max_str_digits(0)
+        assert series_module._check_printable(Fraction(1, x)) == Fraction(1, x)
+        assert TruncSeries([1, x]).render() == f"1, {x}"
+        f = expand_ratio([1], [1, -(10**100)], 100)
+        assert diamond(f, f, 100).coeffs[-1] == 10**20000
+
+    def test_rendering_refuses_what_expand_ratio_computes(self, limit):
+        # an expansion may be a pairing operand, so computing it is not refused
+        f = expand_ratio([1], [1, -(10**100)], ORDER_CAP)
+        with pytest.raises(CapExceeded, match="^coefficient bit length "):
+            f.render()
+
+    def test_diamond_refuses_as_its_result_grows(self, limit):
+        f = expand_ratio([1], [1, -(10**100)], ORDER_CAP)
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match=f"^coefficient digits \\d+ exceeds cap {self.LIMIT}$"):
-            compute()
+        # the result is 1/(1 - 10**200 t), past the limit at degree 22
+        with pytest.raises(CapExceeded, match="^coefficient bit length "):
+            diamond(f, f, ORDER_CAP)
         assert time.perf_counter() - start < 1.0
+
+    def test_diamond_prints_short_results_of_long_intermediates(self, limit):
+        # read at D t, D = 2**200, the power sums of 1/(1 - t/2) carry D**n
+        # and pass the limit near degree 73
+        f = expand_ratio([1], [1, Fraction(-1, 2)], 200)
+        assert diamond(f, f, 200).coeffs == tuple(Fraction(1, 4**n) for n in range(201))
+        # power sums of 10**(100 k), cancelling to 1 + 10**200 t
+        x = 10**100
+        f, g = TruncSeries([1, x] + [0] * 99), expand_ratio([1], [1, -x], 100)
+        assert diamond(f, g, 100).coeffs == (1, x**2) + (0,) * 99
 
 
 class TestRationalForm:
@@ -939,7 +962,7 @@ class TestPredictHomSeries:
 
         def power_sums(cert):
             h = [c.numerator for c in cert.symmetric_series(order).coeffs]
-            p = series_module._power_sums(h, order)
+            p = list(series_module._power_sums(h, order))
             assert all(type(x) is int for x in p)
             return p
 
@@ -956,12 +979,12 @@ class TestPredictHomSeries:
         p = power_sums(cert)
         assert p[1:] == [2**k - (-5) ** k for k in range(1, order + 1)]
         # and the same identity solved for h returns the series
-        assert series_module._exp_power_sums(p, order) == cert.symmetric_series(order)
+        assert series_module._exp_power_sums(p, order, 1) == cert.symmetric_series(order)
 
     def test_a_remainder_in_the_exponential_step_is_a_bug(self):
         # p_1 = 1, p_2 = 0 would need h_2 = 1/2: no product of integral series
         with pytest.raises(ConsistencyError, match="non-integral h_2"):
-            series_module._exp_power_sums([0, 1, 0], 2)
+            series_module._exp_power_sums([0, 1, 0], 2, 1)
 
 
 def test_poly_mul():
