@@ -381,13 +381,10 @@ def hankel_minor(f: TruncSeries, i: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("window size must be nonnegative")
-    if k:
-        if i + k - 1 > f.order:
-            raise ValueError("window extends beyond the truncation order")
-        check_order(i + k - 1)
+    value = schur_values(f, i + k - 1 if k else 0)
     if i < 0 < k:
         return Fraction(0)  # the first column a_{i-s} is all zero
-    return schur_values(f)((i,) * k)
+    return value((i,) * k)
 
 
 class _SchurTable(dict):
@@ -426,17 +423,23 @@ def _window(f: TruncSeries) -> tuple[int, list[int]]:
     return D, a
 
 
-def schur_values(f: TruncSeries):
-    """The reader lam -> det(a_{lam_i - i + j}) of one memo table for f.
+def schur_values(f: TruncSeries, top: int):
+    """The reader lam -> det(a_{lam_i - i + j}) of one memo table for the
+    window a_0 ... a_top of f (a_0 alone when top < 0), the only
+    coefficients read and capped.
 
     The determinant is the series homomorphism on the Schur element s_lam
     (Jacobi-Trudi) when a_0 = 1, the h_0 that symfunc reads.  The table
-    runs on the integers D a_n, D the lcm of the denominators, and the
-    determinant is homogeneous of degree len(lam), so a value is its entry
-    over D**len(lam).  Trailing zero parts, as in the Hankel window (0,)*k,
-    contribute a factor a_0 each.  A matrix entry beyond the truncation
-    order raises as TruncSeries.coeff does.
+    runs on the integers D a_n, D the lcm of the window's denominators,
+    and the determinant is homogeneous of degree len(lam), so a value is
+    its entry over D**len(lam).  Trailing zero parts, as in the Hankel
+    window (0,)*k, contribute a factor a_0 each.  A top beyond f's
+    truncation order, and a matrix entry beyond the window, raise as
+    TruncSeries.coeff does.
     """
+    f.coeff(top)
+    check_order(top)
+    f = TruncSeries(f.coeffs[: max(top, 0) + 1])
     D, b = _window(f)
     table, b0 = _SchurTable(b), b[0]
 
@@ -536,10 +539,8 @@ def total_positivity(f: TruncSeries, max_weight: int):
     """
     from .partitions import enumerate_partitions
 
-    if max_weight > f.order:
-        raise ValueError("max_weight exceeds the truncation order")
+    value = schur_values(f, max_weight)
     check_weight(max_weight)
-    value = schur_values(f)
     for w in range(max_weight + 1):
         for lam in enumerate_partitions(w):
             val = value(lam)
@@ -646,8 +647,8 @@ def diamond(f: TruncSeries, g: TruncSeries, order: int) -> TruncSeries:
     a_0**len(lam), which no ring homomorphism does.
     """
     check_order(order)
-    if f.order < order or g.order < order:
-        raise ValueError("both operands must carry at least the target order")
+    f.coeff(order)
+    g.coeff(order)
     hs, scale = [], 1
     for s in (f, g):
         if s.coeffs[0] != 1:

@@ -257,10 +257,7 @@ def omega(u: SymElement) -> SymElement:
 def hom_eval(f: TruncSeries, u: SymElement) -> Fraction:
     """Apply the ring homomorphism sending the degree-n h-generator to the
     n-th coefficient of f."""
-    if u.degree > f.order:
-        raise ValueError(
-            f"element degree {u.degree} exceeds truncation order {f.order}"
-        )
+    f.coeff(u.degree)
     uh = to_basis(u, "h")
     total = Fraction(0)
     for lam, c in uh.coeffs.items():
@@ -273,20 +270,20 @@ def hom_eval(f: TruncSeries, u: SymElement) -> Fraction:
     return total
 
 
-def _values(f: TruncSeries):
-    """The reader lam -> value of the series homomorphism on s_lam:
-    ``series.schur_values`` of f with its constant term read as h_0 = 1."""
-    return schur_values(TruncSeries((1,) + f.coeffs[1:]))
+def _values(f: TruncSeries, n: int):
+    """The reader lam -> value of the series homomorphism on s_lam for
+    weights up to n: ``series.schur_values`` of a_1 ... a_n with the
+    constant term read as h_0 = 1.  Degrees past the cap are refused."""
+    value = schur_values(TruncSeries((1,) + f.coeffs[1 : n + 1]), n)
+    _check_degree(n)
+    return value
 
 
 def hall_rep(f: TruncSeries, n: int) -> SymElement:
     """The degree-n element representing the series homomorphism under the
     Hall pairing: sum over weight-n partitions of (value on s_lam) * s_lam,
     the values taken with h_0 = 1 whatever f's constant term."""
-    if n > f.order:
-        raise ValueError(f"degree {n} exceeds truncation order {f.order}")
-    _check_degree(n)
-    value = _values(f)
+    value = _values(f, n)
     coeffs = {}
     for lam in enumerate_partitions(n):
         val = value(lam)
@@ -322,8 +319,4 @@ def schur_value(f: TruncSeries, lam) -> Fraction:
     """Value of the series homomorphism on the Schur generator s_lam, read
     off the Jacobi-Trudi table with h_0 = 1 whatever f's constant term."""
     lam = as_partition(lam)
-    w = weight(lam)
-    if w > f.order:
-        raise ValueError(f"element degree {w} exceeds truncation order {f.order}")
-    _check_degree(w)
-    return _values(f)(lam)
+    return _values(f, weight(lam))(lam)

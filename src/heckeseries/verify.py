@@ -224,7 +224,7 @@ def suite_positivity(cert: BirankCertificate, max_weight: int) -> VerificationRe
 
     check_weight(max_weight)
     report = VerificationReport("positivity")
-    value = schur_values(cert.symmetric_series(max_weight))
+    value = schur_values(cert.symmetric_series(max_weight), max_weight)
     for w in range(max_weight + 1):
         for lam in enumerate_partitions(w):
             val = value(lam)

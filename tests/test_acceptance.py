@@ -243,7 +243,7 @@ def test_criterion_07_support_law(criterion):
         cert = BirankCertificate.from_polynomials(
             poly_from_roots((1,) * r0), poly_from_roots((1,) * r1)
         )
-        value = schur_values(cert.symmetric_series(8))
+        value = schur_values(cert.symmetric_series(8), 8)
         for w in range(0, 9):
             for lam in enumerate_partitions(w):
                 val = value(lam)

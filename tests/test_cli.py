@@ -901,6 +901,21 @@ class TestTypedFailures:
         assert (code, out) == (3, "")
         assert err == f"error: window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}\n"
 
+    def test_total_positivity_caps_only_the_coefficients_it_reads(self, capsys):
+        # a_0 ... a_9 fit the cap, and a_10 takes their lcm past it
+        coeffs = ",".join(map(str, big_denominator_window()))
+        code, out, _ = run(
+            capsys, "series", "total-positivity", "--coeffs", coeffs, "--max-weight", "9"
+        )
+        assert (code, out) == (0, "ok\n")
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "series", "total-positivity", "--coeffs", coeffs, "--max-weight", "10"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == f"error: window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}\n"
+
     @pytest.mark.parametrize(
         "argv, budget",
         [

@@ -139,6 +139,29 @@ def test_only_linalg_takes_a_denominator_lcm():
     assert readers == {"linalg"}
 
 
+def test_only_coeff_and_the_schur_reader_compare_a_truncation_order():
+    """``TruncSeries.coeff`` makes every truncation check: the one other
+    comparison in ``src/`` that reads a ``.order`` attribute is the
+    partition reader of ``schur_values``, which names the first entry past
+    its window."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "order" for n in ast.walk(child)
+            ):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(heckeseries.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert sorted(found) == ["series.TruncSeries.coeff", "series.schur_values.value"]
+
+
 def test_compute_loads_only_the_matrix_modules():
     """compute loads no series code and predict no matrix code, and
     partitions is loaded only by the commands that read or print a
@@ -205,16 +228,22 @@ ORDER_TWO = series.TruncSeries([1, 2, 3])
         (lambda: series.TruncSeries([]), "a truncated series needs at least one coefficient"),
         (lambda: series.hankel_minor(ORDER_TWO, 0, -1), "window size must be nonnegative"),
         (lambda: series.detect_rational(ORDER_TWO, -1), "r_max must be nonnegative"),
-        (lambda: series.total_positivity(ORDER_TWO, ORDER_TWO.order + 1),
-         "max_weight exceeds the truncation order"),
+        (lambda: series.total_positivity(ORDER_TWO, 3), "coefficient 3 beyond truncation order 2"),
+        (lambda: series.hankel_minor(ORDER_TWO, 1, 3), "coefficient 3 beyond truncation order 2"),
+        (lambda: series.diamond(ORDER_TWO, ORDER_TWO, 3),
+         "coefficient 3 beyond truncation order 2"),
         (lambda: symfunc.SymElement(-1, "s", {}), "degree must be nonnegative"),
         (lambda: symfunc.to_basis(symfunc.SymElement.unit(), "x"), "unknown basis 'x'"),
-        (lambda: symfunc.hall_rep(ORDER_TWO, ORDER_TWO.order + 1),
-         "degree 3 exceeds truncation order 2"),
+        (lambda: symfunc.hall_rep(ORDER_TWO, 3), "coefficient 3 beyond truncation order 2"),
+        (lambda: symfunc.schur_value(ORDER_TWO, (2, 1)),
+         "coefficient 3 beyond truncation order 2"),
+        (lambda: symfunc.hom_eval(ORDER_TWO, symfunc.SymElement.generator("h", (3,))),
+         "coefficient 3 beyond truncation order 2"),
     ],
     ids=[
         "parse_partition", "enumerate_partitions", "TruncSeries", "hankel_minor",
-        "detect_rational", "total_positivity", "SymElement", "to_basis", "hall_rep",
+        "detect_rational", "total_positivity", "hankel_minor_window", "diamond",
+        "SymElement", "to_basis", "hall_rep", "schur_value", "hom_eval",
     ],
 )
 def test_argument_refusals_name_their_fault(call, message):

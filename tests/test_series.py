@@ -212,7 +212,7 @@ class TestHankelMinor:
         for i in range(0, 4):
             for k in range(0, 4):
                 lam = (i,) * k if i else ()
-                assert hankel_minor(f, i, k) == schur_values(f)(lam)
+                assert hankel_minor(f, i, k) == schur_values(f, 10)(lam)
 
 
 class TestSchurValues:
@@ -234,7 +234,7 @@ class TestSchurValues:
             else:  # a positive certificate-like series
                 tail = list(expand_ratio([1, 1], [1, -rng.randint(1, 3)], order).coeffs[1:])
             f = TruncSeries([a0s[trial // 4 % 4]] + tail)
-            value = schur_values(f)
+            value = schur_values(f, order)
             for w in range(order + 1):
                 for lam in partitions.enumerate_partitions(w):
                     assert value(lam) == jacobi_trudi_det(f, lam), (f, lam)
@@ -246,7 +246,7 @@ class TestSchurValues:
 
     def test_trailing_zero_parts(self):
         f = TruncSeries([1, 2, 3, 5, 8])
-        assert schur_values(f)((2, 0, 0)) == jacobi_trudi_det(f, (2, 0, 0))
+        assert schur_values(f, 4)((2, 0, 0)) == jacobi_trudi_det(f, (2, 0, 0))
 
     @pytest.mark.parametrize("lam", [(3,), (5,), (2, 2), (1, 1, 1, 1), (0, 0, 0, 0), (3, 0)])
     def test_entries_beyond_the_window_raise_as_coeff_does(self, lam):
@@ -254,7 +254,7 @@ class TestSchurValues:
         with pytest.raises(ValueError) as expected:
             jacobi_trudi_det(f, lam)
         with pytest.raises(ValueError) as got:
-            schur_values(f)(lam)
+            schur_values(f, 2)(lam)
         assert str(got.value) == str(expected.value)
         assert str(got.value).endswith("beyond truncation order 2")
 
@@ -424,7 +424,25 @@ class TestSchurWindowCaps:
         for read in (
             lambda: total_positivity(f, 24),
             lambda: hankel_minor(f, 0, 12),
-            lambda: schur_values(f),
+            lambda: schur_values(f, 24),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(CapExceeded, match=message):
+                read()
+            assert time.perf_counter() - start < 1.0
+
+    def test_readers_cap_only_the_coefficients_they_read(self):
+        # the lcm D of a_0 ... a_9 fits, and a_10 takes it past the cap
+        f = TruncSeries(big_denominator_window())
+        message = f"^window denominator bit length 1075 exceeds cap {BIT_LENGTH_CAP}$"
+        assert hankel_minor(f, 0, 10) == jacobi_trudi_det(f, (0,) * 10)
+        assert hankel_minor(f, 1, 9) == jacobi_trudi_det(f, (1,) * 9)
+        assert schur_values(f, 9)((5, 3, 1)) == jacobi_trudi_det(f, (5, 3, 1))
+        assert total_positivity(f, 9) is None
+        for read in (
+            lambda: hankel_minor(f, 0, 11),
+            lambda: schur_values(f, 10),
+            lambda: total_positivity(f, 10),
         ):
             start = time.perf_counter()
             with pytest.raises(CapExceeded, match=message):
@@ -441,14 +459,14 @@ class TestSchurWindowCaps:
     )
     def test_one_bit_past_the_cap_is_refused(self, coeffs, message):
         with pytest.raises(CapExceeded, match=f"^{message} exceeds cap {BIT_LENGTH_CAP}$"):
-            hankel_minor(TruncSeries(coeffs), 0, 1)
+            hankel_minor(TruncSeries(coeffs), 1, 1)
 
     def test_a_window_at_the_cap_is_read(self):
         # D = 2**(cap - 1) and the scaled window [D, 1, D] are cap bits long
         small = Fraction(1, 2 ** (BIT_LENGTH_CAP - 1))
         f = TruncSeries([1, small, 1])
         assert hankel_minor(f, 1, 1) == small
-        value = schur_values(f)
+        value = schur_values(f, 2)
         for lam in [(1,), (2,), (1, 1)]:
             assert value(lam) == jacobi_trudi_det(f, lam)
         assert total_positivity(f, 2) == ((1, 1), small**2 - 1)

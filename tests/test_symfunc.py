@@ -40,6 +40,7 @@ from oracles import (
     count_mixed_matrices,
     count_row_col_matrices,
     invert_unitriangular,
+    jacobi_trudi_det,
     lr_coeff,
     pair_sum_character,
     partition_pairs,
@@ -512,7 +513,7 @@ class TestSchurValue:
     def test_refuses_weights_beyond_the_window(self):
         # the table alone would answer (2, 2) from a_0 ... a_3
         f = TruncSeries([1, 2, 3, 4])
-        with pytest.raises(ValueError, match="^element degree 4 exceeds truncation order 3$"):
+        with pytest.raises(ValueError, match="^coefficient 4 beyond truncation order 3$"):
             schur_value(f, (2, 2))
 
     def test_frozen(self):
@@ -521,14 +522,18 @@ class TestSchurValue:
         assert schur_value(f, (1, 1)) == 0
 
     def test_refuses_a_window_past_the_bit_length_cap_at_once(self):
-        # the whole window is read, as by series.schur_values: its lcm D
+        # a_1 ... a_n are read, as by series.schur_values: their lcm D
         # passes the cap at a_10
         f = TruncSeries(big_denominator_window())
+        assert schur_value(f, (9,)) == jacobi_trudi_det(f, (9,))
+        assert hall_rep(f, 3).coeffs == {
+            lam: jacobi_trudi_det(f, lam) for lam in enumerate_partitions(3)
+        }
         start = time.perf_counter()
         with pytest.raises(
             CapExceeded, match="^window denominator bit length 1075 exceeds cap 1024$"
         ):
-            schur_value(f, (1,))
+            schur_value(f, (10,))
         assert time.perf_counter() - start < 1.0
 
 
