@@ -88,7 +88,7 @@ class HeckeSymmetry:
     ascending.  Column (i-1)·d + (j-1) holds R(e_i⊗e_j), row (k-1)·d + (l-1)
     its e_k⊗e_l component.  Only q is read as a rational; ``matrix`` is a
     derived read.  Instances are immutable after construction; ``_cache``
-    holds only what ``_relations`` and ``_dims`` derive from them.
+    holds only the graded dimensions ``_dims`` derives from them.
     ``_twin`` is the matrix every relation family reads: the builtin
     deformed swap a user symmetry conjugates (``_normal_form``) when there
     is one, else the symmetry itself.
@@ -400,7 +400,8 @@ def read_symmetry(spec: str) -> HeckeSymmetry:
 def _graded_quotient_dims(d: int, relations, n_max: int):
     """Dimensions, per degree up to n_max, of the quotient of the tensor
     algebra on V = k^d by the ideal generated by ``relations``, a basis
-    (possibly empty) of the relations placed at every pair of adjacent slots.
+    (possibly empty, supports as ``_relations`` gives them) of the relations
+    placed at every pair of adjacent slots.
 
     The degree-n relation space is W_{n-1}⊗V + V^{⊗(n-2)}⊗R, and
     W_{n-2}⊗V⊗V already lies in W_{n-1}⊗V, so Q_n is Q_{n-1}⊗V modulo the
@@ -409,8 +410,6 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     size of the quotient, never of the tensor power.
     """
     dims = [1, d] if n_max else [1]
-    # each relation as (a, b, x): coefficient x on e_a⊗e_b
-    supports = [[(*divmod(k, d), x) for k, x in enumerate(u) if x] for u in relations]
     # ext[j*d + a]: the class of (basis vector j of Q_{n-2})⊗e_a in Q_{n-1},
     # as (basis index, integer coefficient) pairs: its pairings with the
     # annihilator of the degree-(n-1) relations, one coordinate per vector
@@ -418,7 +417,7 @@ def _graded_quotient_dims(d: int, relations, n_max: int):
     for n in range(2, n_max + 1):
         ncols = dims[n - 1] * d
         ech = linalg.Echelon(ncols)
-        for support in supports:
+        for support in relations:
             for j in range(dims[n - 2]):
                 row = [0] * ncols
                 for a, b, x in support:
@@ -458,44 +457,44 @@ def _frt_entries(sym_target: HeckeSymmetry, sym_source: HeckeSymmetry):
 
 
 def _relations(sym: HeckeSymmetry, kind: str, target: HeckeSymmetry | None = None):
-    """The pair relations of family ``kind`` as integer rows, built once per
-    symmetry and target: the reduced basis of Im Yᵀ (the row space of Y) for
-    "sym" and "A", a basis of Ker Yᵀ for "ext" and "E", Y as in
-    ``_frt_entries``.  Target None, the key of "sym" and "ext", reads as the
-    one-dimensional symmetry q = a/b: there Yᵀ = a·s - b·M = -b·s·(R - q).
-    Conjugation minus identity, φ ↦ R'^{-1}φR - φ, is -R'^{-1}·Y(φ)/(s·s'),
-    with row space Im Yᵀ, and for a shared q it is Y(φR)/(q·s·s'), as
-    R'^{-1}φ - φR^{-1} = (R'φ - φR)/q, with transpose kernel Ker Yᵀ.  The
-    nonzero rows reach one ``linalg.Echelon`` in index order."""
-    key = ("relations", kind, target)
-    if key not in sym._cache:
-        target = target or build_standard(1, sym.q)
-        size = (sym.d * target.d) ** 2
-        kernel = kind in ("ext", "E")
-        rows = {}
-        for r, c, x in _frt_entries(target._twin, sym._twin):
-            i, j = (r, c) if kernel else (c, r)
-            rows.setdefault(i, [0] * size)[j] = x
-        ech = linalg.Echelon(size)
-        for i in sorted(rows):
-            ech.add(rows[i])
-        sym._cache[key] = tuple(map(tuple, ech.annihilator() if kernel else ech.reduced()))
-    return sym._cache[key]
+    """The pair relations of family ``kind`` as supports ``[(a, b, x), …]``,
+    x on e_a⊗e_b: the reduced basis of Im Yᵀ (the row space of Y) for "sym"
+    and "A", a basis of Ker Yᵀ for "ext" and "E", Y as in ``_frt_entries``.
+    Target None, as "sym" and "ext" read, is the one-dimensional symmetry
+    q = a/b: there Yᵀ = a·s - b·M = -b·s·(R - q).  Conjugation minus
+    identity, φ ↦ R'^{-1}φR - φ, is -R'^{-1}·Y(φ)/(s·s'), with row space
+    Im Yᵀ, and for a shared q it is Y(φR)/(q·s·s'), as R'^{-1}φ - φR^{-1} =
+    (R'φ - φR)/q, with transpose kernel Ker Yᵀ.  The rows of Yᵀ stay sparse
+    until each, in index order, enters one ``linalg.Echelon``; none is kept."""
+    target = target or build_standard(1, sym.q)
+    d = sym.d * target.d
+    kernel = kind in ("ext", "E")
+    rows = {}
+    for r, c, x in _frt_entries(target._twin, sym._twin):
+        i, j = (r, c) if kernel else (c, r)
+        rows.setdefault(i, {})[j] = x
+    ech = linalg.Echelon(d * d)
+    for i in sorted(rows):
+        row = [0] * (d * d)
+        for j, x in rows.pop(i).items():
+            row[j] = x
+        ech.add(row)
+    basis = ech.annihilator() if kernel else ech.reduced()
+    return [[(*divmod(k, d), x) for k, x in enumerate(u) if x] for u in basis]
 
 
 def _dims(sym: HeckeSymmetry, kind: str, n_max: int, target: HeckeSymmetry | None = None):
     """Dimensions for n = 0..n_max of the quotient by the ``kind`` relations
-    at every pair of adjacent slots, cached per symmetry and target; a
+    at every pair of adjacent slots, the one memo per symmetry and target; a
     longer cached list serves any shorter request.  The relations are built
     after the cap check, and only for degree 2 and up, which read them."""
-    key = ("dims", kind, target)
+    key = (kind, target)
     dims = sym._cache.get(key)
     if dims is None or len(dims) <= n_max:
         d = sym.d * (target.d if target else 1)
         _check_cap(d, n_max)
         relations = _relations(sym, kind, target) if n_max > 1 else ()
-        dims = _graded_quotient_dims(d, relations, n_max)
-        sym._cache[key] = dims
+        dims = sym._cache[key] = _graded_quotient_dims(d, relations, n_max)
     return dims[: n_max + 1]
 
 

@@ -1058,6 +1058,29 @@ class TestTypedFailures:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == "error: tensor power dimension 2**1000000000 exceeds cap 4096\n"
 
+    def test_hom_relations_at_degree_2_stay_in_bounded_memory(self):
+        # the E relations of std7 x std7 span 2401 columns; kept as dense
+        # rows of Yᵀ and a dense memo they took a 127-130 MB peak, built
+        # from sparse rows and kept by no memo about 62 MB (Python 3.10-3.13)
+        status = Path("/proc/self/status")
+        if not status.exists() or "VmHWM:" not in status.read_text():
+            pytest.skip("no VmHWM line in /proc/self/status")
+        child = (
+            "import sys\n"
+            "from heckeseries.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(*(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        spec = "std:r=7,q=2"
+        done = subprocess.run(
+            [sys.executable, "-c", child, "compute", "--symmetry", spec, "--what", "E:" + spec, "--degree", "2"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "1, 49, 1176\n")
+        assert int(done.stderr) < 96 * 1024  # kB
+
     def test_dense_validation_beyond_the_work_cap_exits_3_at_once(self, capsys, tmp_path):
         # (g⊗g) R (g⊗g)^-1 for R = std:r=8,q=2 and g = I + J, J all ones,
         # whose inverse is I - J/9: a valid symmetry with full columns, whose
@@ -1278,6 +1301,26 @@ class TestTypedFailures:
             code, out, err = run(capsys, "predict", "--what", "A", *argv)
             assert (code, out) == (1, "")
             assert err == "error: power sums give a non-integral h_2\n"
+
+    def test_consistency_errors_exit_1_and_other_assertion_errors_leave_main(self, capsys, monkeypatch):
+        # a ConsistencyError is an AssertionError that main words and ends
+        # with exit 1; any other AssertionError is a bug, and leaves main
+        argv = ["compute", "--symmetry", "std:r=2,q=2", "--what", "sym", "--degree", "3"]
+
+        def raising(exc):
+            def fail(*args):
+                raise exc
+
+            monkeypatch.setattr(rmatrix, "symmetric_dims", fail)
+
+        raising(series.ConsistencyError("no exact step"))
+        assert run(capsys, *argv) == (1, "", "error: no exact step\n")
+        bug = AssertionError("a bug")
+        raising(bug)
+        with pytest.raises(AssertionError) as caught:
+            main(argv)
+        assert caught.value is bug
+        assert capsys.readouterr() == ("", "")
 
 
 # one command for each exit code

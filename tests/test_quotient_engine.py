@@ -256,34 +256,41 @@ def test_frt_rows_span_the_dense_conjugation_relations(target, source):
         assert oracles.nullspace(zip(*rows), size) == oracles.nullspace(zip(*want), size)
 
 
+def dense_relation_rows(supports, d):
+    """Relation supports ``[(a, b, x), …]`` as dense rows of length d², each
+    entry listed once and nonzero."""
+    rows = [[0] * (d * d) for _ in supports]
+    for row, support in zip(rows, supports):
+        for a, b, x in support:
+            assert x and not row[a * d + b]
+            row[a * d + b] = x
+    return rows
+
+
 def test_relation_bases_equal_the_dense_route():
-    """The one sparse relation builder gives, under their memo keys, the
-    kernel bases of the full matrices that the engine reads (a user
-    symmetry's sparse twin where it has one) bit for bit, and the reduced
-    form of their image bases, which on builtins and twins is the dense
-    route's own basis; inputs with no twin run on the matrix as given."""
+    """The one sparse relation builder gives, as dense rows, the kernel
+    bases of the full matrices that the engine reads (a user symmetry's
+    sparse twin where it has one) bit for bit, and the reduced form of their
+    image bases, which on builtins and twins is the dense route's own basis;
+    inputs with no twin run on the matrix as given."""
     rng = random.Random("relation bases")
     syms = [sym for _, build, _ in BUILTINS for sym in (build(), dense_conjugate(build(), rng))]
     no_twin = no_twin_symmetries()
     for sym in syms + list(no_twin.values()):
         image, kernel = oracles.dense_pair_bases(sym._twin)
-        got = {kind: rmatrix._relations(sym, kind) for kind in ("sym", "ext")}
-        assert got["sym"] == tuple(map(tuple, oracles.reduced_basis(image, sym.d**2))), sym
-        assert got["ext"] == tuple(map(tuple, kernel)), sym
+        got = {kind: dense_relation_rows(rmatrix._relations(sym, kind), sym.d) for kind in ("sym", "ext")}
+        assert got["sym"] == oracles.reduced_basis(image, sym.d**2), sym
+        assert got["ext"] == kernel, sym
         if sym in syms:
-            assert got["sym"] == tuple(map(tuple, image)), sym
-        for kind in got:
-            assert sym._cache["relations", kind, None] is got[kind]
+            assert got["sym"] == image, sym
     pairs = [(HOM_SYMS[target](), HOM_SYMS[source]()) for target, source in HOM_PAIRS]
     pairs += [(dense_conjugate(a, rng), dense_conjugate(b, rng)) for a, b in pairs]
     pairs += [(no_twin["super11 q=1"], no_twin["super11 q=1 again"]), (no_twin["form"],) * 2]
     for t, s in pairs:
         image, kernel = oracles.dense_hom_relations(t._twin, s._twin)
         for kind, want in (("A", oracles.reduced_basis(image, (t.d * s.d) ** 2)), ("E", kernel)):
-            rmatrix.hom_dims(t, s, kind, 2)
-            got = s._cache["relations", kind, t]
-            assert got == tuple(map(tuple, want)), (t, s, kind)
-            assert rmatrix._relations(s, kind, t) is got
+            got = dense_relation_rows(rmatrix._relations(s, kind, t), t.d * s.d)
+            assert got == want, (t, s, kind)
 
 
 def no_twin_symmetries():
@@ -398,9 +405,9 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     assert main(["compute", "--symmetry", spec, "--what", "A:" + spec, "--degree", "5"]) == 0
     assert capsys.readouterr().out == "1, 4, 10, 20, 35, 56\n"
     assert calls == {"chains": 1, "entries": 1}
-    # each relation family is built once per symmetry and target, whichever
-    # reader asks first: sym and ext against the one-dimensional symmetry q,
-    # A and E against the given target
+    # each chain build reads the relation entries once, and a request that a
+    # cached chain serves reads none: sym and ext against the one-dimensional
+    # symmetry q, A and E against the given target
     calls.update(entries=0)
     sym = build_standard(2, 2)
     assert symmetric_dims(sym, 4) == [1, 2, 3, 4, 5]
@@ -412,9 +419,10 @@ def test_per_degree_callers_build_one_chain_per_family(monkeypatch, capsys):
     target, source = build_standard(2, 2), build_super(1, 1, 2)
     assert rmatrix.hom_dims(target, source, "A", 3) == [1, 4, 8, 12]
     assert rmatrix.hom_dims(target, source, "E", 3) == [1, 4, 8, 12]
+    # degree 4 after degree 3 restarts each chain, relations and all
     assert dim_intertwiner(target, source, 4) == 16
     assert dim_e_component(target, source, 4) == 16
-    assert calls["entries"] == 2
+    assert calls["entries"] == 4
 
 
 def test_mixed_quotients_run_no_chain_of_their_own(monkeypatch):
@@ -459,6 +467,32 @@ def test_degree_one_builds_no_relations(monkeypatch):
     for kind in "AE":
         assert rmatrix.hom_dims(sym, sym, kind, 1) == [1, 256]
     assert dim_quotient(sym, (1, 1), (1,)) == 4096
+
+
+def test_dims_keep_the_one_memo_per_family():
+    """Every family's graded dimensions are the one entry it leaves in
+    ``_cache``, keyed (kind, target) and held as a list of ints; building
+    its relations keeps nothing.  Builtins, dense conjugates read through
+    their twins and inputs with no twin share the one layout."""
+    rng = random.Random("one memo")
+    for sym in (build_standard(2, 2), dense_conjugate(build_super(2, 1, 2), rng), no_twin_symmetries()["form"]):
+        runs = [
+            lambda: symmetric_dims(sym, 3),
+            lambda: exterior_dims(sym, 3),
+            lambda: dim_quotient(sym, (2, 1), (3,)),
+            lambda: rmatrix.hom_dims(sym, sym, "A", 3),
+            lambda: rmatrix.hom_dims(sym, sym, "E", 2),
+        ]
+        for run in runs:
+            run()
+            for key, dims in sym._cache.items():
+                assert key in {("sym", None), ("ext", None), ("A", sym), ("E", sym)}, key
+                assert type(dims) is list and all(type(x) is int for x in dims), key
+        assert len(sym._cache) == 4
+        before = dict(sym._cache)
+        for kind, target in before:
+            rmatrix._relations(sym, kind, target)
+        assert sym._cache == before
 
 
 # (name, builtin specifier, constructor) for the file-path tests

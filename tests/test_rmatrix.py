@@ -627,7 +627,7 @@ class TestGradedDims:
         first = symmetric_dims(sym, 4)
         second = symmetric_dims(sym, 4)
         assert first == second
-        assert sym._cache["dims", "sym", None] == first
+        assert sym._cache["sym", None] == first
 
 
 class TestDimQuotient:
@@ -718,7 +718,7 @@ class TestHomSpaces:
         # checked before the q of the pair, and nothing is cached
         with pytest.raises(ValueError, match="^hom family must be 'A' or 'E'"):
             rmatrix.hom_dims(a, build_standard(2, 3), "sym", 3)
-        assert sorted(key[1] for key in a._cache) == ["A", "A", "E", "E"]
+        assert sorted(key[0] for key in a._cache) == ["A", "E"]
 
 
 class TestCaps:
